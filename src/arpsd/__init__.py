@@ -31,9 +31,11 @@ from .preprocess import (
 )
 from .estimation import (
     FitResult,
+    FitSweep,
     ar_psd,
     burg_fit,
     coefficients_from_reflection,
+    fit_sweep,
     levinson_durbin,
     mle_fit,
     reflection_coefficients,
@@ -69,6 +71,7 @@ __all__ = [
     "ConfusionCounts",
     "DetectionReport",
     "FitResult",
+    "FitSweep",
     "FrequencyBand",
     "MaskedSpectrum",
     "MetricsReport",
@@ -95,6 +98,7 @@ __all__ = [
     "detect_recording",
     "difference",
     "evaluate",
+    "fit_sweep",
     "levinson_durbin",
     "metrics_from_counts",
     "mle_fit",

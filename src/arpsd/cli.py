@@ -16,7 +16,6 @@ from .core import Recording, default_montage
 from .detection import confusion_from_flags, detect_recording, metrics_from_counts
 from .estimation import ar_psd, burg_fit, mle_fit, yule_walker_fit
 from .io_csv import (
-    echo_lines,
     read_annotations,
     read_burst_specs,
     read_prediction_csv,
@@ -100,10 +99,10 @@ def _prepared_channel(recording: Recording, name: str, config: RunConfig):
 
 def _fit_one(series, method: str, order, config: RunConfig):
     if order == "auto":
-        order = order_scan(
+        return order_scan(
             series, p_max=config.p_max, method=method,
             criterion=config.criterion, grid_size=config.grid_size,
-        ).selected_p
+        ).fit
     if method == "burg":
         return burg_fit(series, order)
     if method == "yule_walker":
@@ -170,11 +169,16 @@ def _cmd_psd(args) -> int:
     recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
     names = recording.names if args.all else (args.channel,)
     out_dir = Path(args.out)
+    targets: dict[Path, str] = {}
+    for name in names:
+        target = out_dir / (name.replace("/", "_") + ".csv")
+        if target in targets:
+            raise ValueError(f"channels {targets[target]!r} and {name!r} would both write {target}")
+        targets[target] = name
     out_dir.mkdir(parents=True, exist_ok=True)
     parameters = config.summary()
-    for name in names:
+    for target, name in targets.items():
         masked = _psd_for_channel(recording, name, config)
-        target = out_dir / (name.replace("/", "_") + ".csv")
         write_psd_csv(target, masked, {"channel": name, **parameters})
         print(f"wrote {target}")
     return 0

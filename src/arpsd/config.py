@@ -1,6 +1,7 @@
 """Run configuration shared by the detection pipeline and the CLI."""
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 from .core import FrequencyBand, default_bands
 from .estimation import METHODS
@@ -16,8 +17,9 @@ class RunConfig:
     Defaults reproduce the reference pipeline: first differencing, Burg
     fits at order 10, threshold multiplier 2 on the PSD grid mean, and a
     channel flagged when at least half of the surviving power sits in
-    delta or theta.  ``order`` may be the string "auto" to select the
-    order per channel by ``criterion`` over 1..p_max.
+    delta or theta.  ``order`` is a positive integer (any integral type
+    but bool, stored as ``int``) or the string "auto" to select the order
+    per channel by ``criterion`` over 1..p_max.
     """
 
     method: str = "burg"
@@ -37,9 +39,11 @@ class RunConfig:
             raise ValueError(f"unknown method: {self.method!r}")
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion: {self.criterion!r}")
-        if self.order != "auto":
-            if not isinstance(self.order, int) or self.order < 1:
+        if not (isinstance(self.order, str) and self.order == "auto"):
+            # bool is an Integral, but True is no model order.
+            if isinstance(self.order, bool) or not isinstance(self.order, Integral) or self.order < 1:
                 raise ValueError('order must be a positive integer or "auto"')
+            object.__setattr__(self, "order", int(self.order))
         if self.p_max < 1:
             raise ValueError("p_max must be at least 1")
         if self.diff_order < 0:

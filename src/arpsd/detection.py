@@ -102,7 +102,7 @@ def classify_channel(
     if bands is None:
         bands = default_bands()
     report = band_powers(masked, bands)
-    low = sum(report.per_band[name].fraction for name in LOW_BANDS if name in report.per_band)
+    low = report.combined_fraction(LOW_BANDS)
     flagged = report.total_power > 0.0 and low >= rho
     return ChannelDecision(
         derivation=derivation,
@@ -115,21 +115,18 @@ def classify_channel(
 
 def _fit_channel(series, config: RunConfig):
     if config.order == "auto":
-        scan = order_scan(
+        return order_scan(
             series,
             p_max=config.p_max,
             method=config.method,
             criterion=config.criterion,
             grid_size=config.grid_size,
-        )
-        p = scan.selected_p
-    else:
-        p = config.order
+        ).fit
     if config.method == "burg":
-        return burg_fit(series, p)
+        return burg_fit(series, config.order)
     if config.method == "yule_walker":
-        return yule_walker_fit(series, p)
-    return mle_fit(series, p, grid_size=config.grid_size)
+        return yule_walker_fit(series, config.order)
+    return mle_fit(series, config.order, grid_size=config.grid_size)
 
 
 def detect_recording(recording: Recording, config: RunConfig | None = None) -> DetectionReport:
@@ -138,13 +135,13 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     Per channel: difference ``config.diff_order`` times, demean, fit an
     AR model with ``config.method``, evaluate its PSD, zero sub-threshold
     power with multiplier ``config.k``, and flag by low-band dominance
-    ``config.rho``.  The pipeline is deterministic; a channel whose fit
-    fails is reported in ``errors`` rather than silently dropped.
+    ``config.rho``.  The pipeline is deterministic.  A channel whose
+    pipeline raises ValueError or ArithmeticError (a floating-point,
+    zero-division or overflow fault) is reported in ``errors`` with the
+    message, and the remaining channels are still screened.
     """
     if config is None:
         config = RunConfig()
-    if len(recording) == 0:
-        raise ValueError("empty recording")
     decisions = []
     errors: dict[str, str] = {}
     for name in recording.names:
@@ -161,7 +158,7 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
             decisions.append(
                 classify_channel(masked, config.bands, config.rho, derivation=name)
             )
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             errors[name] = str(exc)
     return DetectionReport(tuple(decisions), config.summary(), errors)
 

@@ -8,7 +8,8 @@ innovation variance (natural logarithms throughout):
     BIC(p)  = log(sigma2) + p log(n) / n
 
 ``order_scan`` evaluates them for every order 1..p_max from a single
-order-recursive sweep, so no per-order refitting takes place.
+order-recursive sweep (:func:`arpsd.estimation.fit_sweep`) and returns
+the selected order's fit from that sweep, so no refitting takes place.
 """
 
 from dataclasses import dataclass
@@ -18,16 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import TimeSeries
-from .estimation import (
-    METHOD_BURG,
-    METHOD_MLE,
-    METHOD_YULE_WALKER,
-    METHODS,
-    _burg_recursion,
-    _levinson_recursion,
-    _mle_sigma2,
-)
-from .preprocess import biased_autocov, periodogram
+from .estimation import METHOD_BURG, METHODS, FitResult, fit_sweep
 
 __all__ = ["aic", "aicc", "bic", "OrderScore", "OrderScanResult", "order_scan", "select_order"]
 
@@ -76,9 +68,16 @@ class OrderScore:
 
 @dataclass(frozen=True)
 class OrderScanResult:
+    """Scores of every candidate order, and the selected order's fit.
+
+    ``fit`` is bit for bit what the method's fitter returns at
+    ``selected_p``.
+    """
+
     per_order: tuple[OrderScore, ...]
     selected_p: int
     criterion_used: str
+    fit: FitResult
 
 
 def select_order(scores: Sequence[OrderScore], criterion: str) -> int:
@@ -139,28 +138,10 @@ def order_scan(
     n = len(x)
     if n <= p_max + 2:
         raise ValueError("need more than p_max + 2 samples")
-    centered = x.samples - x.samples.mean()
-    if method == METHOD_BURG:
-        _, _, errs = _burg_recursion(centered, p_max)
-        sigma2_by_order = errs[1:]
-    else:
-        series = TimeSeries(centered, x.sample_rate_hz)
-        r = biased_autocov(series, p_max)
-        if r[0] == 0.0:
-            raise ValueError("zero-variance signal")
-        coeffs_by_order, _, errs = _levinson_recursion(r.values, p_max)
-        if method == METHOD_YULE_WALKER:
-            sigma2_by_order = errs[1:]
-        else:
-            if grid_size < 2 * p_max:
-                raise ValueError("grid too coarse for order")
-            pgram = periodogram(series, grid_size)
-            sigma2_by_order = np.array(
-                [_mle_sigma2(coeffs, pgram) for coeffs in coeffs_by_order]
-            )
+    sweep = fit_sweep(x, p_max, method, grid_size)
     scores = []
     for p in range(1, p_max + 1):
-        sigma2 = float(sigma2_by_order[p - 1])
+        sigma2 = float(sweep.sigma2_by_order[p - 1])
         scores.append(
             OrderScore(
                 p=p,
@@ -171,4 +152,4 @@ def order_scan(
             )
         )
     selected = select_order(scores, criterion)
-    return OrderScanResult(tuple(scores), selected, criterion)
+    return OrderScanResult(tuple(scores), selected, criterion, sweep.fit(selected))

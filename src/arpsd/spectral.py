@@ -109,6 +109,20 @@ class BandPowerReport:
     def fraction(self, name: str) -> float:
         return self.per_band[name].fraction
 
+    def combined_fraction(self, names: Sequence[str]) -> float:
+        """Share of the total held by the named bands together.
+
+        Names absent from the report contribute nothing.  The powers are
+        added before dividing, in the order :func:`band_powers` added them
+        into the total, so the share never exceeds 1; adding the rounded
+        fractions could.
+        """
+        power = 0.0
+        for name, band in self.per_band.items():
+            if name in names:
+                power += band.power
+        return power / self.total_power if self.total_power > 0.0 else 0.0
+
 
 def _check_disjoint(bands: Sequence[FrequencyBand]) -> list[FrequencyBand]:
     ordered = sorted(bands, key=lambda b: b.lo_hz)
@@ -132,25 +146,38 @@ def band_powers(spectrum, bands: Sequence[FrequencyBand]) -> BandPowerReport:
     ordered = _check_disjoint(bands)
     freqs_hz = spectrum.freqs_hz
     values = spectrum.values
-    total = float(np.trapezoid(values, freqs_hz))
-    per_band: dict[str, BandPower] = {}
+    # One nonnegative trapezoid term per grid interval.  A band owns the
+    # terms between its first and last grid point.  The total adds the
+    # band powers one by one in the caller's order, then the terms no band
+    # owns.  Rounding is monotone and every term is nonnegative, so the
+    # total is at least the same in-order sum over any subset of the bands,
+    # and no share exceeds 1.
+    terms = np.diff(freqs_hz) * (values[1:] + values[:-1]) / 2.0
+    owned = np.zeros(terms.size, dtype=bool)
+    powers: dict[str, float] = {}
+    for band in bands:
+        inside = np.flatnonzero((freqs_hz >= band.lo_hz) & (freqs_hz < band.hi_hz))
+        power = 0.0
+        if inside.size >= 2:
+            span = slice(inside[0], inside[-1])
+            power = float(terms[span].sum())
+            owned[span] = True
+        powers[band.name] = power
+    total = 0.0
+    for power in powers.values():
+        total += power
+    total = float(total + terms[~owned].sum())
+    per_band = {
+        name: BandPower(power, power / total if total > 0.0 else 0.0)
+        for name, power in powers.items()
+    }
     best_name = "none"
     best_fraction = 0.0
     for band in ordered:
-        inside = (freqs_hz >= band.lo_hz) & (freqs_hz < band.hi_hz)
-        if inside.sum() >= 2:
-            power = float(np.trapezoid(values[inside], freqs_hz[inside]))
-        else:
-            power = 0.0
-        fraction = power / total if total > 0.0 else 0.0
-        per_band[band.name] = BandPower(power, fraction)
+        fraction = per_band[band.name].fraction
         if fraction > best_fraction:
             best_fraction = fraction
             best_name = band.name
-    # Report in the caller's band order.
-    per_band = {band.name: per_band[band.name] for band in bands}
-    if total <= 0.0:
-        best_name = "none"
     return BandPowerReport(per_band, total, best_name)
 
 

@@ -156,6 +156,17 @@ def test_psd_requires_exactly_one_target(burst_workspace, capsys):
     assert main(["psd", str(rec), "--channel", "F8-T4", "--all", "--out", str(out_dir)]) == 1
 
 
+def test_psd_refuses_channels_that_share_a_file_name(tmp_path, capsys):
+    rec = tmp_path / "rec.csv"
+    rows = "\n".join(f"{i % 7 - 3.0},{(i * 5) % 11 - 5.0},{(i * 3) % 13 - 6.0}" for i in range(200))
+    rec.write_text("# fs=128\nC,A/B,A_B\n" + rows + "\n")
+    out_dir = tmp_path / "psd"
+    assert main(["psd", str(rec), "--all", "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "'A/B'" in err and "'A_B'" in err
+    assert not out_dir.exists()
+
+
 def test_missing_input_file_is_a_clean_error(tmp_path, capsys):
     assert main(["detect", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r.csv")]) == 1
     assert "error:" in capsys.readouterr().err

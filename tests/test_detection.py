@@ -21,6 +21,7 @@ from arpsd import (
     simulate_recording,
     threshold_psd,
 )
+from arpsd import detection
 from arpsd.detection import ChannelDecision, DetectionReport
 
 
@@ -145,6 +146,37 @@ def test_detect_recording_captures_per_channel_failures():
     assert set(report.errors) == {"flat"}
     assert "degenerate signal" in report.errors["flat"]
     assert [d.derivation for d in report.per_channel] == ["good-1", "good-2"]
+
+
+@pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
+def test_detect_recording_isolates_arithmetic_faults(monkeypatch, fault):
+    rng = np.random.default_rng(10)
+    channels = {name: TimeSeries(rng.standard_normal(400), 128.0) for name in ("a", "b", "c")}
+    real_fit = detection.burg_fit
+    calls = []
+
+    def faulty_fit(series, p):
+        calls.append(p)
+        if len(calls) == 2:
+            raise fault("numerical fault in channel b")
+        return real_fit(series, p)
+
+    monkeypatch.setattr(detection, "burg_fit", faulty_fit)
+    report = detect_recording(Recording(channels))
+    assert report.errors == {"b": "numerical fault in channel b"}
+    assert [d.derivation for d in report.per_channel] == ["a", "c"]
+
+
+def test_low_band_fraction_never_exceeds_one_on_simulated_bursts():
+    # F8-T4 of seed 0 read 1.0000000000000002 when the total and the band
+    # sums were trapezoids over different grid ranges.
+    bursts = [BurstSpec(name, 5.0, 0.95) for name in ("F8-T4", "T3-T5", "Cz-Pz")]
+    recording, _ = simulate_recording(default_montage(), 2560, 128.0, 1.0, bursts, 10.0, 0)
+    report = detect_recording(recording)
+    assert report.errors == {}
+    for decision in report.per_channel:
+        assert 0.0 <= decision.low_band_fraction <= 1.0
+    assert report.decisions_by_name()["F8-T4"].low_band_fraction == 1.0
 
 
 def test_detect_recording_too_short_for_order_reports_every_channel():

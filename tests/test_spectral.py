@@ -1,7 +1,11 @@
 """Mean-threshold masking, band power accounting, and the differencing correction."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arpsd import (
     FrequencyBand,
@@ -173,6 +177,27 @@ def test_band_powers_fraction_sum_never_exceeds_one():
         spec = _spectrum(rng.uniform(0.0, 5.0, size=int(rng.integers(16, 200))))
         report = band_powers(spec, default_bands())
         assert sum(bp.fraction for bp in report.per_band.values()) <= 1.0 + 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    values=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=2, max_size=300),
+    fs=st.sampled_from([64.0, 100.0, 128.0, 256.0]),
+)
+def test_band_power_shares_never_exceed_one(values, fs):
+    report = band_powers(_spectrum(values, fs), default_bands())
+    names = list(report.per_band)
+    for size in range(1, len(names) + 1):
+        for subset in itertools.combinations(names, size):
+            assert 0.0 <= report.combined_fraction(subset) <= 1.0
+    assert all(0.0 <= bp.fraction <= 1.0 for bp in report.per_band.values())
+
+
+def test_combined_fraction_adds_powers_not_fractions():
+    report = band_powers(_unit_hz_spectrum({2: 1.0, 5: 3.0, 20: 1.0}), default_bands())
+    low = report.per_band["delta"].power + report.per_band["theta"].power
+    assert report.combined_fraction(("delta", "theta")) == low / report.total_power
+    assert report.combined_fraction(("gamma",)) == 0.0
 
 
 def test_band_powers_fractions_are_scale_invariant():
