@@ -18,12 +18,21 @@ lag-product Burg forced on every length, since 2560 samples fall below the
 length from which the package uses it.  A difference in any channel's flag,
 dominant band or error counts against the recording-config.
 
-Prints one line per pass with the counts and the largest relative
-differences in sigma2 and in the PSD; exits 1 if any flag set or dominant
-band differs.
+A third pass is exact: it composes the public stages, ``difference`` ->
+``demean`` -> ``fit_sweep(...).fit`` or ``order_scan(...).fit`` -> ``ar_psd``
+-> ``threshold_psd`` -> ``classify_channel``, and compares the decisions
+with ``detect_recording``'s ``per_channel`` (and the channels that raised
+with its ``errors``) by ``==``.  Besides the recordings above it runs
+``LONG_SEEDS`` 10-minute recordings (76,800 samples) per burst shape,
+which take the lag-product Burg.
+
+Prints one line per pass with the counts, and for the first two the
+largest relative differences in sigma2 and in the PSD; exits 1 if any
+recording-config differs.
 """
 
 import argparse
+import itertools
 import sys
 
 import numpy as np
@@ -54,7 +63,8 @@ BURSTS = ((5.0, 0.95), (7.5, 0.99), (2.0, 0.9), (10.0, 0.95))
 BURST_CHANNELS = ("F8-T4", "T3-T5", "Cz-Pz")
 METHODS = ("burg", "yule_walker", "mle")
 ORDERS = (10, "auto")
-N, FS, SNR = 2560, 128.0, 2.0
+N, LONG_N, FS, SNR = 2560, 76800, 128.0, 2.0
+LONG_SEEDS = 2
 
 
 _PHASES = {}
@@ -119,41 +129,83 @@ def package_psd(series, config):
     return fit.model.sigma2, ar_psd(fit.model, config.grid_size, series.sample_rate_hz).values
 
 
+def recordings(seeds, n):
+    """(label, recording) for every seed and burst shape."""
+    for seed in range(seeds):
+        for hz, radius in BURSTS:
+            bursts = [BurstSpec(name, hz, radius) for name in BURST_CHANNELS]
+            recording, _ = simulate_recording(default_montage(), n, FS, 1.0, bursts, SNR, seed)
+            yield f"n {n} seed {seed} burst {hz} Hz/{radius}", recording
+
+
 def compare_pass(seeds, label):
     configs = differ = 0
     worst_sigma2 = worst_psd = 0.0
     first = None
-    for seed in range(seeds):
-        for hz, radius in BURSTS:
-            bursts = [BurstSpec(name, hz, radius) for name in BURST_CHANNELS]
-            recording, _ = simulate_recording(default_montage(), N, FS, 1.0, bursts, SNR, seed)
-            prepared = {name: demean(difference(recording[name], 1)) for name in recording.names}
-            for method in METHODS:
-                for order in ORDERS:
-                    config = RunConfig(method=method, order=order)
-                    report = detect_recording(recording, config)
-                    ours = {d.derivation: (d.flagged, d.dominant_band) for d in report.per_channel}
-                    ours.update({name: ("error", message) for name, message in report.errors.items()})
-                    theirs = {}
-                    for name, series in prepared.items():
-                        try:
-                            decision, sigma2, psd = reference_decision(series, name, config)
-                        except (ValueError, ArithmeticError) as exc:
-                            theirs[name] = ("error", str(exc))
-                            continue
-                        theirs[name] = (decision.flagged, decision.dominant_band)
-                        if name in report.errors:
-                            continue
-                        our_sigma2, our_psd = package_psd(series, config)
-                        worst_sigma2 = max(worst_sigma2, abs(our_sigma2 - sigma2) / sigma2)
-                        worst_psd = max(worst_psd, float(np.max(np.abs(our_psd - psd) / psd)))
-                    configs += 1
-                    if ours != theirs:
-                        differ += 1
-                        first = first or f"seed {seed} burst {hz} Hz/{radius} {method} order {order}"
+    for name_of_input, recording in recordings(seeds, N):
+        prepared = {name: demean(difference(recording[name], 1)) for name in recording.names}
+        for method in METHODS:
+            for order in ORDERS:
+                config = RunConfig(method=method, order=order)
+                report = detect_recording(recording, config)
+                ours = {d.derivation: (d.flagged, d.dominant_band) for d in report.per_channel}
+                ours.update({name: ("error", message) for name, message in report.errors.items()})
+                theirs = {}
+                for name, series in prepared.items():
+                    try:
+                        decision, sigma2, psd = reference_decision(series, name, config)
+                    except (ValueError, ArithmeticError) as exc:
+                        theirs[name] = ("error", str(exc))
+                        continue
+                    theirs[name] = (decision.flagged, decision.dominant_band)
+                    if name in report.errors:
+                        continue
+                    our_sigma2, our_psd = package_psd(series, config)
+                    worst_sigma2 = max(worst_sigma2, abs(our_sigma2 - sigma2) / sigma2)
+                    worst_psd = max(worst_psd, float(np.max(np.abs(our_psd - psd) / psd)))
+                configs += 1
+                if ours != theirs:
+                    differ += 1
+                    first = first or f"{name_of_input} {method} order {order}"
     print(f"{label}: {configs} recording-configs, {differ} with a different flag set, "
           f"dominant band or error; max relative difference sigma2 {worst_sigma2:.2e}, "
           f"PSD {worst_psd:.2e}" + (f"; first: {first}" if first else ""))
+    return differ
+
+
+def stages_decision(x, name, config):
+    """One raw channel through the public stages, composed by hand."""
+    series = demean(difference(x, config.diff_order))
+    if config.order == "auto":
+        fit = order_scan(series, p_max=config.p_max, method=config.method,
+                         criterion=config.criterion, grid_size=config.grid_size).fit
+    else:
+        fit = fit_sweep(series, config.order, config.method, config.grid_size).fit(config.order)
+    masked = threshold_psd(ar_psd(fit.model, config.grid_size, x.sample_rate_hz), config.k)
+    return classify_channel(masked, config.bands, config.rho, derivation=name)
+
+
+def exact_pass(seeds):
+    configs = differ = 0
+    first = None
+    inputs = itertools.chain(recordings(seeds, N), recordings(LONG_SEEDS, LONG_N))
+    for name_of_input, recording in inputs:
+        for method in METHODS:
+            for order in ORDERS:
+                config = RunConfig(method=method, order=order)
+                report = detect_recording(recording, config)
+                decisions, errors = [], {}
+                for name in recording.names:
+                    try:
+                        decisions.append(stages_decision(recording[name], name, config))
+                    except (ValueError, ArithmeticError) as exc:
+                        errors[name] = str(exc)
+                configs += 1
+                if report.per_channel != tuple(decisions) or report.errors != errors:
+                    differ += 1
+                    first = first or f"{name_of_input} {method} order {order}"
+    print(f"public stages composed, exact: {configs} recording-configs, {differ} whose "
+          f"decisions or errors are not == detect_recording's" + (f"; first: {first}" if first else ""))
     return differ
 
 
@@ -161,7 +213,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=150)
     args = parser.parse_args(argv)
-    differ = compare_pass(args.seeds, "package as shipped")
+    differ = exact_pass(args.seeds)
+    differ += compare_pass(args.seeds, "package as shipped")
     estimation._LAG_MIN_SAMPLES = 0
     differ += compare_pass(args.seeds, "lag-product Burg on every length")
     return 1 if differ else 0

@@ -51,12 +51,15 @@ from .spectral import (
 )
 from .detection import (
     ChannelDecision,
+    ChannelFit,
     DetectionReport,
     MetricsReport,
+    channel_psd,
     classify_channel,
     confusion_from_flags,
     detect_recording,
     evaluate,
+    fit_channel,
     metrics_from_counts,
 )
 from .simulate import BurstSpec, resonator_model, simulate_ar, simulate_recording
@@ -68,6 +71,7 @@ __all__ = [
     "BandPowerReport",
     "BurstSpec",
     "ChannelDecision",
+    "ChannelFit",
     "ConfusionCounts",
     "DetectionReport",
     "FitResult",
@@ -89,6 +93,7 @@ __all__ = [
     "bic",
     "biased_autocov",
     "burg_fit",
+    "channel_psd",
     "classify_channel",
     "coefficients_from_reflection",
     "confusion_from_flags",
@@ -98,6 +103,7 @@ __all__ = [
     "detect_recording",
     "difference",
     "evaluate",
+    "fit_channel",
     "fit_sweep",
     "levinson_durbin",
     "metrics_from_counts",

@@ -8,13 +8,19 @@ computation succeeded.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .config import RunConfig
 from .core import Recording, default_montage
-from .detection import confusion_from_flags, detect_recording, metrics_from_counts
-from .estimation import ar_psd, burg_fit, mle_fit, yule_walker_fit
+from .detection import (
+    channel_psd,
+    confusion_from_flags,
+    detect_recording,
+    fit_channel,
+    metrics_from_counts,
+)
 from .io_csv import (
     read_annotations,
     read_burst_specs,
@@ -25,10 +31,7 @@ from .io_csv import (
     write_psd_csv,
     write_recording_csv,
 )
-from .order_selection import order_scan
-from .preprocess import demean, difference
 from .simulate import simulate_recording
-from .spectral import threshold_psd, undifference_psd
 
 METHOD_FLAGS = {"yw": "yule_walker", "burg": "burg", "mle": "mle"}
 METHOD_TITLES = {"mle": "MLE", "yule_walker": "Yule-Walker", "burg": "Burg"}
@@ -88,78 +91,54 @@ def _config_from_args(args, method: str | None = None) -> RunConfig:
     )
 
 
-def _prepared_channel(recording: Recording, name: str, config: RunConfig):
+def _channel(recording: Recording, name: str):
     if name not in recording.channels:
         raise ValueError(f"unknown channel: {name}")
-    series = recording[name]
-    if config.diff_order > 0:
-        series = difference(series, config.diff_order)
-    return demean(series)
+    return recording[name]
 
 
-def _fit_one(series, method: str, order, config: RunConfig):
-    if order == "auto":
-        return order_scan(
-            series, p_max=config.p_max, method=method,
-            criterion=config.criterion, grid_size=config.grid_size,
-        ).fit
-    if method == "burg":
-        return burg_fit(series, order)
-    if method == "yule_walker":
-        return yule_walker_fit(series, order)
-    return mle_fit(series, order, grid_size=config.grid_size)
+def _cells(values, i: int, width: int, spec: str) -> str:
+    """Entry i of each column, or "-" where a column is shorter."""
+    return "".join(f"{v[i]:>{width}{spec}}" if i < len(v) else "-".rjust(width) for v in values)
 
 
 def _cmd_fit(args) -> int:
-    # config.method is unused here; each fit below names its method.
-    config = _config_from_args(args, method="burg" if args.method == "all" else METHOD_FLAGS[args.method])
-    recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
-    series = _prepared_channel(recording, args.channel, config)
     methods = ["mle", "yule_walker", "burg"] if args.method == "all" else [METHOD_FLAGS[args.method]]
-    fits = [_fit_one(series, method, config.order, config) for method in methods]
-    order = fits[0].model.order_p
-    print(f"channel {args.channel}  n={len(series)}  d={config.diff_order}")
+    config = _config_from_args(args, method=methods[0])
+    recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
+    channel = _channel(recording, args.channel)
+    # Under --order auto each method is shown at the order it selected.
+    fits = [fit_channel(channel, replace(config, method=method)).fit for method in methods]
+    print(f"channel {args.channel}  n={len(channel) - config.diff_order}  d={config.diff_order}")
     width = max(12, *(len(METHOD_TITLES[m]) + 2 for m in methods))
     head = "parameter".ljust(10) + "".join(METHOD_TITLES[m].rjust(width) for m in methods)
     print(head)
+    print("p".ljust(10) + "".join(f"{fit.model.order_p:>{width}d}" for fit in fits))
+    order = max(fit.model.order_p for fit in fits)
+    coeffs = [fit.model.coeffs for fit in fits]
     for i in range(order):
-        row = f"a({i + 1})".ljust(10)
-        row += "".join(f"{fit.model.coeffs[i]:>{width}.3f}" for fit in fits)
-        print(row)
+        print(f"a({i + 1})".ljust(10) + _cells(coeffs, i, width, ".3f"))
     print("sigma2e".ljust(10) + "".join(f"{fit.model.sigma2:>{width}.4g}" for fit in fits))
+    ks = [fit.reflection_coeffs for fit in fits]
     for i in range(order):
-        row = f"k({i + 1})".ljust(10)
-        row += "".join(f"{fit.reflection_coeffs[i]:>{width}.3f}" for fit in fits)
-        print(row)
+        print(f"k({i + 1})".ljust(10) + _cells(ks, i, width, ".3f"))
     return 0
 
 
 def _cmd_order_scan(args) -> int:
-    config = _config_from_args(args)
+    config = replace(_config_from_args(args), order="auto")
     recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
-    series = _prepared_channel(recording, args.channel, config)
-    result = order_scan(
-        series, p_max=config.p_max, method=config.method,
-        criterion=config.criterion, grid_size=config.grid_size,
-    )
-    print(f"channel {args.channel}  n={len(series)}  method={config.method}")
+    channel = _channel(recording, args.channel)
+    result = fit_channel(channel, config)
+    print(f"channel {args.channel}  n={len(channel) - config.diff_order}  method={config.method}")
     print(f"{'p':>4}  {'sigma2':>12}  {'AIC':>12}  {'AICc':>12}  {'BIC':>12}")
-    for score in result.per_order:
+    for score in result.scan.per_order:
         print(
             f"{score.p:>4}  {score.sigma2:>12.6g}  {score.aic:>12.6f}  "
             f"{score.aicc:>12.6f}  {score.bic:>12.6f}"
         )
-    print(f"selected p = {result.selected_p} ({result.criterion_used})")
+    print(f"selected p = {result.scan.selected_p} ({result.scan.criterion_used})")
     return 0
-
-
-def _psd_for_channel(recording: Recording, name: str, config: RunConfig):
-    series = _prepared_channel(recording, name, config)
-    fit = _fit_one(series, config.method, config.order, config)
-    spectrum = ar_psd(fit.model, config.grid_size, recording.sample_rate_hz)
-    if config.undifference_correction and config.diff_order > 0:
-        spectrum = undifference_psd(spectrum, config.diff_order)
-    return threshold_psd(spectrum, config.k)
 
 
 def _cmd_psd(args) -> int:
@@ -175,11 +154,14 @@ def _cmd_psd(args) -> int:
         if target in targets:
             raise ValueError(f"channels {targets[target]!r} and {name!r} would both write {target}")
         targets[target] = name
+    # Every spectrum first, so that a failing channel leaves no file behind.
+    spectra = {
+        target: channel_psd(_channel(recording, name), config) for target, name in targets.items()
+    }
     out_dir.mkdir(parents=True, exist_ok=True)
     parameters = config.summary()
     for target, name in targets.items():
-        masked = _psd_for_channel(recording, name, config)
-        write_psd_csv(target, masked, {"channel": name, **parameters})
+        write_psd_csv(target, spectra[target], {"channel": name, **parameters})
         print(f"wrote {target}")
     return 0
 

@@ -23,8 +23,8 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, *, name: str, min_size: int = 1) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
+def _frozen_array(values, *, name: str, min_size: int = 1, copy: bool = True) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64, copy=True if copy else None)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if arr.size < min_size:
@@ -43,8 +43,24 @@ class TimeSeries:
     sample_rate_hz: float
 
     def __post_init__(self):
-        samples = _frozen_array(self.samples, name="samples")
-        rate = float(self.sample_rate_hz)
+        self._freeze(_frozen_array(self.samples, name="samples"), self.sample_rate_hz)
+
+    @classmethod
+    def adopt(cls, samples: np.ndarray, sample_rate_hz: float) -> "TimeSeries":
+        """Wrap a float64 array the caller has just made, without copying it.
+
+        The checks are the constructor's, including its one pass over the
+        samples for finiteness; only the copy is skipped.  The array is made
+        read-only in place, so the caller must own it outright: a fresh
+        result such as the output of ``np.diff``, never a view of samples
+        that something else may still write.
+        """
+        series = cls.__new__(cls)
+        series._freeze(_frozen_array(samples, name="samples", copy=False), sample_rate_hz)
+        return series
+
+    def _freeze(self, samples: np.ndarray, sample_rate_hz: float) -> None:
+        rate = float(sample_rate_hz)
         if not (rate > 0.0 and np.isfinite(rate)):
             raise ValueError("sample_rate_hz must be positive and finite")
         object.__setattr__(self, "samples", samples)

@@ -1,23 +1,33 @@
-"""Channel flagging from masked spectra and scoring against annotations."""
+"""The per-channel screening path, channel flagging from masked spectra,
+and scoring against annotations.
+
+Every channel is screened through one path, which ``detect_recording``
+and every CLI subcommand share: :func:`fit_channel` prepares the channel
+and fits it as the run configuration says, :func:`channel_psd` turns the
+fit into a masked spectrum, and :func:`classify_channel` flags it.
+"""
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .config import RunConfig
-from .core import ConfusionCounts, FrequencyBand, Recording, default_bands
-from .estimation import ar_psd, burg_fit, mle_fit, yule_walker_fit
-from .order_selection import order_scan
+from .core import ConfusionCounts, FrequencyBand, Recording, TimeSeries, default_bands
+from .estimation import FitResult, ar_psd, burg_fit, mle_fit, yule_walker_fit
+from .order_selection import OrderScanResult, order_scan
 from .preprocess import demean, difference
 from .spectral import MaskedSpectrum, band_powers, threshold_psd, undifference_psd
 
 __all__ = [
     "ChannelDecision",
+    "ChannelFit",
     "DetectionReport",
     "MetricsReport",
+    "channel_psd",
     "classify_channel",
     "confusion_from_flags",
     "detect_recording",
     "evaluate",
+    "fit_channel",
     "metrics_from_counts",
 ]
 
@@ -113,20 +123,59 @@ def classify_channel(
     )
 
 
-def _fit_channel(series, config: RunConfig):
+@dataclass(frozen=True)
+class ChannelFit:
+    """One channel prepared and fitted as a run configuration says.
+
+    ``scan`` is the order scan under ``order="auto"``, whose ``fit`` is
+    ``fit``; it is None at a fixed order.
+    """
+
+    fit: FitResult
+    scan: OrderScanResult | None = None
+
+
+def fit_channel(x: TimeSeries, config: RunConfig) -> ChannelFit:
+    """Prepare one raw channel and fit it with ``config.method``.
+
+    The channel is differenced ``config.diff_order`` times and demeaned,
+    ``demean(difference(x, config.diff_order))``.  At a fixed order the
+    method's fitter runs once; under ``order="auto"`` :func:`order_scan`
+    scores every order 1..``config.p_max`` and the selected order's fit
+    comes from that scan.
+    """
+    series = demean(difference(x, config.diff_order))
     if config.order == "auto":
-        return order_scan(
+        scan = order_scan(
             series,
             p_max=config.p_max,
             method=config.method,
             criterion=config.criterion,
             grid_size=config.grid_size,
-        ).fit
+        )
+        return ChannelFit(scan.fit, scan)
     if config.method == "burg":
-        return burg_fit(series, config.order)
-    if config.method == "yule_walker":
-        return yule_walker_fit(series, config.order)
-    return mle_fit(series, config.order, grid_size=config.grid_size)
+        fit = burg_fit(series, config.order)
+    elif config.method == "yule_walker":
+        fit = yule_walker_fit(series, config.order)
+    else:
+        fit = mle_fit(series, config.order, grid_size=config.grid_size)
+    return ChannelFit(fit)
+
+
+def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
+    """The masked model spectrum of one raw channel.
+
+    Fits the channel by :func:`fit_channel`, evaluates the model PSD on
+    ``config.grid_size`` points, divides out the differencing response
+    when ``config.undifference_correction`` is set, and zeroes the power
+    below ``config.k`` times the grid mean.
+    """
+    fit = fit_channel(x, config).fit
+    spectrum = ar_psd(fit.model, config.grid_size, x.sample_rate_hz)
+    if config.undifference_correction and config.diff_order > 0:
+        spectrum = undifference_psd(spectrum, config.diff_order)
+    return threshold_psd(spectrum, config.k)
 
 
 def detect_recording(recording: Recording, config: RunConfig | None = None) -> DetectionReport:
@@ -146,15 +195,7 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     errors: dict[str, str] = {}
     for name in recording.names:
         try:
-            series = recording[name]
-            if config.diff_order > 0:
-                series = difference(series, config.diff_order)
-            series = demean(series)
-            fit = _fit_channel(series, config)
-            spectrum = ar_psd(fit.model, config.grid_size, recording.sample_rate_hz)
-            if config.undifference_correction and config.diff_order > 0:
-                spectrum = undifference_psd(spectrum, config.diff_order)
-            masked = threshold_psd(spectrum, config.k)
+            masked = channel_psd(recording[name], config)
             decisions.append(
                 classify_channel(masked, config.bands, config.rho, derivation=name)
             )

@@ -340,15 +340,18 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
     return _sweep(METHOD_BURG, _burg_stages(samples, p)).fit(p)
 
 
-def _mle_sigma2(coeffs: np.ndarray, pgram) -> float:
-    """Innovation variance by spectral matching.
+def _mle_sigma2(coeff_rows: np.ndarray, pgram) -> np.ndarray:
+    """Innovation variance by spectral matching, one per coefficient row.
 
     sigma^2 = integral over [-1/2, 1/2] of |A(f)|^2 I(f) df, evaluated as
     twice the trapezoidal integral over [0, 1/2] (the integrand is even).
-    Every trapezoid term is nonnegative, so nothing cancels.
+    Every trapezoid term is nonnegative, so nothing cancels.  Each row of
+    ``coeff_rows`` holds a(1..p) followed by zeros; all rows share one
+    rfft and one trapezoid call, which give every row the bits of its own
+    one-dimensional calls.
     """
-    amp2 = _transfer_mag2(coeffs, pgram.values.size)
-    return float(2.0 * np.trapezoid(amp2 * pgram.values, pgram.freqs_normalized))
+    amp2 = _transfer_mag2(coeff_rows, pgram.values.size)
+    return 2.0 * np.trapezoid(amp2 * pgram.values, pgram.freqs_normalized, axis=-1)
 
 
 def _centered_periodogram(x: TimeSeries, grid_size: int):
@@ -376,7 +379,7 @@ def mle_fit(x: TimeSeries, p: int, grid_size: int = 512) -> FitResult:
     if grid_size < 2 * p:
         raise ValueError("grid too coarse for order")
     base = yule_walker_fit(x, p)
-    sigma2 = _mle_sigma2(base.model.coeffs, _centered_periodogram(x, grid_size))
+    sigma2 = _mle_sigma2(base.model.coeffs[np.newaxis], _centered_periodogram(x, grid_size))[0]
     model = ArModel(p, base.model.coeffs, sigma2)
     # The error profile documents the coefficient recursion; the spectral
     # variance estimate lives only in model.sigma2.
@@ -471,9 +474,10 @@ def fit_sweep(
     sweep = _levinson_sweep(x, p_max)
     if method == METHOD_YULE_WALKER:
         return sweep
-    pgram = _centered_periodogram(x, grid_size)
-    coeffs_by_order = sweep.stages[0][1]
-    sigma2 = np.array([_mle_sigma2(coeffs, pgram) for coeffs in coeffs_by_order])
+    coeff_rows = np.zeros((p_max, p_max))
+    for p, coeffs in enumerate(sweep.stages[0][1], start=1):
+        coeff_rows[p - 1, :p] = coeffs
+    sigma2 = _mle_sigma2(coeff_rows, _centered_periodogram(x, grid_size))
     return _sweep(METHOD_MLE, sweep.stages, sigma2)
 
 
@@ -526,15 +530,18 @@ def _transfer_mag2(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
 
     A(f) = 1 + sum_i a(i) exp(-2j pi f i).  The grid is the rfft grid of
     period M = 2 (G - 1), where exp(-2j pi f_j i) has period M in i, so
-    A(f_j) is the real FFT of [1, a(1..p)] folded modulo M.
+    A(f_j) is the real FFT of [1, a(1..p)] folded modulo M.  A 2-D
+    ``coeffs`` holds one a(1..p) per row, and the result one row of
+    |A(f)|^2 per row of ``coeffs``, from one rfft over the last axis.
     """
     period = 2 * (grid_size - 1)
-    poly = np.zeros(-(-(coeffs.size + 1) // period) * period)
-    poly[0] = 1.0
-    poly[1 : coeffs.size + 1] = coeffs
-    if poly.size > period:
-        poly = poly.reshape(-1, period).sum(axis=0)
-    amp = np.fft.rfft(poly)
+    lead, p = coeffs.shape[:-1], coeffs.shape[-1]
+    poly = np.zeros(lead + (-(-(p + 1) // period) * period,))
+    poly[..., 0] = 1.0
+    poly[..., 1 : p + 1] = coeffs
+    if poly.shape[-1] > period:
+        poly = poly.reshape(lead + (-1, period)).sum(axis=-2)
+    amp = np.fft.rfft(poly, axis=-1)
     return amp.real**2 + amp.imag**2
 
 

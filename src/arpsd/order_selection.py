@@ -32,9 +32,18 @@ def _check_sigma2(sigma2: float) -> float:
     return sigma2
 
 
+def _penalty(criterion: str, n: int, p: int) -> float:
+    """The term a criterion adds to log(sigma2); AICc needs n > p + 2."""
+    if criterion == "aic":
+        return (n + 2 * p) / n
+    if criterion == "aicc":
+        return (n + p) / (n - p - 2)
+    return p * log(n) / n
+
+
 def aic(sigma2: float, n: int, p: int) -> float:
     """Akaike information criterion, log(sigma2) + (n + 2p) / n."""
-    return log(_check_sigma2(sigma2)) + (n + 2 * p) / n
+    return log(_check_sigma2(sigma2)) + _penalty("aic", n, p)
 
 
 def aicc(sigma2: float, n: int, p: int) -> float:
@@ -47,12 +56,12 @@ def aicc(sigma2: float, n: int, p: int) -> float:
     """
     if n <= p + 2:
         raise ValueError("AICc undefined for this n,p")
-    return log(_check_sigma2(sigma2)) + (n + p) / (n - p - 2)
+    return log(_check_sigma2(sigma2)) + _penalty("aicc", n, p)
 
 
 def bic(sigma2: float, n: int, p: int) -> float:
     """Bayesian information criterion, log(sigma2) + p log(n) / n."""
-    return log(_check_sigma2(sigma2)) + p * log(n) / n
+    return log(_check_sigma2(sigma2)) + _penalty("bic", n, p)
 
 
 @dataclass(frozen=True)
@@ -139,17 +148,11 @@ def order_scan(
     if n <= p_max + 2:
         raise ValueError("need more than p_max + 2 samples")
     sweep = fit_sweep(x, p_max, method, grid_size)
+    # log(sigma2) once per order; n > p_max + 2 keeps AICc defined.
     scores = []
-    for p in range(1, p_max + 1):
-        sigma2 = float(sweep.sigma2_by_order[p - 1])
-        scores.append(
-            OrderScore(
-                p=p,
-                sigma2=sigma2,
-                aic=aic(sigma2, n, p),
-                aicc=aicc(sigma2, n, p),
-                bic=bic(sigma2, n, p),
-            )
-        )
+    for p, sigma2 in enumerate(sweep.sigma2_by_order.tolist(), start=1):
+        log_sigma2 = log(_check_sigma2(sigma2))
+        aic_p, aicc_p, bic_p = (log_sigma2 + _penalty(name, n, p) for name in CRITERIA)
+        scores.append(OrderScore(p=p, sigma2=sigma2, aic=aic_p, aicc=aicc_p, bic=bic_p))
     selected = select_order(scores, criterion)
     return OrderScanResult(tuple(scores), selected, criterion, sweep.fit(selected))

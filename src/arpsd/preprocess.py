@@ -45,12 +45,12 @@ def difference(x: TimeSeries, d: int = 1) -> TimeSeries:
         raise ValueError("insufficient samples for differencing order")
     if d == 0:
         return x
-    return TimeSeries(np.diff(x.samples, n=d), x.sample_rate_hz)
+    return TimeSeries.adopt(np.diff(x.samples, n=d), x.sample_rate_hz)
 
 
 def demean(x: TimeSeries) -> TimeSeries:
     """Subtract the sample mean."""
-    return TimeSeries(x.samples - x.samples.mean(), x.sample_rate_hz)
+    return TimeSeries.adopt(x.samples - x.samples.mean(), x.sample_rate_hz)
 
 
 def biased_autocov(x: TimeSeries, max_lag: int) -> AutocovarianceSeq:

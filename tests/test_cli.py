@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import arpsd
+from arpsd import RunConfig, fit_channel
 from arpsd.cli import main
 from arpsd.io_csv import read_prediction_csv, read_recording_csv
 
@@ -104,6 +105,30 @@ def test_fit_prints_three_method_table(burst_workspace, capsys):
     assert "sigma2e" in out
 
 
+def test_fit_all_methods_auto_prints_each_at_its_own_order(tmp_path, capsys):
+    # T4-T6 with one burst on F8-T4 selects order 25 for MLE and 20 for
+    # Yule-Walker and Burg; the table used to stop at the first method's
+    # order, and failed with an IndexError when a later one was lower.
+    spec = tmp_path / "bursts.csv"
+    spec.write_text("channel,center_hz,pole_radius\nF8-T4,5.0,0.95\n")
+    rec = tmp_path / "rec.csv"
+    assert main(["simulate", "--spec", str(spec), "--seed", "0", "--out", str(rec)]) == 0
+    capsys.readouterr()
+    assert main(["fit", str(rec), "--channel", "T4-T6", "--method", "all", "--order", "auto"]) == 0
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows["parameter"] == ["MLE", "Yule-Walker", "Burg"]
+    channel = read_recording_csv(rec)["T4-T6"]
+    for column, method in enumerate(["mle", "yule_walker", "burg"]):
+        fit = fit_channel(channel, RunConfig(method=method, order="auto")).fit
+        p = fit.model.order_p
+        assert int(rows["p"][column]) == p
+        for i in range(1, max(int(order) for order in rows["p"]) + 1):
+            for name, values in (("a", fit.model.coeffs), ("k", fit.reflection_coeffs)):
+                cell = rows[f"{name}({i})"][column]
+                assert cell == (f"{values[i - 1]:.3f}" if i <= p else "-")
+    assert len(set(rows["p"])) > 1
+
+
 def test_fit_single_method(burst_workspace, capsys):
     tmp_path, rec, _ = burst_workspace
     capsys.readouterr()
@@ -165,6 +190,18 @@ def test_psd_refuses_channels_that_share_a_file_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'A/B'" in err and "'A_B'" in err
     assert not out_dir.exists()
+
+
+def test_psd_all_writes_nothing_when_a_channel_fails(tmp_path, capsys):
+    rec = tmp_path / "rec.csv"
+    rows = "\n".join(f"{i % 7 - 3.0},{(i * 5) % 11 - 5.0},2.5" for i in range(200))
+    rec.write_text("# fs=128\nA,B,C\n" + rows + "\n")
+    out_dir = tmp_path / "psd"
+    assert main(["psd", str(rec), "--all", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert "degenerate signal" in captured.err
+    assert "wrote" not in captured.out
+    assert list(out_dir.glob("*")) == []
 
 
 def test_missing_input_file_is_a_clean_error(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arpsd import (
     BurstSpec,
@@ -11,12 +13,18 @@ from arpsd import (
     SpectrumEstimate,
     TimeSeries,
     ar_psd,
+    channel_psd,
     classify_channel,
     confusion_from_flags,
     default_montage,
+    demean,
     detect_recording,
+    difference,
     evaluate,
+    fit_channel,
+    fit_sweep,
     metrics_from_counts,
+    order_scan,
     resonator_model,
     simulate_recording,
     threshold_psd,
@@ -83,6 +91,20 @@ def test_classify_rejects_invalid_rho():
         classify_channel(masked, rho=1.5)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         classify_channel(masked, rho=-0.1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    values=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=2, max_size=300),
+    k=st.floats(0.0, 20.0),
+    rho=st.floats(0.0, 1.0),
+    fs=st.sampled_from([64.0, 128.0, 256.0]),
+)
+def test_decision_fractions_lie_in_the_unit_interval(values, k, rho, fs):
+    spectrum = SpectrumEstimate(np.linspace(0.0, 0.5, len(values)), values, fs)
+    decision = classify_channel(threshold_psd(spectrum, k), rho=rho)
+    assert 0.0 <= decision.low_band_fraction <= 1.0
+    assert 0.0 <= decision.survivor_fraction <= 1.0
 
 
 def _burst_recording(seed=0):
@@ -177,6 +199,27 @@ def test_low_band_fraction_never_exceeds_one_on_simulated_bursts():
     for decision in report.per_channel:
         assert 0.0 <= decision.low_band_fraction <= 1.0
     assert report.decisions_by_name()["F8-T4"].low_band_fraction == 1.0
+
+
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+@pytest.mark.parametrize("order", [10, "auto"])
+def test_detect_recording_equals_the_public_stages_composed(method, order):
+    recording, _ = _burst_recording(seed=4)
+    config = RunConfig(method=method, order=order)
+    expected = []
+    for name in recording.names:
+        series = demean(difference(recording[name], config.diff_order))
+        if order == "auto":
+            fit = order_scan(series, config.p_max, method, config.criterion, config.grid_size).fit
+        else:
+            fit = fit_sweep(series, order, method, config.grid_size).fit(order)
+        masked = threshold_psd(ar_psd(fit.model, config.grid_size, recording.sample_rate_hz), config.k)
+        expected.append(classify_channel(masked, config.bands, config.rho, derivation=name))
+        assert np.array_equal(channel_psd(recording[name], config).values, masked.values)
+        model = fit_channel(recording[name], config).fit.model
+        assert model.coeffs.tobytes() == fit.model.coeffs.tobytes()
+        assert model.sigma2 == fit.model.sigma2
+    assert detect_recording(recording, config).per_channel == tuple(expected)
 
 
 def test_detect_recording_too_short_for_order_reports_every_channel():

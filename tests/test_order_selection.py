@@ -95,7 +95,8 @@ def test_order_scan_result_structure():
 
 def test_order_scan_matches_independent_fits():
     # The single sweep must reproduce the sigma2 an order-p fit returns,
-    # for every order and every method.
+    # for every order and every method, and score it with the bits of
+    # aic, aicc and bic.
     x = simulate_ar(ArModel(2, [-1.2, 0.8], 1.0), 1500, seed=12)
     p_max = 8
     fitters = {
@@ -108,6 +109,9 @@ def test_order_scan_matches_independent_fits():
         for score in result.per_order:
             independent = fitter(x, score.p).model.sigma2
             assert abs(score.sigma2 - independent) <= 1e-10 * independent
+            assert score.aic == aic(score.sigma2, len(x), score.p)
+            assert score.aicc == aicc(score.sigma2, len(x), score.p)
+            assert score.bic == bic(score.sigma2, len(x), score.p)
 
 
 def test_order_scan_recovers_ar3_order():

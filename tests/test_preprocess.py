@@ -2,8 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arpsd import TimeSeries, biased_autocov, demean, difference, normality_check, periodogram
+from arpsd import (
+    Recording,
+    TimeSeries,
+    biased_autocov,
+    demean,
+    detect_recording,
+    difference,
+    normality_check,
+    periodogram,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+# Ordinary channels, and channels of values near the float64 limit whose
+# differences or sums overflow.
+channels = st.one_of(
+    st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=400),
+    st.lists(st.floats(-1.7e308, 1.7e308), min_size=4, max_size=40),
+)
 
 
 def test_difference_hand_values():
@@ -47,6 +67,42 @@ def test_demean_removes_mean_and_keeps_rate():
     assert np.array_equal(out.samples, [-1.0, 0.0, 1.0])
     assert out.sample_rate_hz == 42.0
     assert abs(out.samples.mean()) < 1e-15
+
+
+@PROPERTY
+@given(values=channels, d=st.integers(0, 3))
+def test_difference_and_demean_never_write_or_alias_their_input(values, d):
+    x = TimeSeries(values, 128.0)
+    before = x.samples.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = demean(difference(x, d))
+        except ValueError as exc:
+            assert str(exc) == "samples contains non-finite values"
+        else:
+            assert not out.samples.flags.writeable
+            assert not np.shares_memory(out.samples, x.samples)
+            assert np.all(np.isfinite(out.samples))
+    assert x.samples.tobytes() == before
+    assert not x.samples.flags.writeable
+
+
+@PROPERTY
+@given(
+    magnitudes=st.lists(st.floats(0.9e308, 1.7e308), min_size=20, max_size=80),
+    position=st.integers(0, 2),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_channel_whose_difference_overflows_lands_in_errors(magnitudes, position):
+    # Alternating signs make every first difference exceed the float64 range.
+    huge = [m if i % 2 else -m for i, m in enumerate(magnitudes)]
+    rng = np.random.default_rng(position)
+    names = ["a", "b", "c"]
+    channels = {name: TimeSeries(rng.standard_normal(len(huge)), 128.0) for name in names}
+    channels[names[position]] = TimeSeries(huge, 128.0)
+    report = detect_recording(Recording(channels))
+    assert report.errors == {names[position]: "samples contains non-finite values"}
+    assert [d.derivation for d in report.per_channel] == [n for n in names if n != names[position]]
 
 
 def test_biased_autocov_hand_values():

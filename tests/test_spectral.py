@@ -82,6 +82,23 @@ def test_threshold_survivor_sets_shrink_as_k_grows():
             previous = survivors
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    values=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=300),
+    ks=st.lists(st.floats(-1.0, 50.0), min_size=2, max_size=6),
+)
+def test_threshold_mask_is_monotone_in_k(values, ks):
+    spectrum = _spectrum(values)
+    previous = None
+    for k in sorted(ks):
+        masked = threshold_psd(spectrum, k)
+        support = masked.values > 0.0
+        if previous is not None:
+            assert not np.any(support & ~previous[0])
+            assert masked.survivor_fraction <= previous[1]
+        previous = support, masked.survivor_fraction
+
+
 def test_threshold_mask_is_scale_invariant():
     rng = np.random.default_rng(45)
     for _ in range(25):
