@@ -20,11 +20,15 @@ dominant band or error counts against the recording-config.
 
 A third pass is exact: it composes the public stages, ``difference`` ->
 ``demean`` -> ``fit_sweep(...).fit`` or ``order_scan(...).fit`` -> ``ar_psd``
--> ``threshold_psd`` -> ``classify_channel``, and compares the decisions
-with ``detect_recording``'s ``per_channel`` (and the channels that raised
-with its ``errors``) by ``==``.  Besides the recordings above it runs
-``LONG_SEEDS`` 10-minute recordings (76,800 samples) per burst shape,
-which take the lag-product Burg.
+-> ``undifference_psd`` (under ``undifference_correction=True``) ->
+``threshold_psd`` -> ``classify_channel``, one channel at a time, and
+compares the decisions with ``detect_recording``'s ``per_channel`` (and the
+channels that raised with its ``errors``, in order) by ``==``.  Every
+recording-config runs with the correction off and on.  Besides the
+recordings above it runs ``LONG_SEEDS`` 10-minute recordings (76,800
+samples) per burst shape, which take the lag-product Burg, and
+``WIDE_SEEDS`` recordings of ``WIDE_CHANNELS`` channels per burst shape,
+which ``detect_recording`` screens in more than two blocks.
 
 Prints one line per pass with the counts, and for the first two the
 largest relative differences in sigma2 and in the PSD; exits 1 if any
@@ -54,6 +58,7 @@ from arpsd import (
     periodogram,
     simulate_recording,
     threshold_psd,
+    undifference_psd,
 )
 from arpsd import estimation
 from arpsd.estimation import _burg_lattice, _levinson_recursion
@@ -65,6 +70,8 @@ METHODS = ("burg", "yule_walker", "mle")
 ORDERS = (10, "auto")
 N, LONG_N, FS, SNR = 2560, 76800, 128.0, 2.0
 LONG_SEEDS = 2
+WIDE_SEEDS = 2
+WIDE_CHANNELS = 70  # more than two of detect_recording's blocks of 32
 
 
 _PHASES = {}
@@ -129,13 +136,13 @@ def package_psd(series, config):
     return fit.model.sigma2, ar_psd(fit.model, config.grid_size, series.sample_rate_hz).values
 
 
-def recordings(seeds, n):
+def recordings(seeds, n, montage=default_montage(), burst_channels=BURST_CHANNELS):
     """(label, recording) for every seed and burst shape."""
     for seed in range(seeds):
         for hz, radius in BURSTS:
-            bursts = [BurstSpec(name, hz, radius) for name in BURST_CHANNELS]
-            recording, _ = simulate_recording(default_montage(), n, FS, 1.0, bursts, SNR, seed)
-            yield f"n {n} seed {seed} burst {hz} Hz/{radius}", recording
+            bursts = [BurstSpec(name, hz, radius) for name in burst_channels]
+            recording, _ = simulate_recording(montage, n, FS, 1.0, bursts, SNR, seed)
+            yield f"{len(montage)} x {n} seed {seed} burst {hz} Hz/{radius}", recording
 
 
 def compare_pass(seeds, label):
@@ -181,29 +188,36 @@ def stages_decision(x, name, config):
                          criterion=config.criterion, grid_size=config.grid_size).fit
     else:
         fit = fit_sweep(series, config.order, config.method, config.grid_size).fit(config.order)
-    masked = threshold_psd(ar_psd(fit.model, config.grid_size, x.sample_rate_hz), config.k)
+    spectrum = ar_psd(fit.model, config.grid_size, x.sample_rate_hz)
+    if config.undifference_correction and config.diff_order > 0:
+        spectrum = undifference_psd(spectrum, config.diff_order)
+    masked = threshold_psd(spectrum, config.k)
     return classify_channel(masked, config.bands, config.rho, derivation=name)
 
 
 def exact_pass(seeds):
     configs = differ = 0
     first = None
-    inputs = itertools.chain(recordings(seeds, N), recordings(LONG_SEEDS, LONG_N))
+    wide = tuple(f"ch{i:02d}" for i in range(WIDE_CHANNELS))
+    inputs = itertools.chain(
+        recordings(seeds, N),
+        recordings(LONG_SEEDS, LONG_N),
+        recordings(WIDE_SEEDS, N, wide, wide[::10]),
+    )
     for name_of_input, recording in inputs:
-        for method in METHODS:
-            for order in ORDERS:
-                config = RunConfig(method=method, order=order)
-                report = detect_recording(recording, config)
-                decisions, errors = [], {}
-                for name in recording.names:
-                    try:
-                        decisions.append(stages_decision(recording[name], name, config))
-                    except (ValueError, ArithmeticError) as exc:
-                        errors[name] = str(exc)
-                configs += 1
-                if report.per_channel != tuple(decisions) or report.errors != errors:
-                    differ += 1
-                    first = first or f"{name_of_input} {method} order {order}"
+        for method, order, correction in itertools.product(METHODS, ORDERS, (False, True)):
+            config = RunConfig(method=method, order=order, undifference_correction=correction)
+            report = detect_recording(recording, config)
+            decisions, errors = [], {}
+            for name in recording.names:
+                try:
+                    decisions.append(stages_decision(recording[name], name, config))
+                except (ValueError, ArithmeticError) as exc:
+                    errors[name] = str(exc)
+            configs += 1
+            if report.per_channel != tuple(decisions) or list(report.errors.items()) != list(errors.items()):
+                differ += 1
+                first = first or f"{name_of_input} {method} order {order} correction {correction}"
     print(f"public stages composed, exact: {configs} recording-configs, {differ} whose "
           f"decisions or errors are not == detect_recording's" + (f"; first: {first}" if first else ""))
     return differ

@@ -26,6 +26,7 @@ from .io_csv import (
     read_burst_specs,
     read_prediction_csv,
     read_recording_csv,
+    read_report_errors,
     write_annotations,
     write_detection_report_csv,
     write_psd_csv,
@@ -185,9 +186,11 @@ def _pct(value: float | None) -> str:
 
 def _cmd_eval(args) -> int:
     predictions = read_prediction_csv(args.pred)
+    errored = read_report_errors(args.pred)
     truth = read_annotations(args.truth)
-    missing = sorted(set(truth) - set(predictions))
-    extra = sorted(set(predictions) - set(truth))
+    reported = set(predictions) | set(errored)
+    missing = sorted(set(truth) - reported)
+    extra = sorted(reported - set(truth))
     if missing or extra:
         parts = []
         if missing:
@@ -195,9 +198,13 @@ def _cmd_eval(args) -> int:
         if extra:
             parts.append("missing from truth: " + ", ".join(extra))
         raise ValueError("channel sets do not match; " + "; ".join(parts))
-    metrics = metrics_from_counts(confusion_from_flags(predictions, truth))
+    # A channel the report lists as an error has no decision to score.
+    scored = {name: label for name, label in truth.items() if name not in errored}
+    metrics = metrics_from_counts(confusion_from_flags(predictions, scored))
     counts = metrics.counts
     print(f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}")
+    if errored:
+        print("not scored (error in report): " + ", ".join(errored))
     print(f"sensitivity: {_pct(metrics.sensitivity)}")
     print(f"specificity: {_pct(metrics.specificity)}")
     print(f"accuracy: {_pct(metrics.accuracy)}")
@@ -269,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p_detect)
     p_detect.set_defaults(func=_cmd_detect)
 
-    p_eval = sub.add_parser("eval", help="score a detection report against annotations")
+    p_eval = sub.add_parser(
+        "eval",
+        help="score a detection report against annotations; channels the report "
+        "lists as errors are left out of the counts and named",
+    )
     p_eval.add_argument("--pred", required=True, help="detection report CSV")
     p_eval.add_argument("--truth", required=True, help="annotation CSV")
     p_eval.set_defaults(func=_cmd_eval)

@@ -4,12 +4,13 @@ All array-valued fields are stored as read-only float64 ndarrays so the
 dataclasses behave as immutable value objects.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "ArrayFields",
     "TimeSeries",
     "Recording",
     "ArModel",
@@ -35,9 +36,40 @@ def _frozen_array(values, *, name: str, min_size: int = 1, copy: bool = True) ->
     return arr
 
 
-@dataclass(frozen=True)
-class TimeSeries:
-    """A uniformly sampled real-valued signal."""
+def _equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    return bool(a == b)
+
+
+class ArrayFields:
+    """Value equality for frozen dataclasses that hold arrays.
+
+    The generated ``__eq__`` compares fields as tuples, which asks an
+    array of more than one element for its truth value and raises.  With
+    this base, declared with ``@dataclass(frozen=True, eq=False)``, ``==``
+    returns a bool: instances of the same class are equal when every field
+    is, arrays by shape and value (``np.array_equal``), tuples and lists
+    item by item.  Such instances are not hashable.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class TimeSeries(ArrayFields):
+    """A uniformly sampled real-valued signal.
+
+    Equal by value (see :class:`ArrayFields`); not hashable.
+    """
 
     samples: np.ndarray
     sample_rate_hz: float
@@ -115,8 +147,8 @@ class Recording:
         return self.channels[name]
 
 
-@dataclass(frozen=True)
-class ArModel:
+@dataclass(frozen=True, eq=False)
+class ArModel(ArrayFields):
     """An autoregressive model in the prediction-error convention.
 
     ``coeffs`` holds a(1..p) such that the innovation is
@@ -125,7 +157,8 @@ class ArModel:
 
     equivalently A(f) = 1 + sum_i a(i) exp(-2j pi f i).  A process is
     generated by x(n) = -sum_i a(i) x(n - i) + e(n).  ``sigma2`` is the
-    innovation variance.
+    innovation variance.  Equal by value (see :class:`ArrayFields`); not
+    hashable.
     """
 
     order_p: int
@@ -150,9 +183,12 @@ class ArModel:
         object.__setattr__(self, "sigma2", sigma2)
 
 
-@dataclass(frozen=True)
-class AutocovarianceSeq:
-    """Autocovariance values r(0..max_lag) of one channel."""
+@dataclass(frozen=True, eq=False)
+class AutocovarianceSeq(ArrayFields):
+    """Autocovariance values r(0..max_lag) of one channel.
+
+    Equal by value (see :class:`ArrayFields`); not hashable.
+    """
 
     values: np.ndarray
 
@@ -176,12 +212,13 @@ class AutocovarianceSeq:
         return float(self.values[lag])
 
 
-@dataclass(frozen=True)
-class SpectrumEstimate:
+@dataclass(frozen=True, eq=False)
+class SpectrumEstimate(ArrayFields):
     """A one-sided power spectral density on a normalized frequency grid.
 
     ``freqs_normalized`` covers [0, 0.5] in cycles per sample; the Hz grid
-    is derived as ``freqs_normalized * sample_rate_hz``.
+    is derived as ``freqs_normalized * sample_rate_hz``.  Equal by value
+    (see :class:`ArrayFields`); not hashable.
     """
 
     freqs_normalized: np.ndarray
@@ -205,6 +242,23 @@ class SpectrumEstimate:
         object.__setattr__(self, "freqs_normalized", freqs)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sample_rate_hz", rate)
+
+    @staticmethod
+    def row_faults(values: np.ndarray) -> list[str | None]:
+        """The constructor's checks of ``values``, for each row of a 2-D array.
+
+        Entry r is the message the constructor raises when given row r as
+        ``values`` on a valid grid of the same size, or None when it
+        accepts the row.
+        """
+        finite = np.isfinite(values).all(axis=1).tolist()
+        negative = (values < 0.0).any(axis=1).tolist()
+        return [
+            "values contains non-finite values" if not ok
+            else "spectral values must be nonnegative" if neg
+            else None
+            for ok, neg in zip(finite, negative)
+        ]
 
     @property
     def freqs_hz(self) -> np.ndarray:

@@ -5,17 +5,37 @@ Every channel is screened through one path, which ``detect_recording``
 and every CLI subcommand share: :func:`fit_channel` prepares the channel
 and fits it as the run configuration says, :func:`channel_psd` turns the
 fit into a masked spectrum, and :func:`classify_channel` flags it.
+``detect_recording`` runs the same formulas after the fits over blocks of
+channels at once, through the row-wise forms of the spectral stages; a
+channel alone is the one-row case.
 """
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .config import RunConfig
-from .core import ConfusionCounts, FrequencyBand, Recording, TimeSeries, default_bands
-from .estimation import FitResult, ar_psd, burg_fit, mle_fit, yule_walker_fit
+from .core import (
+    ArModel,
+    ConfusionCounts,
+    FrequencyBand,
+    Recording,
+    SpectrumEstimate,
+    TimeSeries,
+    default_bands,
+)
+from .estimation import FitResult, ar_psd, ar_psd_rows, burg_fit, mle_fit, yule_walker_fit
 from .order_selection import OrderScanResult, order_scan
 from .preprocess import demean, difference
-from .spectral import MaskedSpectrum, band_powers, threshold_psd, undifference_psd
+from .spectral import (
+    MaskedSpectrum,
+    band_power_rows,
+    threshold_psd,
+    threshold_rows,
+    undifference_psd,
+    undifference_rows,
+)
 
 __all__ = [
     "ChannelDecision",
@@ -32,6 +52,15 @@ __all__ = [
 ]
 
 LOW_BANDS = ("delta", "theta")
+
+# detect_recording screens the fitted models in blocks of this many
+# channels.  A block holds a few channels x grid_size float64 matrices
+# (|A(f)|^2, PSD, mask, trapezoid terms); at 32 rows of a 512-point grid
+# each is 128 kB.  One block for all 256 channels of perfbench's wide
+# montage raised the library workload's peak resident memory from about
+# 260 to 264 MB (2-core x86 VM); blocks of 32 keep it at the level of one
+# channel at a time, and its wide-montage detect took the same time.
+BLOCK_CHANNELS = 32
 
 
 @dataclass(frozen=True)
@@ -84,6 +113,36 @@ class MetricsReport:
     notes: tuple[str, ...] = ()
 
 
+def _classify_rows(
+    freqs_hz: np.ndarray,
+    masked: np.ndarray,
+    survivor_fractions: Sequence[float],
+    bands: Sequence[FrequencyBand] | None,
+    rho: float,
+    derivations: Sequence[str],
+) -> list[ChannelDecision]:
+    """:func:`classify_channel` of each row of masked spectral values."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("rho must lie in [0, 1]")
+    if bands is None:
+        bands = default_bands()
+    decisions = []
+    for report, survivor_fraction, derivation in zip(
+        band_power_rows(freqs_hz, masked, bands), survivor_fractions, derivations
+    ):
+        low = report.combined_fraction(LOW_BANDS)
+        decisions.append(
+            ChannelDecision(
+                derivation=derivation,
+                flagged=report.total_power > 0.0 and low >= rho,
+                dominant_band=report.dominant_band,
+                low_band_fraction=float(low),
+                survivor_fraction=float(survivor_fraction),
+            )
+        )
+    return decisions
+
+
 def classify_channel(
     masked: MaskedSpectrum,
     bands: Sequence[FrequencyBand] | None = None,
@@ -107,20 +166,10 @@ def classify_channel(
     derivation : str
         Channel name carried into the decision.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    if bands is None:
-        bands = default_bands()
-    report = band_powers(masked, bands)
-    low = report.combined_fraction(LOW_BANDS)
-    flagged = report.total_power > 0.0 and low >= rho
-    return ChannelDecision(
-        derivation=derivation,
-        flagged=flagged,
-        dominant_band=report.dominant_band,
-        low_band_fraction=float(low),
-        survivor_fraction=masked.survivor_fraction,
-    )
+    return _classify_rows(
+        masked.freqs_hz, masked.values[np.newaxis], [masked.survivor_fraction], bands, rho,
+        [derivation],
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -178,6 +227,56 @@ def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
     return threshold_psd(spectrum, config.k)
 
 
+def _screen_block(
+    models: Sequence[ArModel], names: Sequence[str], config: RunConfig, sample_rate_hz: float
+) -> list:
+    """Decision or error message of each fitted model, by the row-wise stages.
+
+    Entry r is what :func:`channel_psd` and :func:`classify_channel` give
+    ``models[r]``: the decision, or the message of the ValueError or
+    ArithmeticError raised.
+    """
+    try:
+        return _screen_rows(models, names, config, sample_rate_hz)
+    except ArithmeticError as exc:
+        if len(models) == 1:
+            return [str(exc)]
+    # Under np.seterr(..., "raise") one channel's fault stops the whole
+    # block; screen its channels one by one instead.
+    return [
+        outcome
+        for model, name in zip(models, names)
+        for outcome in _screen_block([model], [name], config, sample_rate_hz)
+    ]
+
+
+def _screen_rows(
+    models: Sequence[ArModel], names: Sequence[str], config: RunConfig, sample_rate_hz: float
+) -> list:
+    values, faults = ar_psd_rows(models, config.grid_size)
+    freqs = np.linspace(0.0, 0.5, config.grid_size)
+    if config.undifference_correction and config.diff_order > 0:
+        freqs, values = undifference_rows(freqs, values, config.diff_order)
+        faults = [
+            fault or later for fault, later in zip(faults, SpectrumEstimate.row_faults(values))
+        ]
+    ok = [row for row, fault in enumerate(faults) if fault is None]
+    if len(ok) < len(faults):
+        values = values[ok]
+    _, masked, survivor_fractions = threshold_rows(values, config.k)
+    try:
+        decisions = _classify_rows(
+            freqs * sample_rate_hz, masked, survivor_fractions.tolist(), config.bands,
+            config.rho, [names[row] for row in ok],
+        )
+    except ValueError as exc:
+        decisions = [str(exc)] * len(ok)
+    outcomes = list(faults)
+    for row, decision in zip(ok, decisions):
+        outcomes[row] = decision
+    return outcomes
+
+
 def detect_recording(recording: Recording, config: RunConfig | None = None) -> DetectionReport:
     """Run the full screening pipeline over every channel of a recording.
 
@@ -188,20 +287,33 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     pipeline raises ValueError or ArithmeticError (a floating-point,
     zero-division or overflow fault) is reported in ``errors`` with the
     message, and the remaining channels are still screened.
+
+    Every channel is fitted first, by :func:`fit_channel`.  The fitted
+    models are then screened ``BLOCK_CHANNELS`` at a time by the row-wise
+    forms of :func:`channel_psd`'s and :func:`classify_channel`'s stages,
+    which give each channel the bits it gets alone.  ``errors`` keeps the
+    recording's channel order.
     """
     if config is None:
         config = RunConfig()
-    decisions = []
-    errors: dict[str, str] = {}
+    outcomes: dict[str, object] = {}
+    models: dict[str, ArModel] = {}
     for name in recording.names:
         try:
-            masked = channel_psd(recording[name], config)
-            decisions.append(
-                classify_channel(masked, config.bands, config.rho, derivation=name)
-            )
+            models[name] = fit_channel(recording[name], config).fit.model
         except (ValueError, ArithmeticError) as exc:
-            errors[name] = str(exc)
-    return DetectionReport(tuple(decisions), config.summary(), errors)
+            outcomes[name] = str(exc)
+    fitted = list(models)
+    for start in range(0, len(fitted), BLOCK_CHANNELS):
+        names = fitted[start : start + BLOCK_CHANNELS]
+        screened = _screen_block([models[n] for n in names], names, config, recording.sample_rate_hz)
+        outcomes.update(zip(names, screened))
+    decisions = tuple(
+        outcome for outcome in (outcomes[name] for name in recording.names)
+        if isinstance(outcome, ChannelDecision)
+    )
+    errors = {name: outcomes[name] for name in recording.names if isinstance(outcomes[name], str)}
+    return DetectionReport(decisions, config.summary(), errors)
 
 
 def confusion_from_flags(

@@ -20,10 +20,11 @@ fitters would.
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import ArModel, AutocovarianceSeq, SpectrumEstimate, TimeSeries
+from .core import ArModel, ArrayFields, AutocovarianceSeq, SpectrumEstimate, TimeSeries
 from .preprocess import biased_autocov, periodogram
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "burg_fit",
     "mle_fit",
     "ar_psd",
+    "ar_psd_rows",
     "reflection_coefficients",
     "coefficients_from_reflection",
     "is_stable",
@@ -60,9 +62,11 @@ _LAG_MIN_SAMPLES = 8192
 _LAG_CANCELLATION_LIMIT = 20.0
 
 
-@dataclass(frozen=True)
-class FitResult:
+@dataclass(frozen=True, eq=False)
+class FitResult(ArrayFields):
     """Outcome of one AR fit.
+
+    Equal by value (see :class:`arpsd.core.ArrayFields`); not hashable.
 
     Attributes
     ----------
@@ -386,13 +390,14 @@ def mle_fit(x: TimeSeries, p: int, grid_size: int = 512) -> FitResult:
     return FitResult(model, METHOD_MLE, base.reflection_coeffs, base.prediction_error_by_order)
 
 
-@dataclass(frozen=True)
-class FitSweep:
+@dataclass(frozen=True, eq=False)
+class FitSweep(ArrayFields):
     """AR fits of every order 1..p_max from one order-recursive sweep.
 
     Levinson and Burg compute order p on the way to any higher order, so
     ``fit(p)`` is bit for bit the fit that ``yule_walker_fit``,
     ``burg_fit`` or ``mle_fit`` returns at order p on the same input.
+    Equal by value (see :class:`arpsd.core.ArrayFields`); not hashable.
 
     Attributes
     ----------
@@ -481,6 +486,28 @@ def fit_sweep(
     return _sweep(METHOD_MLE, sweep.stages, sigma2)
 
 
+def _step_down(coeff_rows: np.ndarray):
+    """The step-down recursion over rows of AR coefficients.
+
+    Returns ``(ks, unstable)``: row r of ``ks`` holds k(1..p) of row r, and
+    ``unstable[r]`` is True when some |k| >= 1.  A row whose every |k| is
+    below 1 takes exactly the arithmetic of a row on its own.  Once a
+    stage of a row reaches |k| >= 1, the row is unstable whatever its
+    lower stages hold; they divide by 1 - k^2 <= 0, which the errstate
+    keeps quiet.  Zero-padding a row to a higher order adds stages with
+    k = 0, which leave the lower coefficients as they are.
+    """
+    a = coeff_rows.T  # one coefficient per row of a, one model per column
+    ks = np.empty(a.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for m in range(a.shape[0], 0, -1):
+            k = ks[m - 1] = a[m - 1]
+            if m > 1:
+                head = a[: m - 1]
+                a = (head - k * head[::-1]) / (1.0 - k * k)
+    return ks.T, (np.abs(ks) >= 1.0).any(axis=0)
+
+
 def reflection_coefficients(coeffs: np.ndarray) -> np.ndarray:
     """Reflection coefficients k(1..p) implied by AR coefficients.
 
@@ -489,18 +516,10 @@ def reflection_coefficients(coeffs: np.ndarray) -> np.ndarray:
     step-down division is then invalid and the model has a root on or
     outside the unit circle.
     """
-    a = np.array(coeffs, dtype=np.float64, copy=True)
-    p = a.size
-    ks = np.empty(p)
-    for m in range(p, 0, -1):
-        k = a[m - 1]
-        ks[m - 1] = k
-        if abs(k) >= 1.0:
-            raise ValueError("unstable AR polynomial")
-        if m > 1:
-            head = a[: m - 1]
-            a = (head - k * head[::-1]) / (1.0 - k * k)
-    return ks
+    ks, unstable = _step_down(np.asarray(coeffs, dtype=np.float64).reshape(1, -1))
+    if unstable[0]:
+        raise ValueError("unstable AR polynomial")
+    return ks[0]
 
 
 def coefficients_from_reflection(ks) -> np.ndarray:
@@ -545,13 +564,44 @@ def _transfer_mag2(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     return amp.real**2 + amp.imag**2
 
 
+def ar_psd_rows(models: Sequence[ArModel], grid_size: int = 512):
+    """Model spectra of several AR models on one grid, one row per model.
+
+    Returns ``(values, faults)``.  Where ``faults[r]`` is None, row r of
+    ``values`` is the spectrum :func:`ar_psd` gives ``models[r]``, bit for
+    bit.  Otherwise it is the message ``ar_psd`` raises on that model,
+    "unstable AR polynomial" or the check of
+    :meth:`SpectrumEstimate.row_faults`, and the row holds no spectrum.
+
+    The coefficients are zero-padded to the highest order: the padding
+    adds k = 0 stages to the step-down and zero terms to the rfft, so
+    neither changes.  One rfft serves every row.
+    """
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
+    coeffs = np.zeros((len(models), max(model.order_p for model in models)))
+    for row, model in zip(coeffs, models):
+        row[: model.order_p] = model.coeffs
+    sigma2 = np.array([model.sigma2 for model in models])[:, np.newaxis]
+    unstable = _step_down(coeffs)[1]
+    mag2 = _transfer_mag2(coeffs, grid_size)
+    # A model with sigma2 == 0 has an all-zero spectrum, even where
+    # |A(f)|^2 is 0; an unstable one has none.
+    values = np.zeros_like(mag2)
+    np.divide(sigma2, mag2, out=values, where=(sigma2 != 0.0) & ~unstable[:, np.newaxis])
+    faults = SpectrumEstimate.row_faults(values)
+    return values, [
+        "unstable AR polynomial" if bad else fault for bad, fault in zip(unstable.tolist(), faults)
+    ]
+
+
 def ar_psd(model: ArModel, grid_size: int = 512, sample_rate_hz: float = 1.0) -> SpectrumEstimate:
     """Parametric power spectral density of an AR model.
 
         P(f) = sigma^2 / |A(f)|^2,  A(f) = 1 + sum_i a(i) exp(-2j pi f i)
 
     evaluated on ``grid_size`` equispaced normalized frequencies in
-    [0, 0.5].
+    [0, 0.5].  This is the one-model case of :func:`ar_psd_rows`.
 
     Raises
     ------
@@ -560,13 +610,7 @@ def ar_psd(model: ArModel, grid_size: int = 512, sample_rate_hz: float = 1.0) ->
         coefficient of magnitude >= 1.  A model with sigma2 == 0 yields
         an all-zero spectrum.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    if model.order_p > 0:
-        reflection_coefficients(model.coeffs)  # raises when unstable
-    freqs = np.linspace(0.0, 0.5, grid_size)
-    if model.sigma2 == 0.0:
-        values = np.zeros(grid_size)
-    else:
-        values = model.sigma2 / _transfer_mag2(model.coeffs, grid_size)
-    return SpectrumEstimate(freqs, values, sample_rate_hz)
+    values, faults = ar_psd_rows([model], grid_size)
+    if faults[0] is not None:
+        raise ValueError(faults[0])
+    return SpectrumEstimate(np.linspace(0.0, 0.5, grid_size), values[0], sample_rate_hz)

@@ -24,6 +24,7 @@ __all__ = [
     "write_annotations",
     "write_detection_report_csv",
     "read_prediction_csv",
+    "read_report_errors",
     "write_psd_csv",
     "echo_lines",
 ]
@@ -181,6 +182,10 @@ def write_annotations(path, labels: Mapping[str, bool], parameters: Mapping[str,
     Path(path).write_text(out.getvalue(), encoding="utf-8")
 
 
+# Prefix of the comment line that records one channel's error in a report.
+_ERROR_PREFIX = "# error: "
+
+
 def write_detection_report_csv(path, report: DetectionReport) -> None:
     """Write per-channel decisions with the parameter echo header.
 
@@ -191,7 +196,7 @@ def write_detection_report_csv(path, report: DetectionReport) -> None:
     for line in echo_lines("detect", report.parameters):
         out.write(line + "\n")
     for name, message in report.errors.items():
-        out.write(f"# error: {name}: {message}\n")
+        out.write(f"{_ERROR_PREFIX}{name}: {message}\n")
     out.write("derivation,flagged,dominant_band,low_band_fraction,survivor_fraction\n")
     for decision in report.per_channel:
         out.write(
@@ -238,6 +243,22 @@ def read_prediction_csv(path) -> dict[str, bool]:
     if header is None:
         raise ValueError("no header row found")
     return flags
+
+
+def read_report_errors(path) -> dict[str, str]:
+    """Read the channels a detection report lists as errors, with their messages.
+
+    These are the ``# error: <name>: <message>`` comment lines that
+    :func:`write_detection_report_csv` writes, in file order.
+    """
+    errors: dict[str, str] = {}
+    for number, raw in _split_lines(Path(path).read_text(encoding="utf-8")):
+        if raw.startswith(_ERROR_PREFIX):
+            name, sep, message = raw[len(_ERROR_PREFIX):].partition(": ")
+            if not (sep and name):
+                raise ValueError(f"line {number}: error line names no channel")
+            errors[name] = message
+    return errors
 
 
 def read_burst_specs(path) -> list:

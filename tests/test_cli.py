@@ -66,6 +66,24 @@ def test_detect_and_eval_on_simulated_bursts(burst_workspace, capsys):
     assert "accuracy: 100.00%" in out
 
 
+def test_eval_scores_a_report_with_an_errored_channel(burst_workspace, capsys):
+    tmp_path, rec, truth = burst_workspace
+    lines = rec.read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    # Fp2-F8 is the first column; a constant channel cannot be fitted.
+    flat = [line if i <= header else "1.0," + line.split(",", 1)[1] for i, line in enumerate(lines)]
+    rec.write_text("".join(flat))
+    report = tmp_path / "report.csv"
+    assert main(["detect", str(rec), "--out", str(report)]) == 0
+    assert "# error: Fp2-F8: degenerate signal" in report.read_text()
+    capsys.readouterr()
+    assert main(["eval", "--pred", str(report), "--truth", str(truth)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "tp=2 fp=0 tn=15 fn=0"
+    assert out[1] == "not scored (error in report): Fp2-F8"
+    assert "accuracy: 100.00%" in out
+
+
 def test_eval_fixture_case(capsys):
     code = main(
         [
@@ -90,6 +108,10 @@ def test_eval_rejects_mismatched_channel_sets(tmp_path, capsys):
     assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "missing from predictions: b" in err
+    # An error line accounts for its channel; a channel in neither place does not.
+    pred.write_text("# error: b: degenerate signal\n# error: c: degenerate signal\nderivation,flagged\na,1\n")
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 1
+    assert "channel sets do not match; missing from truth: c" in capsys.readouterr().err
 
 
 def test_fit_prints_three_method_table(burst_workspace, capsys):

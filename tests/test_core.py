@@ -12,8 +12,11 @@ from arpsd import (
     SpectrumEstimate,
     TimeSeries,
     band_containing,
+    burg_fit,
     default_bands,
     default_montage,
+    fit_sweep,
+    threshold_psd,
 )
 
 
@@ -184,3 +187,30 @@ def test_default_montage_is_the_standard_18_derivations():
     assert montage[0] == "Fp2-F8"
     assert montage[-1] == "P3-O1"
     assert "Fz-Cz" in montage and "Cz-Pz" in montage
+
+
+def test_array_valued_types_compare_by_value_and_are_unhashable():
+    # The generated dataclass __eq__ compared the fields as tuples, which
+    # raised "truth value of an array ... is ambiguous" for these types.
+    x = np.random.default_rng(3).standard_normal(64)
+    series = TimeSeries(x, 128.0)
+    spectrum = SpectrumEstimate([0.0, 0.25, 0.5], [1.0, 2.0, 3.0], 8.0)
+    cases = [
+        (lambda: ArModel(2, [0.1, 0.2], 1.0), ArModel(2, [0.1, 0.3], 1.0)),
+        (lambda: TimeSeries(x, 128.0), TimeSeries(x, 64.0)),
+        (lambda: SpectrumEstimate([0.0, 0.25, 0.5], [1.0, 2.0, 3.0], 8.0),
+         SpectrumEstimate([0.0, 0.25, 0.5], [1.0, 2.0, 4.0], 8.0)),
+        (lambda: AutocovarianceSeq([2.0, 1.0, 0.5]), AutocovarianceSeq([2.0, 1.0, 0.25])),
+        (lambda: burg_fit(series, 3), burg_fit(series, 2)),
+        (lambda: threshold_psd(spectrum, 1.0), threshold_psd(spectrum, 1.1)),
+        (lambda: fit_sweep(series, 4), fit_sweep(series, 4, "yule_walker")),
+    ]
+    for make, other in cases:
+        first, second = make(), make()
+        assert (first == second) is True
+        assert (first != second) is False
+        assert (first == other) is False
+        assert (first != other) is True
+        assert first != "not a value of the type"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(first)

@@ -1,13 +1,17 @@
 """Channel classification, the whole-recording pipeline, and metric scoring."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arpsd import (
+    ArModel,
     BurstSpec,
     ConfusionCounts,
+    FitResult,
     Recording,
     RunConfig,
     SpectrumEstimate,
@@ -15,6 +19,7 @@ from arpsd import (
     ar_psd,
     channel_psd,
     classify_channel,
+    coefficients_from_reflection,
     confusion_from_flags,
     default_montage,
     demean,
@@ -28,9 +33,10 @@ from arpsd import (
     resonator_model,
     simulate_recording,
     threshold_psd,
+    undifference_psd,
 )
 from arpsd import detection
-from arpsd.detection import ChannelDecision, DetectionReport
+from arpsd.detection import ChannelDecision, ChannelFit, DetectionReport
 
 
 def _masked_resonance(center_hz: float):
@@ -201,11 +207,9 @@ def test_low_band_fraction_never_exceeds_one_on_simulated_bursts():
     assert report.decisions_by_name()["F8-T4"].low_band_fraction == 1.0
 
 
-@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
-@pytest.mark.parametrize("order", [10, "auto"])
-def test_detect_recording_equals_the_public_stages_composed(method, order):
+def _assert_detect_equals_the_public_stages(method, order, correction):
     recording, _ = _burst_recording(seed=4)
-    config = RunConfig(method=method, order=order)
+    config = RunConfig(method=method, order=order, undifference_correction=correction)
     expected = []
     for name in recording.names:
         series = demean(difference(recording[name], config.diff_order))
@@ -213,13 +217,124 @@ def test_detect_recording_equals_the_public_stages_composed(method, order):
             fit = order_scan(series, config.p_max, method, config.criterion, config.grid_size).fit
         else:
             fit = fit_sweep(series, order, method, config.grid_size).fit(order)
-        masked = threshold_psd(ar_psd(fit.model, config.grid_size, recording.sample_rate_hz), config.k)
+        spectrum = ar_psd(fit.model, config.grid_size, recording.sample_rate_hz)
+        if correction:
+            spectrum = undifference_psd(spectrum, config.diff_order)
+        masked = threshold_psd(spectrum, config.k)
         expected.append(classify_channel(masked, config.bands, config.rho, derivation=name))
         assert np.array_equal(channel_psd(recording[name], config).values, masked.values)
         model = fit_channel(recording[name], config).fit.model
         assert model.coeffs.tobytes() == fit.model.coeffs.tobytes()
         assert model.sigma2 == fit.model.sigma2
     assert detect_recording(recording, config).per_channel == tuple(expected)
+
+
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+@pytest.mark.parametrize("order", [10, "auto"])
+def test_detect_recording_equals_the_public_stages_composed(method, order):
+    _assert_detect_equals_the_public_stages(method, order, correction=False)
+
+
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+@pytest.mark.parametrize("order", [10, "auto"])
+def test_detect_recording_with_correction_equals_the_public_stages_composed(method, order):
+    # Corrected rows come from a boolean index of axis 1; their row sums
+    # must add as a sum over one row does.
+    _assert_detect_equals_the_public_stages(method, order, correction=True)
+
+
+def _detect_models(models, config, fs=128.0):
+    """detect_recording over channels whose fits are ``models``; a string
+    entry is the message that channel's fit raises."""
+    names = [f"c{i:02d}" for i in range(len(models))]
+    recording = Recording({name: TimeSeries(np.arange(4.0), fs) for name in names})
+    by_series = {id(recording[name]): model for name, model in zip(names, models)}
+
+    def fit(x, config):
+        model = by_series[id(x)]
+        if isinstance(model, str):
+            raise ValueError(model)
+        p = model.order_p
+        return ChannelFit(FitResult(model, "burg", np.zeros(p), np.ones(p + 1)))
+
+    with mock.patch.object(detection, "fit_channel", fit):
+        return names, detect_recording(recording, config)
+
+
+def _one_by_one(names, models, config, fs=128.0):
+    """The public one-channel stages composed, channel by channel."""
+    decisions, errors = [], {}
+    for name, model in zip(names, models):
+        if isinstance(model, str):
+            errors[name] = model
+            continue
+        try:
+            spectrum = ar_psd(model, config.grid_size, fs)
+            if config.undifference_correction and config.diff_order > 0:
+                spectrum = undifference_psd(spectrum, config.diff_order)
+            masked = threshold_psd(spectrum, config.k)
+            decisions.append(classify_channel(masked, config.bands, config.rho, derivation=name))
+        except (ValueError, ArithmeticError) as exc:
+            errors[name] = str(exc)
+    return tuple(decisions), errors
+
+
+_STABLE_KS = st.lists(st.floats(-0.9, 0.9), max_size=14)
+_SIGMA2 = st.sampled_from(["positive"] * 6 + [0.0, 1.7e308]).flatmap(
+    lambda s2: st.floats(1e-300, 1e300) if s2 == "positive" else st.just(s2)
+)
+_STABLE = st.builds(
+    lambda ks, s2: ArModel(len(ks), coefficients_from_reflection(ks), s2), _STABLE_KS, _SIGMA2
+)
+# A last reflection coefficient of magnitude >= 1 is the last coefficient.
+_UNSTABLE = st.builds(
+    lambda ks, k, s2: ArModel(len(ks) + 1, coefficients_from_reflection(ks + [k]), s2),
+    _STABLE_KS, st.sampled_from([1.0, -1.0, 1.25, -3.0]), _SIGMA2,
+)
+_MODELS = st.sampled_from([_STABLE] * 6 + [_UNSTABLE, st.just("fit failed")]).flatmap(lambda s: s)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    models=st.integers(1, 2 * detection.BLOCK_CHANNELS + 6).flatmap(
+        lambda n: st.lists(_MODELS, min_size=n, max_size=n)
+    ),
+    grid_size=st.sampled_from([2, 3, 17, 64, 512]),
+    fs=st.sampled_from([64.0, 128.0, 256.0]),
+    k=st.floats(0.0, 5.0),
+    rho=st.floats(0.0, 1.0),
+    diff_order=st.integers(0, 2),
+    correction=st.booleans(),
+    overflow=st.sampled_from(["ignore", "raise"]),
+)
+def test_blocked_back_end_equals_the_one_channel_stages(
+    models, grid_size, fs, k, rho, diff_order, correction, overflow
+):
+    config = RunConfig(grid_size=grid_size, k=k, rho=rho, diff_order=diff_order,
+                       undifference_correction=correction)
+    # k = 0 times an overflowed mean is nan on both paths.
+    with np.errstate(over=overflow, invalid="ignore"):
+        names, report = _detect_models(models, config, fs)
+        decisions, errors = _one_by_one(names, models, config, fs)
+    assert report.per_channel == decisions
+    assert list(report.errors.items()) == list(errors.items())
+
+
+def test_overflow_raised_in_one_channel_leaves_its_block_screened():
+    # Under np.errstate(over="raise") the PSD division of the one model
+    # whose spectrum overflows raises for the whole block.
+    models = [ArModel(1, [0.5 - 0.01 * i], 1.0) for i in range(40)]
+    models[7] = ArModel(1, [0.9], 1.7e308)
+    config = RunConfig()
+    with np.errstate(over="raise"):
+        names, report = _detect_models(models, config)
+        decisions, errors = _one_by_one(names, models, config)
+    assert report.errors == errors == {"c07": "overflow encountered in divide"}
+    assert len(report.per_channel) == 39
+    assert report.per_channel == decisions
+    with np.errstate(over="ignore"):
+        _, report = _detect_models(models, config)
+    assert report.errors == {"c07": "values contains non-finite values"}
 
 
 def test_detect_recording_too_short_for_order_reports_every_channel():

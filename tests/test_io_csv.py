@@ -13,6 +13,7 @@ from arpsd.io_csv import (
     read_burst_specs,
     read_prediction_csv,
     read_recording_csv,
+    read_report_errors,
     write_annotations,
     write_detection_report_csv,
     write_psd_csv,
@@ -173,6 +174,10 @@ def test_detection_report_records_channel_errors_as_comments(tmp_path):
     text = path.read_text()
     assert "# error: flat: degenerate signal" in text
     assert read_prediction_csv(path) == {"good": report.per_channel[0].flagged}
+    assert read_report_errors(path) == report.errors == {"flat": "degenerate signal"}
+    path.write_text(text.replace("# error: flat: degenerate", "# error: flat-degenerate"))
+    with pytest.raises(ValueError, match="line 3: error line names no channel"):
+        read_report_errors(path)
 
 
 def test_read_prediction_accepts_fixture_and_extra_columns(tmp_path):

@@ -12,14 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import toeplitz
 
 from arpsd import (
+    AutocovarianceSeq,
     Recording,
     RunConfig,
     TimeSeries,
     burg_fit,
     detect_recording,
     fit_sweep,
+    levinson_durbin,
     mle_fit,
     order_scan,
     yule_walker_fit,
@@ -218,3 +221,18 @@ def test_sweep_rejects_orders_outside_its_range():
             sweep.fit(p)
     with pytest.raises(ValueError, match="unknown method"):
         fit_sweep(TimeSeries(_resonance(0, 200, 0.9, 0.1), FS), 5, "welch")
+
+
+@PROPERTY
+@given(spectrum=st.lists(st.floats(0.05, 20.0), min_size=17, max_size=64), p=st.integers(1, 30))
+def test_levinson_matches_the_dense_toeplitz_solve(spectrum, p):
+    # The autocovariance of a spectrum within [0.05, 20] gives Toeplitz
+    # matrices whose eigenvalues lie in that range: condition number <= 400.
+    r = np.fft.irfft(spectrum)
+    fit = levinson_durbin(AutocovarianceSeq(r[: p + 1]), p)
+    for order in range(1, p + 1):
+        direct = np.linalg.solve(toeplitz(r[:order]), -r[1 : order + 1])
+        error = r[0] + direct @ r[1 : order + 1]
+        assert abs(fit.prediction_error_by_order[order] - error) <= 1e-12 * error
+    assert np.max(np.abs(fit.model.coeffs - direct)) <= 1e-11 * max(1.0, np.max(np.abs(direct)))
+    assert abs(fit.model.sigma2 - error) <= 1e-12 * error

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arpsd import (
+    ArModel,
     FrequencyBand,
     SpectrumEstimate,
+    ar_psd,
     band_powers,
+    coefficients_from_reflection,
     default_bands,
     threshold_psd,
     undifference_psd,
@@ -265,6 +268,25 @@ def test_undifference_exactly_inverts_the_filter_response():
             assert corrected.freqs_normalized.size == 128
             assert np.allclose(corrected.values, c, rtol=1e-10)
             assert corrected.sample_rate_hz == 64.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    ks=st.lists(st.floats(-0.95, 0.95), max_size=10),
+    d=st.integers(1, 3),
+    grid=st.integers(2, 600),
+    fs=st.sampled_from([64.0, 128.0, 256.0]),
+)
+def test_undifference_inverts_the_differencing_response(ks, d, grid, fs):
+    # Differencing d times multiplies a PSD by |1 - exp(-2j pi f)|^(2d); the
+    # correction gives the undifferenced PSD back everywhere but f = 0.
+    psd = ar_psd(ArModel(len(ks), coefficients_from_reflection(ks), 1.0), grid, fs)
+    freqs = psd.freqs_normalized
+    gain = np.abs(1.0 - np.exp(-2j * np.pi * freqs)) ** (2 * d)
+    corrected = undifference_psd(SpectrumEstimate(freqs, psd.values * gain, fs), d)
+    assert np.array_equal(corrected.freqs_normalized, freqs[1:])
+    assert corrected.sample_rate_hz == fs
+    assert np.allclose(corrected.values, psd.values[1:], rtol=1e-12, atol=0.0)
 
 
 def test_undifference_drops_only_the_zero_frequency_bin():
