@@ -26,9 +26,12 @@ compares the decisions with ``detect_recording``'s ``per_channel`` (and the
 channels that raised with its ``errors``, in order) by ``==``.  Every
 recording-config runs with the correction off and on.  Besides the
 recordings above it runs ``LONG_SEEDS`` 10-minute recordings (76,800
-samples) per burst shape, which take the lag-product Burg, and
-``WIDE_SEEDS`` recordings of ``WIDE_CHANNELS`` channels per burst shape,
-which ``detect_recording`` screens in more than two blocks.
+samples) per burst shape, which take the lag-product Burg, each at every
+differencing order in ``LONG_DIFF_ORDERS`` (``detect_recording`` prepares
+each channel in a buffer it reuses, and d = 0 and d > 1 take their own
+branches there), and ``WIDE_SEEDS`` recordings of ``WIDE_CHANNELS``
+channels per burst shape, which ``detect_recording`` screens in more than
+two blocks.
 
 Prints one line per pass with the counts, and for the first two the
 largest relative differences in sigma2 and in the PSD; exits 1 if any
@@ -70,6 +73,7 @@ METHODS = ("burg", "yule_walker", "mle")
 ORDERS = (10, "auto")
 N, LONG_N, FS, SNR = 2560, 76800, 128.0, 2.0
 LONG_SEEDS = 2
+LONG_DIFF_ORDERS = (0, 1, 2)
 WIDE_SEEDS = 2
 WIDE_CHANNELS = 70  # more than two of detect_recording's blocks of 32
 
@@ -200,13 +204,15 @@ def exact_pass(seeds):
     first = None
     wide = tuple(f"ch{i:02d}" for i in range(WIDE_CHANNELS))
     inputs = itertools.chain(
-        recordings(seeds, N),
-        recordings(LONG_SEEDS, LONG_N),
-        recordings(WIDE_SEEDS, N, wide, wide[::10]),
+        ((*pair, (1,)) for pair in recordings(seeds, N)),
+        ((*pair, LONG_DIFF_ORDERS) for pair in recordings(LONG_SEEDS, LONG_N)),
+        ((*pair, (1,)) for pair in recordings(WIDE_SEEDS, N, wide, wide[::10])),
     )
-    for name_of_input, recording in inputs:
-        for method, order, correction in itertools.product(METHODS, ORDERS, (False, True)):
-            config = RunConfig(method=method, order=order, undifference_correction=correction)
+    for name_of_input, recording, diff_orders in inputs:
+        grid = itertools.product(METHODS, ORDERS, (False, True), diff_orders)
+        for method, order, correction, d in grid:
+            config = RunConfig(method=method, order=order, undifference_correction=correction,
+                               diff_order=d)
             report = detect_recording(recording, config)
             decisions, errors = [], {}
             for name in recording.names:
@@ -217,7 +223,8 @@ def exact_pass(seeds):
             configs += 1
             if report.per_channel != tuple(decisions) or list(report.errors.items()) != list(errors.items()):
                 differ += 1
-                first = first or f"{name_of_input} {method} order {order} correction {correction}"
+                first = first or (f"{name_of_input} {method} order {order} "
+                                  f"correction {correction} d {d}")
     print(f"public stages composed, exact: {configs} recording-configs, {differ} whose "
           f"decisions or errors are not == detect_recording's" + (f"; first: {first}" if first else ""))
     return differ

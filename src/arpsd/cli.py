@@ -14,13 +14,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig
 from .core import Recording, default_montage
-from .detection import (
-    channel_psd,
-    confusion_from_flags,
-    detect_recording,
-    fit_channel,
-    metrics_from_counts,
-)
+from .detection import channel_psd, detect_recording, fit_channel, score_channels
 from .io_csv import (
     read_annotations,
     read_burst_specs,
@@ -185,31 +179,19 @@ def _pct(value: float | None) -> str:
 
 
 def _cmd_eval(args) -> int:
-    predictions = read_prediction_csv(args.pred)
-    errored = read_report_errors(args.pred)
-    truth = read_annotations(args.truth)
-    reported = set(predictions) | set(errored)
-    missing = sorted(set(truth) - reported)
-    extra = sorted(reported - set(truth))
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append("missing from predictions: " + ", ".join(missing))
-        if extra:
-            parts.append("missing from truth: " + ", ".join(extra))
-        raise ValueError("channel sets do not match; " + "; ".join(parts))
-    # A channel the report lists as an error has no decision to score.
-    scored = {name: label for name, label in truth.items() if name not in errored}
-    metrics = metrics_from_counts(confusion_from_flags(predictions, scored))
+    metrics = score_channels(
+        read_prediction_csv(args.pred),
+        list(read_report_errors(args.pred)),
+        read_annotations(args.truth),
+        wording=("channel sets do not match", "predictions", "truth"),
+    )
     counts = metrics.counts
     print(f"tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}")
-    if errored:
-        print("not scored (error in report): " + ", ".join(errored))
+    for note in metrics.notes:
+        print(note)
     print(f"sensitivity: {_pct(metrics.sensitivity)}")
     print(f"specificity: {_pct(metrics.specificity)}")
     print(f"accuracy: {_pct(metrics.accuracy)}")
-    for note in metrics.notes:
-        print(note)
     return 0
 
 

@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 from numbers import Integral
 
-from .core import FrequencyBand, default_bands
+from .core import FrequencyBand, check_bands, default_bands
 from .estimation import METHODS
 from .order_selection import CRITERIA
 
@@ -56,6 +56,7 @@ class RunConfig:
             raise ValueError("grid_size must be at least 2")
         if not self.sample_rate_hz > 0.0:
             raise ValueError("sample_rate_hz must be positive")
+        check_bands(self.bands)
 
     def summary(self) -> dict[str, object]:
         """Flat parameter echo used in report headers."""

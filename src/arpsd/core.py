@@ -17,6 +17,7 @@ __all__ = [
     "AutocovarianceSeq",
     "SpectrumEstimate",
     "FrequencyBand",
+    "check_bands",
     "ConfusionCounts",
     "default_bands",
     "default_montage",
@@ -84,7 +85,9 @@ class TimeSeries(ArrayFields):
         The checks are the constructor's, including its one pass over the
         samples for finiteness; only the copy is skipped.  The array is made
         read-only in place, so the caller must own it outright: a fresh
-        result such as the output of ``np.diff``, never a view of samples
+        result such as the output of ``np.diff``, or a view of a work buffer
+        that nothing writes while the series is in use
+        (:func:`arpsd.preprocess.prepare_into`); never a view of samples
         that something else may still write.
         """
         series = cls.__new__(cls)
@@ -285,6 +288,24 @@ class FrequencyBand:
 
     def contains(self, freq_hz: float) -> bool:
         return self.lo_hz <= freq_hz < self.hi_hz
+
+
+def check_bands(bands: Sequence[FrequencyBand]) -> list[FrequencyBand]:
+    """The bands in ascending order of ``lo_hz``, once they pass the checks.
+
+    Raises
+    ------
+    ValueError
+        "need at least one band" when ``bands`` is empty, and
+        "overlapping bands: <lower> and <upper>" when two bands overlap.
+    """
+    if not bands:
+        raise ValueError("need at least one band")
+    ordered = sorted(bands, key=lambda b: b.lo_hz)
+    for lower, upper in zip(ordered, ordered[1:]):
+        if upper.lo_hz < lower.hi_hz:
+            raise ValueError(f"overlapping bands: {lower.name} and {upper.name}")
+    return ordered
 
 
 @dataclass(frozen=True)

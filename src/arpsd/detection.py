@@ -10,7 +10,7 @@ channels at once, through the row-wise forms of the spectral stages; a
 channel alone is the one-row case.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .core import (
 )
 from .estimation import FitResult, ar_psd, ar_psd_rows, burg_fit, mle_fit, yule_walker_fit
 from .order_selection import OrderScanResult, order_scan
-from .preprocess import demean, difference
+from .preprocess import prepare_into
 from .spectral import (
     MaskedSpectrum,
     band_power_rows,
@@ -49,6 +49,7 @@ __all__ = [
     "evaluate",
     "fit_channel",
     "metrics_from_counts",
+    "score_channels",
 ]
 
 LOW_BANDS = ("delta", "theta")
@@ -193,7 +194,14 @@ def fit_channel(x: TimeSeries, config: RunConfig) -> ChannelFit:
     scores every order 1..``config.p_max`` and the selected order's fit
     comes from that scan.
     """
-    series = demean(difference(x, config.diff_order))
+    return _fit_channel(x, config, np.empty(len(x)))
+
+
+def _fit_channel(x: TimeSeries, config: RunConfig, work: np.ndarray) -> ChannelFit:
+    """:func:`fit_channel`, preparing the channel in ``work`` (see
+    :func:`arpsd.preprocess.prepare_into`).  The fit holds arrays of its
+    own, so ``work`` may be reused for the next channel."""
+    series = prepare_into(x, config.diff_order, work)
     if config.order == "auto":
         scan = order_scan(
             series,
@@ -288,7 +296,8 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     zero-division or overflow fault) is reported in ``errors`` with the
     message, and the remaining channels are still screened.
 
-    Every channel is fitted first, by :func:`fit_channel`.  The fitted
+    Every channel is fitted first, as by :func:`fit_channel`, but prepared
+    in one buffer that the channels share in turn.  The fitted
     models are then screened ``BLOCK_CHANNELS`` at a time by the row-wise
     forms of :func:`channel_psd`'s and :func:`classify_channel`'s stages,
     which give each channel the bits it gets alone.  ``errors`` keeps the
@@ -298,9 +307,14 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
         config = RunConfig()
     outcomes: dict[str, object] = {}
     models: dict[str, ArModel] = {}
+    # Every channel is prepared in this one buffer.  Fresh channel-length
+    # arrays, freed at the end of each channel, let the allocator hand
+    # their pages back to the system, and the next channel fault them in
+    # again.
+    work = np.empty(recording.n_samples)
     for name in recording.names:
         try:
-            models[name] = fit_channel(recording[name], config).fit.model
+            models[name] = _fit_channel(recording[name], config, work).fit.model
         except (ValueError, ArithmeticError) as exc:
             outcomes[name] = str(exc)
     fitted = list(models)
@@ -359,21 +373,51 @@ def metrics_from_counts(counts: ConfusionCounts) -> MetricsReport:
     return MetricsReport(counts, sensitivity, specificity, accuracy, tuple(notes))
 
 
+def score_channels(
+    flags: Mapping[str, bool],
+    errored: Sequence[str],
+    truth: Mapping[str, bool],
+    wording: tuple[str, str, str] = (
+        "annotation keys do not match report", "report", "annotations"
+    ),
+) -> MetricsReport:
+    """Score per-channel flags against reference labels.
+
+    Every labelled channel must have a flag or be named in ``errored``,
+    and every flagged or errored channel must be labelled.  A mismatch
+    raises ValueError naming the offending channels, worded from
+    ``wording = (heading, predictions, labels)`` as "<heading>; missing
+    from <predictions>: ...; missing from <labels>: ...".  The channels in
+    ``errored`` have no decision to score: they are left out of the
+    counts and named in the first of the notes.
+    """
+    unscored = set(errored)
+    reported = set(flags) | unscored
+    missing = sorted(set(truth) - reported)
+    extra = sorted(reported - set(truth))
+    if missing or extra:
+        heading, predictions, labels = wording
+        parts = []
+        if missing:
+            parts.append(f"missing from {predictions}: " + ", ".join(missing))
+        if extra:
+            parts.append(f"missing from {labels}: " + ", ".join(extra))
+        raise ValueError(f"{heading}; " + "; ".join(parts))
+    scored = {name: label for name, label in truth.items() if name not in unscored}
+    metrics = metrics_from_counts(confusion_from_flags(flags, scored))
+    if not errored:
+        return metrics
+    note = "not scored (error in report): " + ", ".join(errored)
+    return replace(metrics, notes=(note, *metrics.notes))
+
+
 def evaluate(predicted: DetectionReport, annotations: Mapping[str, bool]) -> MetricsReport:
     """Score flagged channels against reference annotations.
 
     The annotation keys must coincide exactly with the derivations in
-    the report; any mismatch raises with the offending names listed.
+    the report, decided or in ``errors``; any mismatch raises with the
+    offending names listed.  Channels in ``errors`` are left out of the
+    counts and named in the notes (see :func:`score_channels`).
     """
-    decisions = predicted.decisions_by_name()
-    missing = sorted(set(annotations) - set(decisions))
-    extra = sorted(set(decisions) - set(annotations))
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append("missing from report: " + ", ".join(missing))
-        if extra:
-            parts.append("missing from annotations: " + ", ".join(extra))
-        raise ValueError("annotation keys do not match report; " + "; ".join(parts))
-    flags = {name: decision.flagged for name, decision in decisions.items()}
-    return metrics_from_counts(confusion_from_flags(flags, dict(annotations)))
+    flags = {decision.derivation: decision.flagged for decision in predicted.per_channel}
+    return score_channels(flags, list(predicted.errors), annotations)

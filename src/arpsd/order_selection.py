@@ -32,18 +32,20 @@ def _check_sigma2(sigma2: float) -> float:
     return sigma2
 
 
-def _penalty(criterion: str, n: int, p: int) -> float:
-    """The term a criterion adds to log(sigma2); AICc needs n > p + 2."""
+def _penalties(criterion: str, n: int, orders) -> list[float]:
+    """The term a criterion adds to log(sigma2), at each of ``orders``;
+    AICc needs n > p + 2."""
     if criterion == "aic":
-        return (n + 2 * p) / n
+        return [(n + 2 * p) / n for p in orders]
     if criterion == "aicc":
-        return (n + p) / (n - p - 2)
-    return p * log(n) / n
+        return [(n + p) / (n - p - 2) for p in orders]
+    log_n = log(n)
+    return [p * log_n / n for p in orders]
 
 
 def aic(sigma2: float, n: int, p: int) -> float:
     """Akaike information criterion, log(sigma2) + (n + 2p) / n."""
-    return log(_check_sigma2(sigma2)) + _penalty("aic", n, p)
+    return log(_check_sigma2(sigma2)) + _penalties("aic", n, [p])[0]
 
 
 def aicc(sigma2: float, n: int, p: int) -> float:
@@ -56,12 +58,12 @@ def aicc(sigma2: float, n: int, p: int) -> float:
     """
     if n <= p + 2:
         raise ValueError("AICc undefined for this n,p")
-    return log(_check_sigma2(sigma2)) + _penalty("aicc", n, p)
+    return log(_check_sigma2(sigma2)) + _penalties("aicc", n, [p])[0]
 
 
 def bic(sigma2: float, n: int, p: int) -> float:
     """Bayesian information criterion, log(sigma2) + p log(n) / n."""
-    return log(_check_sigma2(sigma2)) + _penalty("bic", n, p)
+    return log(_check_sigma2(sigma2)) + _penalties("bic", n, [p])[0]
 
 
 @dataclass(frozen=True)
@@ -148,11 +150,16 @@ def order_scan(
     if n <= p_max + 2:
         raise ValueError("need more than p_max + 2 samples")
     sweep = fit_sweep(x, p_max, method, grid_size)
-    # log(sigma2) once per order; n > p_max + 2 keeps AICc defined.
+    # Each criterion's penalties once per scan, log(sigma2) once per order;
+    # n > p_max + 2 keeps AICc defined.
+    orders = range(1, p_max + 1)
+    penalties = [_penalties(name, n, orders) for name in CRITERIA]
     scores = []
-    for p, sigma2 in enumerate(sweep.sigma2_by_order.tolist(), start=1):
+    for p, sigma2, aic_pen, aicc_pen, bic_pen in zip(
+        orders, sweep.sigma2_by_order.tolist(), *penalties
+    ):
         log_sigma2 = log(_check_sigma2(sigma2))
-        aic_p, aicc_p, bic_p = (log_sigma2 + _penalty(name, n, p) for name in CRITERIA)
-        scores.append(OrderScore(p=p, sigma2=sigma2, aic=aic_p, aicc=aicc_p, bic=bic_p))
+        scores.append(OrderScore(p, sigma2, log_sigma2 + aic_pen, log_sigma2 + aicc_pen,
+                                 log_sigma2 + bic_pen))
     selected = select_order(scores, criterion)
     return OrderScanResult(tuple(scores), selected, criterion, sweep.fit(selected))

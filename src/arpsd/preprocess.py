@@ -10,6 +10,7 @@ from .core import AutocovarianceSeq, TimeSeries
 __all__ = [
     "difference",
     "demean",
+    "prepare_into",
     "biased_autocov",
     "Periodogram",
     "periodogram",
@@ -26,6 +27,7 @@ def difference(x: TimeSeries, d: int = 1) -> TimeSeries:
 
     Differencing removes slow nonstationary trends before model fitting.
     The sample rate is unchanged; the output is ``d`` samples shorter.
+    This is the fresh-array case of :func:`prepare_into`'s first step.
 
     Parameters
     ----------
@@ -39,18 +41,52 @@ def difference(x: TimeSeries, d: int = 1) -> TimeSeries:
     -------
     TimeSeries
     """
+    return _difference(x, d, None)
+
+
+def demean(x: TimeSeries) -> TimeSeries:
+    """Subtract the sample mean.
+
+    This is the fresh-array case of :func:`prepare_into`'s second step.
+    """
+    return _demean(x, None)
+
+
+def prepare_into(x: TimeSeries, d: int, out: np.ndarray) -> TimeSeries:
+    """``demean(difference(x, d))``, written into ``out`` bit for bit.
+
+    The ``len(x) - d`` prepared samples are written to the start of
+    ``out``, a writable contiguous float64 array of at least ``len(x)``
+    entries, and the result wraps that view of ``out``.  The checks and
+    messages are :func:`difference`'s and :func:`demean`'s.  No float
+    array is allocated for ``d <= 1``, so one buffer can serve every
+    channel of a recording in turn.  The result is valid only until
+    ``out`` is written again: whatever outlives that must hold its own
+    copy.
+    """
+    return _demean(_difference(x, d, out), out)
+
+
+def _difference(x: TimeSeries, d: int, out: np.ndarray | None) -> TimeSeries:
     if d < 0:
         raise ValueError("differencing order must be nonnegative")
     if len(x) <= d:
         raise ValueError("insufficient samples for differencing order")
     if d == 0:
         return x
-    return TimeSeries.adopt(np.diff(x.samples, n=d), x.sample_rate_hz)
+    # np.diff's passes, each into a fresh array or into the start of out
+    # (where a pass may overlap its input; ufuncs then act as on a copy).
+    samples = x.samples
+    for _ in range(d):
+        target = None if out is None else out[: samples.size - 1]
+        samples = np.subtract(samples[1:], samples[:-1], out=target)
+    return TimeSeries.adopt(samples, x.sample_rate_hz)
 
 
-def demean(x: TimeSeries) -> TimeSeries:
-    """Subtract the sample mean."""
-    return TimeSeries.adopt(x.samples - x.samples.mean(), x.sample_rate_hz)
+def _demean(x: TimeSeries, out: np.ndarray | None) -> TimeSeries:
+    samples = x.samples
+    target = None if out is None else out[: samples.size]
+    return TimeSeries.adopt(np.subtract(samples, samples.mean(), out=target), x.sample_rate_hz)
 
 
 def biased_autocov(x: TimeSeries, max_lag: int) -> AutocovarianceSeq:

@@ -5,7 +5,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ArrayFields, FrequencyBand, SpectrumEstimate
+from .core import ArrayFields, FrequencyBand, SpectrumEstimate, check_bands
 
 __all__ = [
     "MaskedSpectrum",
@@ -138,14 +138,6 @@ class BandPowerReport:
         return power / self.total_power if self.total_power > 0.0 else 0.0
 
 
-def _check_disjoint(bands: Sequence[FrequencyBand]) -> list[FrequencyBand]:
-    ordered = sorted(bands, key=lambda b: b.lo_hz)
-    for lower, upper in zip(ordered, ordered[1:]):
-        if upper.lo_hz < lower.hi_hz:
-            raise ValueError(f"overlapping bands: {lower.name} and {upper.name}")
-    return ordered
-
-
 def band_power_rows(
     freqs_hz: np.ndarray, values: np.ndarray, bands: Sequence[FrequencyBand]
 ) -> list[BandPowerReport]:
@@ -155,9 +147,7 @@ def band_power_rows(
     once.  Row r of the result is bit for bit ``band_powers`` of a
     spectrum with ``values[r]`` on that grid.
     """
-    if not bands:
-        raise ValueError("need at least one band")
-    ordered = _check_disjoint(bands)
+    ordered = check_bands(bands)
     # One nonnegative trapezoid term per grid interval.  A band owns the
     # terms between its first and last grid point.  The total adds the
     # band powers one by one in the caller's order, then the terms no band

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arpsd import RunConfig
+from arpsd import FrequencyBand, RunConfig
 
 
 @pytest.mark.parametrize("order", [10, np.int64(10), np.int32(10), np.uint8(10)])
@@ -21,3 +21,17 @@ def test_non_orders_are_rejected(order):
 
 def test_auto_order_is_kept():
     assert RunConfig(order="auto").order == "auto"
+
+
+@pytest.mark.parametrize(
+    "bands, message",
+    [
+        ((), "need at least one band"),
+        ((FrequencyBand("low", 1.0, 6.0), FrequencyBand("mid", 4.0, 10.0)),
+         "overlapping bands: low and mid"),
+    ],
+)
+def test_bad_band_sets_are_refused_at_construction(bands, message):
+    # Accepted, every channel of a run would land in errors with this message.
+    with pytest.raises(ValueError, match=message):
+        RunConfig(bands=bands)

@@ -243,6 +243,59 @@ def test_detect_recording_with_correction_equals_the_public_stages_composed(meth
     _assert_detect_equals_the_public_stages(method, order, correction=True)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    scales=st.lists(st.sampled_from([1e-3, 1.0, 1e6, 1e150]), min_size=2, max_size=7),
+    overflow_at=st.integers(0, 6),
+    n=st.integers(40, 300),
+    diff_order=st.integers(0, 2),
+    method=st.sampled_from(["burg", "yule_walker", "mle"]),
+    order=st.sampled_from([3, "auto"]),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_shared_buffer_carries_nothing_from_one_channel_to_the_next(
+    scales, overflow_at, n, diff_order, method, order
+):
+    # Each channel's outcome is the one the public stages give it alone, in
+    # either channel order.
+    rng = np.random.default_rng(n)
+    channels = {f"c{i}": TimeSeries(scale * rng.standard_normal(n), 128.0)
+                for i, scale in enumerate(scales)}
+    if overflow_at < len(scales):
+        # Alternating +-1.7e308: every first difference overflows.
+        channels[f"c{overflow_at}"] = TimeSeries(1.7e308 * (-1.0) ** np.arange(n), 128.0)
+    config = RunConfig(method=method, order=order, p_max=8, diff_order=diff_order)
+    models = []
+    for series in channels.values():
+        try:
+            models.append(fit_channel(series, config).fit.model)
+        except ValueError as exc:
+            models.append(str(exc))
+    decisions, errors = _one_by_one(list(channels), models, config)
+    alone = {**{decision.derivation: decision for decision in decisions}, **errors}
+    for names in (list(channels), list(channels)[::-1]):
+        report = detect_recording(Recording({name: channels[name] for name in names}), config)
+        outcomes = {**report.decisions_by_name(), **report.errors}
+        assert outcomes == alone
+    if overflow_at < len(scales) and diff_order > 0:
+        assert alone[f"c{overflow_at}"] == "samples contains non-finite values"
+
+
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+@pytest.mark.parametrize("order", [10, "auto"])
+def test_a_channel_fit_holds_no_view_of_the_work_buffer(method, order):
+    recording, _ = _burst_recording(seed=2)
+    config = RunConfig(method=method, order=order)
+    work = np.empty(recording.n_samples)
+    first = detection._fit_channel(recording["F8-T4"], config, work)
+    fits = [first.fit] + ([first.scan.fit] if first.scan else [])
+    for fit in fits:
+        for values in (fit.model.coeffs, fit.reflection_coeffs, fit.prediction_error_by_order):
+            assert not np.shares_memory(values, work)
+    detection._fit_channel(recording["Fp2-F8"], config, work)
+    assert first == fit_channel(recording["F8-T4"], config)
+
+
 def _detect_models(models, config, fs=128.0):
     """detect_recording over channels whose fits are ``models``; a string
     entry is the message that channel's fit raises."""
@@ -250,14 +303,14 @@ def _detect_models(models, config, fs=128.0):
     recording = Recording({name: TimeSeries(np.arange(4.0), fs) for name in names})
     by_series = {id(recording[name]): model for name, model in zip(names, models)}
 
-    def fit(x, config):
+    def fit(x, config, work):
         model = by_series[id(x)]
         if isinstance(model, str):
             raise ValueError(model)
         p = model.order_p
         return ChannelFit(FitResult(model, "burg", np.zeros(p), np.ones(p + 1)))
 
-    with mock.patch.object(detection, "fit_channel", fit):
+    with mock.patch.object(detection, "_fit_channel", fit):
         return names, detect_recording(recording, config)
 
 
@@ -449,3 +502,20 @@ def test_evaluate_on_detection_output_end_to_end():
     metrics = evaluate(detect_recording(recording), truth)
     assert metrics.counts.total == 18
     assert metrics.accuracy == 1.0
+
+
+def test_evaluate_scores_a_report_with_errors_as_eval_does():
+    # A constant channel cannot be fitted; it is named, not scored.
+    recording, truth = _burst_recording(seed=6)
+    channels = dict(recording.channels)
+    channels["Fp2-F8"] = TimeSeries(np.ones(recording.n_samples), recording.sample_rate_hz)
+    report = detect_recording(Recording(channels))
+    assert list(report.errors) == ["Fp2-F8"]
+    metrics = evaluate(report, truth)
+    assert metrics.counts.total == 17
+    assert metrics.accuracy == 1.0
+    assert metrics.notes == ("not scored (error in report): Fp2-F8",)
+    truth.pop("Fp2-F8")
+    message = "^annotation keys do not match report; missing from annotations: Fp2-F8$"
+    with pytest.raises(ValueError, match=message):
+        evaluate(report, truth)
