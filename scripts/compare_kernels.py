@@ -29,7 +29,9 @@ recordings above it runs ``LONG_SEEDS`` 10-minute recordings (76,800
 samples) per burst shape, which take the lag-product Burg, each at every
 differencing order in ``LONG_DIFF_ORDERS`` (``detect_recording`` prepares
 each channel in a buffer it reuses, and d = 0 and d > 1 take their own
-branches there), and ``WIDE_SEEDS`` recordings of ``WIDE_CHANNELS``
+branches there).  Each has two more channels, a sine and a constant, so
+that the rows of one lag-product Burg call hold a lattice fallback and an
+error.  It also runs ``WIDE_SEEDS`` recordings of ``WIDE_CHANNELS``
 channels per burst shape, which ``detect_recording`` screens in more than
 two blocks.
 
@@ -47,8 +49,10 @@ import numpy as np
 from arpsd import (
     ArModel,
     BurstSpec,
+    Recording,
     RunConfig,
     SpectrumEstimate,
+    TimeSeries,
     ar_psd,
     biased_autocov,
     classify_channel,
@@ -199,13 +203,27 @@ def stages_decision(x, name, config):
     return classify_channel(masked, config.bands, config.rho, derivation=name)
 
 
+def with_hard_channels(recording):
+    """The recording with two more channels: a sine, whose lag-product Burg
+    stops at a stage and takes the lattice, and a constant, which ends in
+    an error."""
+    t = np.arange(recording.n_samples) / recording.sample_rate_hz
+    rate = recording.sample_rate_hz
+    return Recording({
+        **recording.channels,
+        "sine": TimeSeries(np.sin(2.0 * np.pi * 6.0 * t), rate),
+        "flat": TimeSeries(np.full(t.size, 2.5), rate),
+    })
+
+
 def exact_pass(seeds):
     configs = differ = 0
     first = None
     wide = tuple(f"ch{i:02d}" for i in range(WIDE_CHANNELS))
     inputs = itertools.chain(
         ((*pair, (1,)) for pair in recordings(seeds, N)),
-        ((*pair, LONG_DIFF_ORDERS) for pair in recordings(LONG_SEEDS, LONG_N)),
+        ((label, with_hard_channels(recording), LONG_DIFF_ORDERS)
+         for label, recording in recordings(LONG_SEEDS, LONG_N)),
         ((*pair, (1,)) for pair in recordings(WIDE_SEEDS, N, wide, wide[::10])),
     )
     for name_of_input, recording, diff_orders in inputs:

@@ -296,11 +296,18 @@ def check_bands(bands: Sequence[FrequencyBand]) -> list[FrequencyBand]:
     Raises
     ------
     ValueError
-        "need at least one band" when ``bands`` is empty, and
-        "overlapping bands: <lower> and <upper>" when two bands overlap.
+        "need at least one band" when ``bands`` is empty, "duplicate band
+        name: <name>" when two bands share a name (band powers are keyed by
+        name), and "overlapping bands: <lower> and <upper>" when two bands
+        overlap.
     """
     if not bands:
         raise ValueError("need at least one band")
+    names = set()
+    for band in bands:
+        if band.name in names:
+            raise ValueError(f"duplicate band name: {band.name}")
+        names.add(band.name)
     ordered = sorted(bands, key=lambda b: b.lo_hz)
     for lower, upper in zip(ordered, ordered[1:]):
         if upper.lo_hz < lower.hi_hz:

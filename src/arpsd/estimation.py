@@ -8,7 +8,9 @@ Three fitting routes share one coefficient convention (see
 * ``burg_fit`` runs the Burg recursion on the raw samples, minimizing the
   summed forward plus backward prediction error at each stage.  Long
   inputs are evaluated from lag products, with the lattice as the
-  fallback on ill-conditioned input.
+  fallback on ill-conditioned input.  ``burg_lag_row`` and
+  ``burg_sweep_rows`` split that into a per-channel part and stages that
+  run on many channels' rows at once, bit for bit as ``fit_sweep``.
 * ``mle_fit`` reuses the Yule-Walker coefficients (the likelihood is
   maximized by the same normal equations) and estimates the innovation
   variance by integrating |A(f)|^2 I(f) against the periodogram.
@@ -20,7 +22,8 @@ fitters would.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,6 +38,8 @@ __all__ = [
     "levinson_durbin",
     "yule_walker_fit",
     "burg_fit",
+    "burg_lag_row",
+    "burg_sweep_rows",
     "mle_fit",
     "ar_psd",
     "ar_psd_rows",
@@ -48,18 +53,23 @@ METHOD_BURG = "burg"
 METHOD_MLE = "mle"
 METHODS = (METHOD_YULE_WALKER, METHOD_BURG, METHOD_MLE)
 
-# Burg from lag products pays about 15 us of small-array work per stage
-# and saves the lattice's O(n) vector updates; below this length the
-# lattice is faster.  The choice depends on n only, so that an order-p
+# Burg from lag products pays some tens of microseconds of small-array
+# work per stage (once per call, whatever the number of rows) and saves the
+# lattice's O(n) vector updates; below this length the lattice is faster.  The choice depends on n only, so that an order-p
 # fit is the same whatever order a sweep runs to.
 _LAG_MIN_SAMPLES = 8192
-# A lag-product stage whose |q|'|T||q| exceeds this multiple of its
-# forward-plus-backward energy loses too much of that energy to
-# cancellation; the lattice takes over from there.  Over 20,000 stages of
+# A lag-product stage whose scale sum_ij |q(i) q(j) c(|i + j - m|)| (see
+# _burg_lag_rows) exceeds this multiple of its forward-plus-backward
+# energy loses too much of that energy to cancellation; the lattice takes
+# over from there.  Over 20,000 stages of
 # AR(2) resonances (pole radius <= 0.995, p <= 30) the stages that passed
 # this test agreed with the lattice within 2.5e-13 relative on the error
 # profile; at a limit of 1e3 the worst was 1.4e-12.
 _LAG_CANCELLATION_LIMIT = 20.0
+# The lag-product stages gather O(m^2) values per row at stage m, and the
+# gather indices of each stage are kept for reuse; above this order the
+# lattice takes over, as from a failed stage.
+_LAG_MAX_ORDER = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,11 +230,108 @@ def _burg_lattice(samples: np.ndarray, p: int):
     return coeffs_by_order, ks, errs
 
 
-def _burg_lag_products(samples: np.ndarray, p: int):
-    """Burg stages evaluated from the lag products c(0..p) of the samples.
+def _lag_row(samples: np.ndarray, p: int) -> np.ndarray:
+    """All that the lag-product stages to order p read of the samples.
 
-    With the polynomial q = [1, a(1..m)], the zero-padded forward and
-    backward error sequences are the full convolutions f = x * q and
+    With P = min(p, ``_LAG_MAX_ORDER``), the row holds the lag products
+    c(0..P), a zero, the first P samples and the last P samples:
+    ``[c(0..P), 0, x(0..P-1), x(N-P..N-1)]``.
+    """
+    n = samples.size
+    p = min(p, _LAG_MAX_ORDER)
+    row = np.empty(3 * p + 2)
+    for lag in range(p + 1):
+        row[lag] = np.dot(samples[: n - lag], samples[lag:])
+    row[p + 1] = 0.0
+    row[p + 2 : 2 * p + 2] = samples[:p]
+    row[2 * p + 2 :] = samples[n - p :]
+    return row
+
+
+def _interleaved(rows: np.ndarray, p: int) -> np.ndarray:
+    """Lag rows for order p, laid out for :func:`_stage_windows`: a zero,
+    then for k = 0, 1, ...: -c(k), x(k), x(N-1-k) and |c(k)|.  Where a
+    value sits depends on k alone, not on p."""
+    lags = rows[:, : p + 1]
+    out = np.zeros((rows.shape[0], 4 * p + 5))
+    out[:, 1::4] = -lags
+    out[:, 2 : 4 * p : 4] = rows[:, p + 2 : 2 * p + 2]
+    out[:, 3 : 4 * p : 4] = rows[:, 3 * p + 1 : 2 * p + 1 : -1]
+    out[:, 4::4] = np.abs(lags)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _stage_windows(m: int):
+    """Gather indices of lag-product stage m, with the polynomial q(0..m).
+
+    They index rows of :func:`_interleaved`.  Returns ``(windows, spread,
+    left, right)``.  Column w of ``windows`` picks the m + 1 values whose
+    products with q(0..m) add up to V(w):
+
+    * V(0..m+1) is -T q with T(i, j) = c(|i - j|).  q'Tq is the energy of
+      f = x * q and of g = x * reverse(q); their lag-one cross product is
+      sum_ij q(i) q(j) c(|m + 1 - i - j|) = sum_i q(i) (Tq)(m + 1 - i);
+    * the next 4m + 2 are the terms that the zero padding adds to those
+      forms: f(0..m), g(N-1-m..N-1), g(0..m-1) and f(N..N+m-1);
+    * the last is a zero.
+
+    Column i of ``spread`` picks |c(|i + j - m|)|, j = 0..m, whose
+    products with |q(j)| add up to S(i).  Both are laid out tap by tap, so
+    that the m + 1 products of each sum are added one tap at a time.
+    ``left`` and ``right`` index [V, q, |q|, S], and the products of each
+    of their rows add up to one quantity of the stage: row 0 to minus the
+    denominator, 2 q'Tq less the energy of the padding terms; row 1 to
+    minus the cross term, less the padding's share; row 2 to the scale
+    sum_ij |q(i) q(j) c(|i + j - m|)|.  Rows 1 and 2 are padded with the
+    zero.
+    """
+    def lag(k):
+        return 1 + 4 * k
+
+    def head(k):  # x(k)
+        return 2 + 4 * k
+
+    def tail(k):  # x(N - 1 - k)
+        return 3 + 4 * k
+
+    tap = np.arange(m + 1)
+    t = tap[:, np.newaxis]
+    u = t[:m]
+    windows = np.concatenate((
+        lag(np.abs(np.arange(m + 2)[:, np.newaxis] - tap)),
+        np.where(tap <= t, head(t - tap), 0),
+        np.where(t + tap <= m, tail(m - t - tap), 0),
+        np.where(tap >= m - u, head(u + tap - m), 0),
+        np.where(tap > u, tail(tap - u - 1), 0),
+        np.zeros((1, m + 1), dtype=int),
+    ))
+    terms = np.arange(m + 2, 5 * m + 4)
+    f_head, g_tail, g_head, f_tail = np.split(terms, [m + 1, 2 * m + 2, 3 * m + 2])
+    q_at, mag_at, s_at = (5 * m + 5 + block * (m + 1) + tap for block in range(3))
+    pairs = (
+        ((q_at, q_at, terms), (tap, tap, terms)),
+        ((q_at, f_head[1:], f_tail), (m + 1 - tap, g_head, g_tail[:m])),
+        ((mag_at,), (s_at,)),
+    )
+    width = 6 * m + 4
+    pad = np.full(width, 5 * m + 4)
+    left, right = (
+        np.stack([np.concatenate(pair[side] + (pad,))[:width] for pair in pairs]) for side in (0, 1)
+    )
+    spread = 4 + 4 * np.abs(t + tap - m)
+    indices = (np.ascontiguousarray(windows.T), np.ascontiguousarray(spread.T), left, right)
+    for array in indices:  # shared by every caller
+        array.setflags(write=False)
+    return indices
+
+
+def _burg_lag_rows(rows: np.ndarray, n: int, p: int):
+    """Burg stages evaluated from lag rows, one sweep per row.
+
+    ``rows`` stacks :func:`_lag_row` of channels of n samples each.  With
+    the polynomial q = [1, a(1..m)], the zero-padded forward and backward
+    error sequences are the full convolutions f = x * q and
     g = x * reverse(q).  Their energies are Toeplitz quadratic forms
     q' T q with T(i, j) = c(|i - j|), and their lag-one cross product is
     the Hankel form sum_ij q(i) q(j) c(|m + 1 - i - j|).  The lattice sums
@@ -233,90 +340,181 @@ def _burg_lag_products(samples: np.ndarray, p: int):
     touched after the p + 1 dot products (Vos, "A fast implementation of
     Burg's method", 2013).
 
-    The subtractions cancel when |q|'|T||q| is large against the stage's
-    forward-plus-backward energy, so the sweep stops at the first stage
-    whose ratio exceeds ``_LAG_CANCELLATION_LIMIT`` (or whose energy is not
-    positive, or whose |k| exceeds 1).  Returns the lattice's triple for
-    the stages that passed; fewer than p coefficient vectors means stage
-    ``len(coeffs_by_order) + 1`` failed.  Every stage depends only on the
-    stages before it, so a sweep to p is a prefix of a sweep to any
-    larger order.
+    Each stage gathers its windows from the rows (:func:`_stage_windows`),
+    multiplies them by the rows' polynomials and adds the products of
+    each window one tap at a time, then adds the pair products along
+    contiguous rows.  No step mixes rows, so a row's arithmetic is the
+    same however many rows share the call.  It depends on the stage m
+    only, so a sweep to p is a prefix of a sweep to any larger order.
+
+    The subtractions cancel when the scale sum_ij |q(i) q(j) c(|i + j - m|)|
+    is large against the stage's forward-plus-backward energy, so a row
+    stops at the first stage whose scale exceeds
+    ``_LAG_CANCELLATION_LIMIT`` times that energy, whose energy is not
+    positive, or whose |k| exceeds 1; the other rows go on without it.
+    No row runs past order ``_LAG_MAX_ORDER``.  Returns the lattice's
+    triple ``(coeffs_by_order, ks, errs)`` of each row for the stages that
+    passed; fewer than p coefficient vectors means stage
+    ``len(coeffs_by_order) + 1`` failed or lies above that order, and
+    ``ks`` and ``errs`` hold no stage above it.
     """
-    x = samples
-    n = x.size
-    c = np.empty(p + 1)
-    for lag in range(p + 1):
-        c[lag] = np.dot(x[: n - lag], x[lag:])
-    # lags[p + j] = c(|j|) for j = -p..p.
-    lags = np.concatenate((c[:0:-1], c))
-    abs_lags = np.abs(lags)
-    coeffs_by_order: list[np.ndarray] = []
-    ks = np.empty(p)
-    errs = np.empty(p + 1)
-    errs[0] = c[0] / n
-    poly = np.ones(1)
-    for m in range(p):
-        rev = poly[::-1]
-        energy = np.dot(np.convolve(poly, rev), lags[p - m : p + m + 1])
-        cross = np.dot(np.convolve(poly, poly), lags[p - m - 1 : p + m])
-        head_f = np.convolve(x[: m + 1], poly)[: m + 1]
-        tail_b = np.convolve(x[n - 1 - m :], rev)[m:]
-        den = 2.0 * energy - np.dot(head_f, head_f) - np.dot(tail_b, tail_b)
-        if m:
-            head_b = np.convolve(x[:m], rev)[:m]
-            tail_f = np.convolve(x[n - m :], poly)[m:]
-            den -= np.dot(head_b, head_b) + np.dot(tail_f, tail_f)
-            cross -= np.dot(head_f[1:], head_b) + np.dot(tail_f, tail_b[:m])
-        if not den > 0.0:
+    count = rows.shape[0]
+    stages = min(p, _LAG_MAX_ORDER)
+    ext = _interleaved(rows, stages)
+    # q(0..m) of order m of row r is polys[r, m, :m+1]; k(m) is polys[r, m, m].
+    polys = np.zeros((count, stages + 1, stages + 1))
+    polys[:, :, 0] = 1.0
+    done = np.full(count, stages)
+    alive = np.arange(count)
+    live = slice(None)  # the rows still running: all of them, or alive
+    poly = polys[:, 0, :1]
+    for m in range(stages):
+        windows, spread, left, right = _stage_windows(m)
+        mag = np.abs(poly)
+        terms = np.concatenate((
+            (ext.take(windows, axis=1) * poly[:, :, np.newaxis]).sum(axis=1),
+            poly,
+            mag,
+            (ext.take(spread, axis=1) * mag[:, :, np.newaxis]).sum(axis=1),
+        ), axis=1)
+        # -den, -cross and the scale; den > 0 is neg_den < 0, and the
+        # limit L den is -L neg_den.
+        neg_den, neg_cross, scale = (terms.take(left, axis=1) * terms.take(right, axis=1)).sum(axis=-1).T
+        keep = (neg_den < 0.0) & (scale <= neg_den * -_LAG_CANCELLATION_LIMIT)
+        if not keep.all():
+            done[alive[~keep]] = m
+            alive, ext, poly, neg_cross, neg_den = (
+                a[keep] for a in (alive, ext, poly, neg_cross, neg_den)
+            )
+            live = alive
+        k = -2.0 * neg_cross / neg_den
+        keep = np.abs(k) <= 1.0
+        if not keep.all():
+            done[alive[~keep]] = m
+            alive, ext, poly, k = (a[keep] for a in (alive, ext, poly, k))
+            live = alive
+        if not alive.size:
             break
-        # |q|'|T||q| <= c(0) (sum |q|)^2; form it only when the bound fails.
-        bound = np.abs(poly).sum()
-        if c[0] * bound * bound > _LAG_CANCELLATION_LIMIT * den:
-            mag = np.abs(poly)
-            scale = np.dot(np.convolve(mag, mag), abs_lags[p - m : p + m + 1])
-            if scale > _LAG_CANCELLATION_LIMIT * den:
-                break
-        k = -2.0 * cross / den
-        if abs(k) > 1.0:
-            break
-        new = np.empty(m + 2)
-        new[0] = 1.0
-        new[1 : m + 1] = poly[1:] + k * rev[:-1]
-        new[m + 1] = k
-        poly = new
-        ks[m] = k
-        errs[m + 1] = errs[m] * (1.0 - k * k)
-        coeffs_by_order.append(poly[1:])
-    return coeffs_by_order, ks, errs
+        k = k[:, np.newaxis]
+        polys[live, m + 1, 1 : m + 1] = poly[:, 1:] + k * poly[:, m:0:-1]
+        polys[live, m + 1, m + 1 : m + 2] = k
+        poly = polys[live, m + 1, : m + 2]
+    ks = np.diagonal(polys[:, 1:, 1:], axis1=1, axis2=2).copy()
+    # E(m + 1) = E(m) (1 - k^2) from E(0) = c(0) / N, one product at a time.
+    errs = np.cumprod(np.concatenate((rows[:, :1] / n, 1.0 - ks * ks), axis=1), axis=1)
+    return [
+        ([polys[row, m, 1 : m + 1] for m in range(1, passed + 1)], ks[row], errs[row])
+        for row, passed in enumerate(done.tolist())
+    ]
 
 
-def _burg_stages(samples: np.ndarray, p: int):
+def _burg_lag_products(samples: np.ndarray, p: int):
+    """The lag-product Burg sweep of one signal to order p: the one-row
+    case of :func:`_burg_lag_rows`."""
+    return _burg_lag_rows(_lag_row(samples, p)[np.newaxis], samples.size, p)[0]
+
+
+def _with_lattice(lag, samples, p: int):
     """Burg sweeps to order p, each serving the orders from its first on.
 
-    Returns ``[(first_order, coeffs_by_order, ks, errs), ...]``.  Long
-    inputs go through :func:`_burg_lag_products`; if one of its stages
-    fails the conditioning test, the orders from that stage on come from
-    the lattice, rerun from the start.  An order-p fit thus takes the
-    lag-product bits exactly when all of its p stages pass, which is the
-    same for a sweep to p as for a sweep to any higher order.
+    ``lag`` is a :func:`_burg_lag_rows` triple, or None for the lattice
+    alone.  If its stages stop short of p (a failed check, or the order
+    cap), the orders from there on come from the lattice over
+    ``samples()``, rerun from the start.  Returns ``[(first_order, coeffs_by_order, ks,
+    errs), ...]``.
     """
-    n = samples.size
+    stages = []
+    done = 0
+    if lag is not None:
+        coeffs_by_order, ks, errs = lag
+        done = len(coeffs_by_order)
+        if done == p:
+            return [(1, coeffs_by_order, ks, errs)]
+        if done:
+            stages.append((1, coeffs_by_order, ks[:done], errs[: done + 1]))
+    return stages + [(done + 1, *_burg_lattice(samples(), p))]
+
+
+def _check_burg(n: int, p: int) -> None:
     if p < 1:
         raise ValueError("order must be at least 1")
     # n = p + 1 leaves exactly one term in the stage-p sums, which the
     # tiny hand-check cases rely on; anything shorter has none.
     if n < p + 1:
         raise ValueError("need more samples than the model order")
-    stages = []
-    done = 0
-    if n >= _LAG_MIN_SAMPLES:
-        coeffs_by_order, ks, errs = _burg_lag_products(samples, p)
-        done = len(coeffs_by_order)
-        if done == p:
-            return [(1, coeffs_by_order, ks, errs)]
-        if done:
-            stages.append((1, coeffs_by_order, ks[:done], errs[: done + 1]))
-    return stages + [(done + 1, *_burg_lattice(samples, p))]
+
+
+def _burg_stages(samples: np.ndarray, p: int):
+    """Burg sweeps to order p, each serving the orders from its first on.
+
+    Long inputs go through :func:`_burg_lag_products`, with the lattice
+    taking over from a stage that fails (see :func:`_with_lattice`).  An
+    order-p fit thus takes the lag-product bits exactly when all of its p
+    stages pass, which is the same for a sweep to p as for a sweep to any
+    higher order.
+    """
+    _check_burg(samples.size, p)
+    lag = _burg_lag_products(samples, p) if samples.size >= _LAG_MIN_SAMPLES else None
+    return _with_lattice(lag, lambda: samples, p)
+
+
+def _centred(x: TimeSeries) -> np.ndarray:
+    return x.samples - x.samples.mean()
+
+
+def burg_lag_row(x: TimeSeries, p: int) -> np.ndarray | None:
+    """The per-channel part of a Burg fit of ``x`` to order p.
+
+    None when ``x`` is short enough for the lattice alone (fewer than
+    ``_LAG_MIN_SAMPLES`` samples).  Otherwise the lag row of the centred
+    samples that :func:`burg_sweep_rows` takes, as ``burg_fit`` and
+    ``fit_sweep`` compute it: with P = min(p, ``_LAG_MAX_ORDER``), the
+    P + 1 lag products and the first and last P samples, 3 P + 2 values
+    in all.
+
+    Raises
+    ------
+    ValueError
+        As ``burg_fit`` does on the order and the length.
+    """
+    _check_burg(len(x), p)
+    if len(x) < _LAG_MIN_SAMPLES:
+        return None
+    return _lag_row(_centred(x), p)
+
+
+def burg_sweep_rows(
+    rows: np.ndarray, n: int, p: int, channel: Callable[[int], TimeSeries]
+) -> list:
+    """Burg sweeps to order p of several channels from their lag rows.
+
+    ``rows`` stacks :func:`burg_lag_row` of channels of n samples each.
+    Entry r of the result is what ``fit_sweep(x, p, "burg")`` returns on
+    the channel of row r, bit for bit, or the ValueError or
+    ArithmeticError it raises.  ``channel(r)`` must give that channel
+    again; it is called only for a row whose lag-product stages stop
+    short of p, which the lattice then fits from the start.
+    """
+    try:
+        lags = _burg_lag_rows(rows, n, p)
+    except ArithmeticError as exc:
+        if len(rows) == 1:
+            return [exc]
+        # Under np.seterr(..., "raise") one row's fault stops them all;
+        # run each row alone instead.
+        return [
+            outcome
+            for row in range(len(rows))
+            for outcome in burg_sweep_rows(rows[row : row + 1], n, p, lambda _, r=row: channel(r))
+        ]
+    outcomes = []
+    for row, lag in enumerate(lags):
+        try:
+            stages = _with_lattice(lag, lambda: _centred(channel(row)), p)
+            outcomes.append(_sweep(METHOD_BURG, stages))
+        except (ValueError, ArithmeticError) as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
@@ -340,7 +538,7 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
         "degenerate signal" when a lattice denominator vanishes
         (identically zero residuals).
     """
-    samples = x.samples - x.samples.mean() if demean else x.samples
+    samples = _centred(x) if demean else x.samples
     return _sweep(METHOD_BURG, _burg_stages(samples, p)).fit(p)
 
 
@@ -473,7 +671,7 @@ def fit_sweep(
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     if method == METHOD_BURG:
-        return _sweep(METHOD_BURG, _burg_stages(x.samples - x.samples.mean(), p_max))
+        return _sweep(METHOD_BURG, _burg_stages(_centred(x), p_max))
     if method == METHOD_MLE and grid_size < 2 * p_max:
         raise ValueError("grid too coarse for order")
     sweep = _levinson_sweep(x, p_max)

@@ -8,6 +8,7 @@ line number.
 """
 
 import io
+import itertools
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -59,8 +60,8 @@ def _parse_fs_comment(content: str, number: int) -> float | None:
         fs = float(body[3:])
     except ValueError:
         raise ValueError(f"line {number}: cannot parse sample rate {body[3:]!r}") from None
-    if not fs > 0.0:
-        raise ValueError(f"line {number}: sample rate must be positive")
+    if not 0.0 < fs < np.inf:
+        raise ValueError(f"line {number}: sample rate must be positive and finite")
     return fs
 
 
@@ -74,8 +75,9 @@ def read_recording_csv(path, default_sample_rate_hz: float = 128.0) -> Recording
     Raises
     ------
     ValueError
-        On duplicate header names, ragged rows, or non-numeric cells,
-        naming the offending line.
+        On duplicate header names, ragged rows, non-numeric or non-finite
+        cells, or a bad sample rate, naming the offending line; or when
+        the file has no header or no data row.
     """
     text = Path(path).read_text(encoding="utf-8")
     sample_rate = default_sample_rate_hz
@@ -114,11 +116,30 @@ def read_recording_csv(path, default_sample_rate_hz: float = 128.0) -> Recording
         raise ValueError("no header row found")
     if not columns[0]:
         raise ValueError("no data rows found")
-    channels = {
-        name: TimeSeries(np.array(column), sample_rate)
-        for name, column in zip(header, columns)
-    }
-    return Recording(channels)
+    samples = [np.array(column) for column in columns]
+    bad = [
+        (int(np.argmin(finite)), channel)
+        for channel, finite in enumerate(np.isfinite(column) for column in samples)
+        if not finite.all()
+    ]
+    if bad:
+        raise ValueError(_non_finite_cell(text, *min(bad), header))
+    return Recording({
+        name: TimeSeries.adopt(column, sample_rate) for name, column in zip(header, samples)
+    })
+
+
+def _non_finite_cell(text: str, row: int, channel: int, header: list[str]) -> str:
+    """The message for the non-finite cell of data row ``row`` (0-based)
+    in column ``channel``, naming its line.  Only called on failure, so
+    the reader does no per-cell work to find it."""
+    data = (
+        (number, raw) for number, raw in _split_lines(text) if not raw.strip().startswith("#")
+    )
+    next(data)  # the header
+    number, raw = next(itertools.islice(data, row, None))
+    cell = raw.strip().split(",")[channel].strip()
+    return f"line {number}: non-finite cell {cell!r} in channel {header[channel]}"
 
 
 def write_recording_csv(path, recording: Recording, extra_comments: Sequence[str] = ()) -> None:

@@ -19,9 +19,19 @@ from typing import Sequence
 import numpy as np
 
 from .core import TimeSeries
-from .estimation import METHOD_BURG, METHODS, FitResult, fit_sweep
+from .estimation import METHOD_BURG, METHODS, FitResult, FitSweep, fit_sweep
 
-__all__ = ["aic", "aicc", "bic", "OrderScore", "OrderScanResult", "order_scan", "select_order"]
+__all__ = [
+    "aic",
+    "aicc",
+    "bic",
+    "OrderScore",
+    "OrderScanResult",
+    "check_scan",
+    "order_scan",
+    "scan_sweep",
+    "select_order",
+]
 
 CRITERIA = ("aic", "aicc", "bic")
 
@@ -140,19 +150,33 @@ def order_scan(
     -------
     OrderScanResult
     """
+    check_scan(len(x), p_max, method, criterion)
+    return scan_sweep(fit_sweep(x, p_max, method, grid_size), len(x), criterion)
+
+
+def check_scan(n: int, p_max: int, method: str = METHOD_BURG, criterion: str = "bic") -> None:
+    """Raise the ValueError :func:`order_scan` raises, before any fit, on a
+    signal of n samples with these arguments; return None if there is none."""
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
-    n = len(x)
     if n <= p_max + 2:
         raise ValueError("need more than p_max + 2 samples")
-    sweep = fit_sweep(x, p_max, method, grid_size)
+
+
+def scan_sweep(sweep: FitSweep, n: int, criterion: str = "bic") -> OrderScanResult:
+    """Score every order of a sweep over a signal of n samples.
+
+    This is :func:`order_scan` after its fit: ``order_scan(x, ...)`` is
+    ``scan_sweep(fit_sweep(x, ...), len(x), criterion)`` once
+    :func:`check_scan` passes, which it must.
+    """
     # Each criterion's penalties once per scan, log(sigma2) once per order;
     # n > p_max + 2 keeps AICc defined.
-    orders = range(1, p_max + 1)
+    orders = range(1, sweep.p_max + 1)
     penalties = [_penalties(name, n, orders) for name in CRITERIA]
     scores = []
     for p, sigma2, aic_pen, aicc_pen, bic_pen in zip(

@@ -29,6 +29,8 @@ def test_auto_order_is_kept():
         ((), "need at least one band"),
         ((FrequencyBand("low", 1.0, 6.0), FrequencyBand("mid", 4.0, 10.0)),
          "overlapping bands: low and mid"),
+        ((FrequencyBand("x", 0.5, 4.0), FrequencyBand("x", 4.0, 8.0), FrequencyBand("y", 8.0, 64.0)),
+         "duplicate band name: x"),
     ],
 )
 def test_bad_band_sets_are_refused_at_construction(bands, message):

@@ -35,7 +35,7 @@ from arpsd import (
     threshold_psd,
     undifference_psd,
 )
-from arpsd import detection
+from arpsd import detection, estimation
 from arpsd.detection import ChannelDecision, ChannelFit, DetectionReport
 
 
@@ -227,6 +227,57 @@ def _assert_detect_equals_the_public_stages(method, order, correction):
         assert model.coeffs.tobytes() == fit.model.coeffs.tobytes()
         assert model.sigma2 == fit.model.sigma2
     assert detect_recording(recording, config).per_channel == tuple(expected)
+
+
+def _stages_outcome(x, name, config):
+    """One raw channel through the public stages, composed by hand."""
+    series = demean(difference(x, config.diff_order))
+    if config.order == "auto":
+        fit = order_scan(series, config.p_max, config.method, config.criterion,
+                         config.grid_size).fit
+    else:
+        fit = fit_sweep(series, config.order, config.method, config.grid_size).fit(config.order)
+    spectrum = ar_psd(fit.model, config.grid_size, x.sample_rate_hz)
+    masked = threshold_psd(spectrum, config.k)
+    return classify_channel(masked, config.bands, config.rho, derivation=name)
+
+
+@pytest.mark.parametrize("order", [10, "auto"])
+def test_long_channels_get_the_bits_of_the_public_stages_composed(order):
+    # Long channels fit Burg from lag products, as rows over more than one
+    # block.  Among them a sine stops at a stage and takes the lattice, a
+    # constant ends in "degenerate signal", and one channel's stage sums
+    # overflow, which under np.seterr(all="raise") stops its whole block.
+    n = estimation._LAG_MIN_SAMPLES + 100
+    montage = tuple(f"ch{i:02d}" for i in range(detection.BLOCK_CHANNELS + 4))
+    bursts = [BurstSpec(name, 5.0, 0.95) for name in montage[::8]]
+    recording, _ = simulate_recording(montage, n, 128.0, 1.0, bursts, 10.0, seed=7)
+    t = np.arange(n) / 128.0
+    rng = np.random.default_rng(7)
+    channels = dict(recording.channels)
+    channels["ch03"] = TimeSeries(np.sin(2.0 * np.pi * 6.0 * t) + 1e-9 * rng.standard_normal(n), 128.0)
+    channels["ch05"] = TimeSeries(np.full(n, 2.5), 128.0)
+    # Differenced, this channel's c(0) is about 1.2e308: finite, but twice
+    # it is not.
+    channels["ch09"] = TimeSeries(np.sqrt(1.2e308 / (2 * n)) * rng.standard_normal(n), 128.0)
+    recording = Recording(channels)
+    config = RunConfig(order=order)
+    sine = demean(difference(channels["ch03"], 1)).samples
+    assert len(estimation._burg_lag_products(sine - sine.mean(), 10)[0]) < 10
+    with np.errstate(all="raise"):
+        report = detect_recording(recording, config)
+        decisions, errors = [], {}
+        for name in recording.names:
+            try:
+                decisions.append(_stages_outcome(recording[name], name, config))
+            except (ValueError, ArithmeticError) as exc:
+                errors[name] = str(exc)
+        alone = {name: detect_recording(Recording({name: recording[name]}), config).errors
+                 for name in errors}
+    assert report.per_channel == tuple(decisions)
+    assert list(report.errors.items()) == list(errors.items())
+    assert set(errors) == {"ch05", "ch09"} and errors["ch05"] == "degenerate signal"
+    assert all(alone[name] == {name: errors[name]} for name in errors)
 
 
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])

@@ -1,9 +1,13 @@
 """CSV round trips, parameter echoes, and line-numbered parse errors."""
 
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arpsd
 from arpsd import Recording, RunConfig, TimeSeries, detect_recording, simulate_recording
@@ -96,6 +100,21 @@ def test_read_recording_reports_offending_line_numbers(tmp_path):
         read_recording_csv(path)
     path.write_text("# fs=-5\na\n1.0\n")
     with pytest.raises(ValueError, match="line 1.*positive"):
+        read_recording_csv(path)
+
+
+def test_a_non_finite_cell_names_its_line_and_channel(tmp_path):
+    # TimeSeries refused such a column with "samples contains non-finite
+    # values", naming neither.
+    path = tmp_path / "rec.csv"
+    path.write_text("# fs=128\na,b,c\n1.0,2.0,3.0\n# note\n\n4.0,5.0, inf\n6.0,nan,7.0\n")
+    with pytest.raises(ValueError, match="^line 6: non-finite cell 'inf' in channel c$"):
+        read_recording_csv(path)
+    path.write_text("a,b\n1.0,2.0\n-Infinity,NaN\n")
+    with pytest.raises(ValueError, match="^line 3: non-finite cell '-Infinity' in channel a$"):
+        read_recording_csv(path)
+    path.write_text("# fs=inf\na\n1.0\n")
+    with pytest.raises(ValueError, match="^line 1: sample rate must be positive and finite$"):
         read_recording_csv(path)
 
 
@@ -242,3 +261,69 @@ def test_psd_csv_format(tmp_path):
     assert float(freq) == 0.0
     assert float(psd) == masked.base.values[0]
     assert float(kept) in (0.0, float(psd))
+
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+NAMES = st.lists(
+    st.text(st.characters(blacklist_characters=",#\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+            min_size=1, max_size=6).map(str.strip).filter(bool),
+    min_size=1, max_size=4, unique=True,
+)
+# Any finite float, with subnormals and values near +-1.7e308 drawn often.
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1.6e308, 1.7976931348623157e308),
+    st.floats(-1.7976931348623157e308, -1.6e308),
+)
+
+
+@PROPERTY
+@given(names=NAMES, data=st.data(), fs=st.floats(1e-3, 1e6))
+def test_write_then_read_recording_is_bit_exact(names, data, fs):
+    n = data.draw(st.integers(1, 12))
+    columns = {name: data.draw(st.lists(FLOATS, min_size=n, max_size=n)) for name in names}
+    recording = Recording({name: TimeSeries(np.array(v), fs) for name, v in columns.items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.csv"
+        write_recording_csv(path, recording)
+        back = read_recording_csv(path)
+    assert back.names == recording.names
+    assert back.sample_rate_hz == recording.sample_rate_hz
+    for name in names:
+        assert back[name].samples.tobytes() == recording[name].samples.tobytes()
+
+
+CELLS = st.one_of(
+    st.sampled_from(["1.0", "-2e-310", "1.7e308", "nan", "inf", "-Infinity", "x", "", " 3 ",
+                     "1e999", "0x10", "1_0", "#", "# fs=64", "# fs=0", "# fs=inf", "# fs=nan"]),
+    st.text(max_size=5),
+)
+LINES = st.one_of(
+    st.lists(CELLS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "# comment", "# fs=256", "a,b", "a,a", "a,,b", "b,c,d"]),
+)
+
+
+@PROPERTY
+@given(lines=st.lists(LINES, max_size=8), header=st.sampled_from(["", "a,b\n", "a,b,c\n"]))
+def test_fuzzed_recording_files_raise_only_line_numbered_errors(lines, header):
+    text = header + "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rec.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            read_recording_csv(path)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            return
+    count = len(text.splitlines())
+    found = re.match(r"line (\d+): ", message)
+    if found:
+        assert 1 <= int(found.group(1)) <= count
+        return
+    # The two errors about the whole file, when it has no line to blame.
+    content = [raw.strip() for raw in text.splitlines() if raw.strip()]
+    data = [line for line in content if not line.startswith("#")]
+    assert (message, len(data)) in (("no header row found", 0), ("no data rows found", 1))

@@ -30,9 +30,12 @@ from arpsd import (
 from arpsd.estimation import (
     _LAG_MIN_SAMPLES,
     _burg_lag_products,
+    _burg_lag_rows,
     _burg_lattice,
     _burg_stages,
     _transfer_mag2,
+    burg_lag_row,
+    burg_sweep_rows,
 )
 
 FS = 128.0
@@ -133,6 +136,100 @@ def test_fallback_keeps_a_noisy_sine_screened_as_theta():
     assert report.errors == {}
     (decision,) = report.per_channel
     assert decision.dominant_band == "theta"
+
+
+def _row_signal(kind, seed, n):
+    """A signal whose lag-product stages end in a known way: a noise-free
+    resonance at pole radius 0.995 and a sine stop after one or two, a
+    constant stops at the first, and "overflow" has lag products of inf.
+    A noisy resonance may pass every stage."""
+    rng = np.random.default_rng(seed)
+    if kind == "resonance":
+        x = _resonance(seed, n, rng.uniform(0.0, 0.99), rng.uniform(0.01, 0.49), 1.0)
+    elif kind == "sharp":
+        x = _resonance(seed, n, 0.995, rng.uniform(0.01, 0.49), noise=0.0)
+    elif kind == "sine":
+        x = _sine(n, hz=rng.uniform(1.0, 60.0))
+    elif kind == "constant":
+        x = np.zeros(n)
+    else:
+        x = 1e160 * rng.standard_normal(n)
+    return x - x.mean()
+
+
+def _assert_same_stages(ours, ref, stages):
+    (coeffs, ks, errs), (ref_coeffs, ref_ks, ref_errs) = ours, ref
+    assert len(coeffs) >= stages and len(ref_coeffs) >= stages
+    for a, b in zip(coeffs[:stages], ref_coeffs[:stages]):
+        assert a.tobytes() == b.tobytes()
+    assert ks[:stages].tobytes() == ref_ks[:stages].tobytes()
+    assert errs[: stages + 1].tobytes() == ref_errs[: stages + 1].tobytes()
+
+
+def _same_outcome(ours, ref):
+    if isinstance(ref, Exception):
+        return type(ours) is type(ref) and str(ours) == str(ref)
+    return ours == ref
+
+
+@PROPERTY
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(["resonance", "sharp", "sine", "constant", "overflow"]),
+                  st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+    n=st.integers(_LAG_MIN_SAMPLES, _LAG_MIN_SAMPLES + 500),
+    p=st.integers(1, 30),
+    shorter=st.integers(1, 30),
+)
+def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorter):
+    shorter = min(shorter, p)
+    series = [TimeSeries(_row_signal(kind, seed, n), FS) for kind, seed in rows]
+    # The products of an overflowing row add up to inf or inf - inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag_rows = np.stack([burg_lag_row(x, p) for x in series])
+        short_rows = np.stack([burg_lag_row(x, shorter) for x in series])
+    if all(kind != "overflow" for kind, _ in rows):
+        together = _burg_lag_rows(lag_rows, n, p)
+        prefixes = _burg_lag_rows(short_rows, n, shorter)
+        for row, (kind, _) in enumerate(rows):
+            alone = _burg_lag_rows(lag_rows[row : row + 1], n, p)[0]
+            done = len(alone[0])
+            assert len(together[row][0]) == done
+            _assert_same_stages(together[row], alone, done)
+            # The sweep to the lower order is a prefix of this one.
+            assert len(prefixes[row][0]) == min(done, shorter)
+            _assert_same_stages(prefixes[row], alone, min(done, shorter))
+            assert done <= {"resonance": p, "sharp": 2, "sine": 2, "constant": 0}[kind]
+    # The public form, with the lattice taking over from a failed stage;
+    # an overflowing row raises for the whole call, which then runs each
+    # row alone.
+    with np.errstate(all="raise"):
+        outcomes = burg_sweep_rows(lag_rows, n, p, series.__getitem__)
+        for row, (kind, _) in enumerate(rows):
+            x = series[row]
+            alone = burg_sweep_rows(lag_rows[row : row + 1], n, p, lambda _, x=x: x)[0]
+            assert _same_outcome(outcomes[row], alone)
+            if kind == "overflow":
+                assert isinstance(alone, FloatingPointError)
+                continue
+            try:
+                expected = fit_sweep(x, p, "burg")
+            except ValueError as exc:
+                expected = exc
+            assert _same_outcome(alone, expected)
+            assert not isinstance(alone, Exception) or kind == "constant"
+
+
+def test_burg_lag_row_serves_only_long_inputs():
+    assert burg_lag_row(TimeSeries(np.arange(_LAG_MIN_SAMPLES - 1.0), FS), 10) is None
+    assert burg_lag_row(TimeSeries(np.arange(float(_LAG_MIN_SAMPLES)), FS), 10).shape == (32,)
+    with pytest.raises(ValueError, match="order must be at least 1"):
+        burg_lag_row(TimeSeries(np.arange(5.0), FS), 0)
+    with pytest.raises(ValueError, match="need more samples than the model order"):
+        burg_lag_row(TimeSeries(np.arange(5.0), FS), 5)
 
 
 def _direct_mag2(coeffs, grid_size):

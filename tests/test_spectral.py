@@ -249,6 +249,17 @@ def test_band_powers_rejects_bad_band_sets():
         )
 
 
+def test_band_powers_refuses_duplicate_band_names():
+    # Keyed by name, the second band x replaced the first, whose power then
+    # counted neither in per_band nor in total_power (62 of 64).
+    spec = _unit_hz_spectrum({hz: 1.0 for hz in range(65)})
+    bands = [FrequencyBand("x", 0.5, 4.0), FrequencyBand("z", 4.0, 8.0), FrequencyBand("y", 8.0, 64.0)]
+    assert band_powers(spec, bands).total_power == 64.0
+    bands[1] = FrequencyBand("x", 4.0, 8.0)
+    with pytest.raises(ValueError, match="duplicate band name: x"):
+        band_powers(spec, bands)
+
+
 def test_band_powers_reports_bands_in_caller_order():
     bands = (FrequencyBand("beta", 14.0, 30.0), FrequencyBand("delta", 0.5, 4.0))
     report = band_powers(_unit_hz_spectrum({2: 1.0}), bands)
