@@ -5,9 +5,10 @@ Every channel is screened through one path, which ``detect_recording``
 and every CLI subcommand share: :func:`fit_channel` prepares the channel
 and fits it as the run configuration says, :func:`channel_psd` turns the
 fit into a masked spectrum, and :func:`classify_channel` flags it.
-``detect_recording`` runs the same formulas over blocks of channels at
-once: the lag-product Burg stages of long channels, and the spectral
-stages after the fits.  A channel alone is the one-row case.
+``detect_recording`` runs the same formulas over many channels at once:
+Burg fits go through :func:`arpsd.estimation.burg_sweeps`, and the
+spectral stages after the fits run over blocks of models.  A channel
+alone is the one-row case.
 """
 
 from dataclasses import dataclass, field, replace
@@ -26,17 +27,17 @@ from .core import (
     default_bands,
 )
 from .estimation import (
+    BLOCK_CHANNELS,
     FitResult,
     FitSweep,
     ar_psd,
     ar_psd_rows,
-    burg_fit,
-    burg_lag_row,
-    burg_sweep_rows,
+    burg_sweeps,
+    fit_sweep,
     mle_fit,
     yule_walker_fit,
 )
-from .order_selection import OrderScanResult, check_scan, order_scan, scan_sweep
+from .order_selection import OrderScanResult, check_scan, scan_sweep
 from .preprocess import prepare_into
 from .spectral import (
     MaskedSpectrum,
@@ -63,18 +64,6 @@ __all__ = [
 ]
 
 LOW_BANDS = ("delta", "theta")
-
-# detect_recording runs the lag-product Burg stages, and screens the
-# fitted models, in blocks of this many channels.  A screening block holds
-# a few channels x grid_size float64 matrices (|A(f)|^2, PSD, mask,
-# trapezoid terms); at 32 rows of a 512-point grid each is 128 kB.  One
-# block for all 256 channels of perfbench's wide montage raised the
-# library workload's peak resident memory from about 260 to 264 MB (2-core
-# x86 VM); blocks of 32 keep it at the level of one channel at a time, and
-# its wide-montage detect took the same time.  The largest array of a Burg
-# stage holds rows x (5m + 5) x (m + 1) values: 128 kB at 32 rows and
-# order 10, 1.2 MB at order 30.
-BLOCK_CHANNELS = 32
 
 
 @dataclass(frozen=True)
@@ -219,41 +208,52 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig, work: np.nd
     :func:`fit_channel` gives it, or the ValueError or ArithmeticError it
     raises.
 
-    The channels are of one length, and each is prepared in ``work``,
-    which must hold one.  A long channel under Burg leaves only its lag
-    row (:func:`arpsd.estimation.burg_lag_row`); the Burg stages of those
-    rows run together after the other channels are fitted,
-    ``BLOCK_CHANNELS`` rows at a time, which gives each channel the bits
-    it gets alone.  A row that stops short of the order has its channel
-    prepared again for the lattice.  Each outcome is yielded as soon as
-    it is known, so that a caller need not hold every channel's fit (and
-    order scan) at once.
+    Each channel is prepared in ``work``, which must hold the longest.
+    Under Burg the channels go through
+    :func:`arpsd.estimation.burg_sweeps`, which may prepare a channel
+    again; the other methods fit one channel at a time.  Each outcome is
+    yielded as soon as it is known, so that a caller need not hold every
+    channel's fit (and order scan) at once.
     """
-    waiting = []  # (index, lag row) of the long Burg channels
-    for index, x in enumerate(channels):
+    auto = config.order == "auto"
+    sizes = {}  # prepared samples of each channel, for its order scan
+
+    def prepared(index: int) -> TimeSeries:
+        series = prepare_into(channels[index], config.diff_order, work)
+        if auto:
+            check_scan(len(series), config.p_max, config.method, config.criterion)
+        sizes[index] = len(series)
+        return series
+
+    if config.method == "burg":
+        outcomes = burg_sweeps(prepared, len(channels), config.p_max if auto else config.order)
+    else:
+        outcomes = _levinson_fits(prepared, len(channels), config)
+    for index, outcome in outcomes:
+        if isinstance(outcome, FitSweep):
+            try:
+                outcome = _sweep_fit(outcome, sizes[index], config)
+            except (ValueError, ArithmeticError) as exc:
+                outcome = exc
+        yield index, outcome
+
+
+def _levinson_fits(prepared, count: int, config: RunConfig):
+    """Yield ``(index, outcome)`` of Yule-Walker or MLE for each channel
+    ``prepared(index)``: its sweep to ``config.p_max`` under
+    ``order="auto"``, its fit at a fixed order, or the error raised."""
+    for index in range(count):
         try:
-            outcome = _fit_channel(x, config, work)
+            series = prepared(index)
+            if config.order == "auto":
+                outcome = fit_sweep(series, config.p_max, config.method, config.grid_size)
+            elif config.method == "yule_walker":
+                outcome = ChannelFit(yule_walker_fit(series, config.order))
+            else:
+                outcome = ChannelFit(mle_fit(series, config.order, grid_size=config.grid_size))
         except (ValueError, ArithmeticError) as exc:
             outcome = exc
-        if isinstance(outcome, np.ndarray):
-            waiting.append((index, outcome))
-        else:
-            yield index, outcome
-    p = config.p_max if config.order == "auto" else config.order
-    for start in range(0, len(waiting), BLOCK_CHANNELS):
-        block = waiting[start : start + BLOCK_CHANNELS]
-        n = len(channels[block[0][0]]) - config.diff_order
-        rows = np.array([row for _, row in block])
-        sweeps = burg_sweep_rows(
-            rows, n, p, lambda row: prepare_into(channels[block[row][0]], config.diff_order, work)
-        )
-        for (index, _), sweep in zip(block, sweeps):
-            if not isinstance(sweep, Exception):
-                try:
-                    sweep = _sweep_fit(sweep, n, config)
-                except (ValueError, ArithmeticError) as exc:
-                    sweep = exc
-            yield index, sweep
+        yield index, outcome
 
 
 def _sweep_fit(sweep: FitSweep, n: int, config: RunConfig) -> ChannelFit:
@@ -262,38 +262,6 @@ def _sweep_fit(sweep: FitSweep, n: int, config: RunConfig) -> ChannelFit:
         scan = scan_sweep(sweep, n, config.criterion)
         return ChannelFit(scan.fit, scan)
     return ChannelFit(sweep.fit(config.order))
-
-
-def _fit_channel(x: TimeSeries, config: RunConfig, work: np.ndarray):
-    """:func:`fit_channel`, preparing the channel in ``work`` (see
-    :func:`arpsd.preprocess.prepare_into`).  The fit holds arrays of its
-    own, so ``work`` may be reused for the next channel.  A long channel
-    under Burg is not fitted here: its lag row is returned instead, for
-    :func:`_fit_channels` to run with the others."""
-    series = prepare_into(x, config.diff_order, work)
-    auto = config.order == "auto"
-    if config.method == "burg":
-        if auto:
-            check_scan(len(series), config.p_max, config.method, config.criterion)
-        row = burg_lag_row(series, config.p_max if auto else config.order)
-        if row is not None:
-            return row
-    if auto:
-        scan = order_scan(
-            series,
-            p_max=config.p_max,
-            method=config.method,
-            criterion=config.criterion,
-            grid_size=config.grid_size,
-        )
-        return ChannelFit(scan.fit, scan)
-    if config.method == "burg":
-        fit = burg_fit(series, config.order)
-    elif config.method == "yule_walker":
-        fit = yule_walker_fit(series, config.order)
-    else:
-        fit = mle_fit(series, config.order, grid_size=config.grid_size)
-    return ChannelFit(fit)
 
 
 def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
@@ -373,13 +341,13 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     message, and the remaining channels are still screened.
 
     Every channel is fitted first, as by :func:`fit_channel`, but prepared
-    in one buffer that the channels share in turn.  A channel that Burg
-    fits from lag products keeps only its lag row, and the Burg stages of
-    all such channels run as rows, ``BLOCK_CHANNELS`` at a time.  The
-    fitted models are then screened ``BLOCK_CHANNELS`` at a time by the
-    row-wise forms of :func:`channel_psd`'s and :func:`classify_channel`'s
-    stages.  Each row-wise step gives each channel the bits it gets alone.
-    ``errors`` keeps the recording's channel order.
+    in one buffer that the channels share in turn; under Burg the
+    channels are fitted together by
+    :func:`arpsd.estimation.burg_sweeps`.  The fitted models are then
+    screened ``BLOCK_CHANNELS`` at a time by the row-wise forms of
+    :func:`channel_psd`'s and :func:`classify_channel`'s stages.  Each
+    row-wise step gives each channel the bits it gets alone.  ``errors``
+    keeps the recording's channel order.
     """
     if config is None:
         config = RunConfig()
@@ -397,6 +365,13 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
         else:
             models[channel_names[index]] = fit.fit.model
     fitted = [name for name in channel_names if name in models]
+    # A screening block holds a few channels x grid_size float64 matrices
+    # (|A(f)|^2, PSD, mask, trapezoid terms); at 32 rows of a 512-point
+    # grid each is 128 kB.  One block for all 256 channels of perfbench's
+    # wide montage raised the library workload's peak resident memory from
+    # about 260 to 264 MB (2-core x86 VM); blocks of 32 keep it at the
+    # level of one channel at a time, and its wide-montage detect took the
+    # same time.
     for start in range(0, len(fitted), BLOCK_CHANNELS):
         names = fitted[start : start + BLOCK_CHANNELS]
         screened = _screen_block([models[n] for n in names], names, config, recording.sample_rate_hz)

@@ -8,9 +8,10 @@ Three fitting routes share one coefficient convention (see
 * ``burg_fit`` runs the Burg recursion on the raw samples, minimizing the
   summed forward plus backward prediction error at each stage.  Long
   inputs are evaluated from lag products, with the lattice as the
-  fallback on ill-conditioned input.  ``burg_lag_row`` and
-  ``burg_sweep_rows`` split that into a per-channel part and stages that
-  run on many channels' rows at once, bit for bit as ``fit_sweep``.
+  fallback on ill-conditioned input.  ``burg_sweeps`` fits many channels
+  at once and runs the lag-product stages of the long ones as rows, bit
+  for bit as ``fit_sweep``; ``burg_fit`` and ``fit_sweep`` are its
+  one-channel case.
 * ``mle_fit`` reuses the Yule-Walker coefficients (the likelihood is
   maximized by the same normal equations) and estimates the innovation
   variance by integrating |A(f)|^2 I(f) against the periodogram.
@@ -21,6 +22,7 @@ coefficients, and the prediction-error power at every order up to p.
 fitters would.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -37,9 +39,9 @@ __all__ = [
     "fit_sweep",
     "levinson_durbin",
     "yule_walker_fit",
+    "BLOCK_CHANNELS",
     "burg_fit",
-    "burg_lag_row",
-    "burg_sweep_rows",
+    "burg_sweeps",
     "mle_fit",
     "ar_psd",
     "ar_psd_rows",
@@ -54,9 +56,10 @@ METHOD_MLE = "mle"
 METHODS = (METHOD_YULE_WALKER, METHOD_BURG, METHOD_MLE)
 
 # Burg from lag products pays some tens of microseconds of small-array
-# work per stage (once per call, whatever the number of rows) and saves the
-# lattice's O(n) vector updates; below this length the lattice is faster.  The choice depends on n only, so that an order-p
-# fit is the same whatever order a sweep runs to.
+# work per stage (once per call, whatever the number of rows) and saves
+# the lattice's O(n) vector updates; below this length the lattice is
+# faster.  The choice depends on n only, so that an order-p fit is the
+# same whatever order a sweep runs to.
 _LAG_MIN_SAMPLES = 8192
 # A lag-product stage whose scale sum_ij |q(i) q(j) c(|i + j - m|)| (see
 # _burg_lag_rows) exceeds this multiple of its forward-plus-backward
@@ -70,6 +73,11 @@ _LAG_CANCELLATION_LIMIT = 20.0
 # gather indices of each stage are kept for reuse; above this order the
 # lattice takes over, as from a failed stage.
 _LAG_MAX_ORDER = 48
+# burg_sweeps runs the lag-product stages of this many channels at once,
+# and detect_recording screens fitted models in blocks of the same size.
+# The largest array of a Burg stage holds rows x (5m + 5) x (m + 1)
+# values: 128 kB at 32 rows and order 10, 1.2 MB at order 30.
+BLOCK_CHANNELS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,6 +220,8 @@ def _burg_lattice(samples: np.ndarray, p: int):
         den = np.dot(fv, fv) + np.dot(bv, bv)
         if den == 0.0:
             raise ValueError("degenerate signal")
+        if not math.isfinite(den):
+            raise ValueError("non-finite prediction-error energy")
         k = -2.0 * np.dot(fv, bv) / den
         # Cauchy-Schwarz bounds |k| by 1 exactly; clamp 1-ulp spill.
         k = min(1.0, max(-1.0, k))
@@ -326,13 +336,13 @@ def _stage_windows(m: int):
     return indices
 
 
-def _burg_lag_rows(rows: np.ndarray, n: int, p: int):
+def _burg_lag_rows(rows: np.ndarray, n, p: int):
     """Burg stages evaluated from lag rows, one sweep per row.
 
-    ``rows`` stacks :func:`_lag_row` of channels of n samples each.  With
-    the polynomial q = [1, a(1..m)], the zero-padded forward and backward
-    error sequences are the full convolutions f = x * q and
-    g = x * reverse(q).  Their energies are Toeplitz quadratic forms
+    ``rows`` stacks :func:`_lag_row` of channels of n samples each, n a
+    number or a column of one length per row.  With the polynomial
+    q = [1, a(1..m)], the zero-padded forward and backward error
+    sequences are the full convolutions f = x * q and g = x * reverse(q).  Their energies are Toeplitz quadratic forms
     q' T q with T(i, j) = c(|i - j|), and their lag-one cross product is
     the Hankel form sum_ij q(i) q(j) c(|m + 1 - i - j|).  The lattice sums
     run over n = m+1..N-1 only, so the O(m) head and tail terms that the
@@ -351,7 +361,8 @@ def _burg_lag_rows(rows: np.ndarray, n: int, p: int):
     is large against the stage's forward-plus-backward energy, so a row
     stops at the first stage whose scale exceeds
     ``_LAG_CANCELLATION_LIMIT`` times that energy, whose energy is not
-    positive, or whose |k| exceeds 1; the other rows go on without it.
+    positive, whose sums are not finite, or whose |k| exceeds 1; the
+    other rows go on without it.
     No row runs past order ``_LAG_MAX_ORDER``.  Returns the lattice's
     triple ``(coeffs_by_order, ks, errs)`` of each row for the stages that
     passed; fewer than p coefficient vectors means stage
@@ -378,9 +389,15 @@ def _burg_lag_rows(rows: np.ndarray, n: int, p: int):
             (ext.take(spread, axis=1) * mag[:, :, np.newaxis]).sum(axis=1),
         ), axis=1)
         # -den, -cross and the scale; den > 0 is neg_den < 0, and the
-        # limit L den is -L neg_den.
-        neg_den, neg_cross, scale = (terms.take(left, axis=1) * terms.take(right, axis=1)).sum(axis=-1).T
-        keep = (neg_den < 0.0) & (scale <= neg_den * -_LAG_CANCELLATION_LIMIT)
+        # limit L den is -L neg_den.  An overflowed energy passes both
+        # tests as -inf, so non-finite sums stop the row too.
+        sums = (terms.take(left, axis=1) * terms.take(right, axis=1)).sum(axis=-1).T
+        neg_den, neg_cross, scale = sums
+        keep = (
+            np.isfinite(sums).all(axis=0)
+            & (neg_den < 0.0)
+            & (scale <= neg_den * -_LAG_CANCELLATION_LIMIT)
+        )
         if not keep.all():
             done[alive[~keep]] = m
             alive, ext, poly, neg_cross, neg_den = (
@@ -408,33 +425,6 @@ def _burg_lag_rows(rows: np.ndarray, n: int, p: int):
     ]
 
 
-def _burg_lag_products(samples: np.ndarray, p: int):
-    """The lag-product Burg sweep of one signal to order p: the one-row
-    case of :func:`_burg_lag_rows`."""
-    return _burg_lag_rows(_lag_row(samples, p)[np.newaxis], samples.size, p)[0]
-
-
-def _with_lattice(lag, samples, p: int):
-    """Burg sweeps to order p, each serving the orders from its first on.
-
-    ``lag`` is a :func:`_burg_lag_rows` triple, or None for the lattice
-    alone.  If its stages stop short of p (a failed check, or the order
-    cap), the orders from there on come from the lattice over
-    ``samples()``, rerun from the start.  Returns ``[(first_order, coeffs_by_order, ks,
-    errs), ...]``.
-    """
-    stages = []
-    done = 0
-    if lag is not None:
-        coeffs_by_order, ks, errs = lag
-        done = len(coeffs_by_order)
-        if done == p:
-            return [(1, coeffs_by_order, ks, errs)]
-        if done:
-            stages.append((1, coeffs_by_order, ks[:done], errs[: done + 1]))
-    return stages + [(done + 1, *_burg_lattice(samples(), p))]
-
-
 def _check_burg(n: int, p: int) -> None:
     if p < 1:
         raise ValueError("order must be at least 1")
@@ -444,77 +434,92 @@ def _check_burg(n: int, p: int) -> None:
         raise ValueError("need more samples than the model order")
 
 
-def _burg_stages(samples: np.ndarray, p: int):
-    """Burg sweeps to order p, each serving the orders from its first on.
-
-    Long inputs go through :func:`_burg_lag_products`, with the lattice
-    taking over from a stage that fails (see :func:`_with_lattice`).  An
-    order-p fit thus takes the lag-product bits exactly when all of its p
-    stages pass, which is the same for a sweep to p as for a sweep to any
-    higher order.
-    """
-    _check_burg(samples.size, p)
-    lag = _burg_lag_products(samples, p) if samples.size >= _LAG_MIN_SAMPLES else None
-    return _with_lattice(lag, lambda: samples, p)
-
-
 def _centred(x: TimeSeries) -> np.ndarray:
     return x.samples - x.samples.mean()
 
 
-def burg_lag_row(x: TimeSeries, p: int) -> np.ndarray | None:
-    """The per-channel part of a Burg fit of ``x`` to order p.
+def burg_sweeps(channel: Callable[[int], TimeSeries], count: int, p: int):
+    """Burg sweeps to order p of ``channel(0)``, ..., ``channel(count - 1)``.
 
-    None when ``x`` is short enough for the lattice alone (fewer than
-    ``_LAG_MIN_SAMPLES`` samples).  Otherwise the lag row of the centred
-    samples that :func:`burg_sweep_rows` takes, as ``burg_fit`` and
-    ``fit_sweep`` compute it: with P = min(p, ``_LAG_MAX_ORDER``), the
-    P + 1 lag products and the first and last P samples, 3 P + 2 values
-    in all.
+    Yields ``(index, outcome)`` once for each index, as soon as the
+    outcome is known: the sweep that ``fit_sweep(channel(index), p,
+    "burg")`` returns, bit for bit, or the ValueError or ArithmeticError
+    that it, or ``channel(index)`` itself, raises.  ``channel(index)``
+    may return a view that the next call overwrites; no sweep holds a
+    view of it.
 
-    Raises
-    ------
-    ValueError
-        As ``burg_fit`` does on the order and the length.
+    A channel of fewer than ``_LAG_MIN_SAMPLES`` samples is fitted by the
+    lattice as soon as it is read.  Of a longer one only the lag row is
+    kept (:func:`_lag_row`), and once every channel is read the
+    lag-product stages run over ``BLOCK_CHANNELS`` rows at a time
+    (:func:`_burg_lag_rows`), which gives each row the bits it gets
+    alone.  A row that stops short of p has its channel read again, and
+    the lattice fits it from the start.
     """
-    _check_burg(len(x), p)
-    if len(x) < _LAG_MIN_SAMPLES:
-        return None
-    return _lag_row(_centred(x), p)
+    return _burg_sweeps(lambda index: _centred(channel(index)), count, p)
 
 
-def burg_sweep_rows(
-    rows: np.ndarray, n: int, p: int, channel: Callable[[int], TimeSeries]
-) -> list:
-    """Burg sweeps to order p of several channels from their lag rows.
+def _burg_sweeps(samples: Callable[[int], np.ndarray], count: int, p: int):
+    """:func:`burg_sweeps` of the arrays ``samples(index)``, as they are."""
+    waiting = []  # (index, n, lag row) of the long channels
+    for index in range(count):
+        try:
+            outcome = _read_burg(samples(index), p)
+        except (ValueError, ArithmeticError) as exc:
+            outcome = exc
+        if isinstance(outcome, tuple):
+            waiting.append((index, *outcome))
+        else:
+            yield index, outcome
+    for start in range(0, len(waiting), BLOCK_CHANNELS):
+        yield from _lag_block(waiting[start : start + BLOCK_CHANNELS], p, samples)
 
-    ``rows`` stacks :func:`burg_lag_row` of channels of n samples each.
-    Entry r of the result is what ``fit_sweep(x, p, "burg")`` returns on
-    the channel of row r, bit for bit, or the ValueError or
-    ArithmeticError it raises.  ``channel(r)`` must give that channel
-    again; it is called only for a row whose lag-product stages stop
-    short of p, which the lattice then fits from the start.
-    """
+
+def _read_burg(x: np.ndarray, p: int):
+    """The lattice's sweep of a short array, or ``(n, lag row)`` of a long
+    one.  Nothing holds ``x`` afterwards, so each array is freed before
+    the next channel is read."""
+    _check_burg(x.size, p)
+    if x.size >= _LAG_MIN_SAMPLES:
+        return x.size, _lag_row(x, p)
+    return _sweep(METHOD_BURG, [(1, *_burg_lattice(x, p))])
+
+
+def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]):
+    """Yield ``(index, outcome)`` of the long channels in ``block``,
+    ``(index, n, lag row)`` each, from one :func:`_burg_lag_rows` call."""
+    indices, sizes, rows = zip(*block)
     try:
-        lags = _burg_lag_rows(rows, n, p)
+        lags = _burg_lag_rows(np.array(rows), np.array(sizes)[:, np.newaxis], p)
     except ArithmeticError as exc:
-        if len(rows) == 1:
-            return [exc]
+        if len(block) == 1:
+            yield indices[0], exc
+            return
         # Under np.seterr(..., "raise") one row's fault stops them all;
         # run each row alone instead.
-        return [
-            outcome
-            for row in range(len(rows))
-            for outcome in burg_sweep_rows(rows[row : row + 1], n, p, lambda _, r=row: channel(r))
-        ]
-    outcomes = []
-    for row, lag in enumerate(lags):
+        for item in block:
+            yield from _lag_block([item], p, samples)
+        return
+    for index, (coeffs_by_order, ks, errs) in zip(indices, lags):
+        # Each sweep serves the orders from its first on; the lattice
+        # takes the orders from a failed check, or the order cap, on.
+        done = len(coeffs_by_order)
+        stages = [(1, coeffs_by_order, ks[:done], errs[: done + 1])] if done else []
         try:
-            stages = _with_lattice(lag, lambda: _centred(channel(row)), p)
-            outcomes.append(_sweep(METHOD_BURG, stages))
+            if done < p:
+                stages.append((done + 1, *_burg_lattice(samples(index), p)))
+            outcome = _sweep(METHOD_BURG, stages)
         except (ValueError, ArithmeticError) as exc:
-            outcomes.append(exc)
-    return outcomes
+            outcome = exc
+        yield index, outcome
+
+
+def _burg_sweep(samples: np.ndarray, p: int) -> "FitSweep":
+    """The Burg sweep of one array: the one-channel case of :func:`_burg_sweeps`."""
+    ((_, outcome),) = _burg_sweeps(lambda _: samples, 1, p)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
@@ -536,10 +541,10 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
     ------
     ValueError
         "degenerate signal" when a lattice denominator vanishes
-        (identically zero residuals).
+        (identically zero residuals), "non-finite prediction-error
+        energy" when it overflows.
     """
-    samples = _centred(x) if demean else x.samples
-    return _sweep(METHOD_BURG, _burg_stages(samples, p)).fit(p)
+    return _burg_sweep(_centred(x) if demean else x.samples, p).fit(p)
 
 
 def _mle_sigma2(coeff_rows: np.ndarray, pgram) -> np.ndarray:
@@ -671,7 +676,7 @@ def fit_sweep(
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     if method == METHOD_BURG:
-        return _sweep(METHOD_BURG, _burg_stages(_centred(x), p_max))
+        return _burg_sweep(_centred(x), p_max)
     if method == METHOD_MLE and grid_size < 2 * p_max:
         raise ValueError("grid too coarse for order")
     sweep = _levinson_sweep(x, p_max)

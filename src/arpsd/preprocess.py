@@ -1,18 +1,15 @@
 """Per-channel conditioning: differencing, demeaning, autocovariance,
 the raw periodogram, and a residual-normality screen."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import AutocovarianceSeq, TimeSeries
+from .core import AutocovarianceSeq, SpectrumEstimate, TimeSeries
 
 __all__ = [
     "difference",
     "demean",
     "prepare_into",
     "biased_autocov",
-    "Periodogram",
     "periodogram",
     "normality_check",
 ]
@@ -121,27 +118,7 @@ def biased_autocov(x: TimeSeries, max_lag: int) -> AutocovarianceSeq:
     return AutocovarianceSeq(r)
 
 
-@dataclass(frozen=True)
-class Periodogram:
-    """Raw periodogram samples on a normalized frequency grid in [0, 0.5]."""
-
-    freqs_normalized: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        freqs = np.array(self.freqs_normalized, dtype=np.float64, copy=True)
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if freqs.shape != values.shape or freqs.ndim != 1 or freqs.size < 1:
-            raise ValueError("freqs and values must be matching 1-D arrays")
-        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-            raise ValueError("periodogram values must be finite and nonnegative")
-        freqs.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "freqs_normalized", freqs)
-        object.__setattr__(self, "values", values)
-
-
-def periodogram(x: TimeSeries, grid_size: int = 512) -> Periodogram:
+def periodogram(x: TimeSeries, grid_size: int = 512) -> SpectrumEstimate:
     """Periodogram I(f) = (1/N) |sum_n x(n) exp(-2j pi f n)|^2.
 
     Evaluated on ``grid_size`` equispaced normalized frequencies covering
@@ -160,24 +137,32 @@ def periodogram(x: TimeSeries, grid_size: int = 512) -> Periodogram:
 
     Returns
     -------
-    Periodogram
+    SpectrumEstimate
+        At the sample rate of ``x``.
+
+    Raises
+    ------
+    ValueError
+        "periodogram values must be finite and nonnegative" when a value
+        overflows.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
     n = len(x)
     samples = x.samples
     if grid_size == 1:
-        value = abs(samples.sum()) ** 2 / n
-        return Periodogram(np.zeros(1), np.array([value]))
-    m = 2 * (grid_size - 1)
-    wraps = -(-n // m)  # ceil(n / m)
-    padded = np.zeros(wraps * m)
-    padded[:n] = samples
-    folded = padded.reshape(wraps, m).sum(axis=0)
-    spectrum = np.fft.rfft(folded)
-    values = (spectrum.real**2 + spectrum.imag**2) / n
-    freqs = np.linspace(0.0, 0.5, grid_size)
-    return Periodogram(freqs, values)
+        values = np.array([abs(samples.sum()) ** 2 / n])
+    else:
+        m = 2 * (grid_size - 1)
+        wraps = -(-n // m)  # ceil(n / m)
+        padded = np.zeros(wraps * m)
+        padded[:n] = samples
+        folded = padded.reshape(wraps, m).sum(axis=0)
+        spectrum = np.fft.rfft(folded)
+        values = (spectrum.real**2 + spectrum.imag**2) / n
+    if not np.isfinite(values).all():
+        raise ValueError("periodogram values must be finite and nonnegative")
+    return SpectrumEstimate(np.linspace(0.0, 0.5, grid_size), values, x.sample_rate_hz)
 
 
 def normality_check(x: TimeSeries) -> tuple[float, bool]:

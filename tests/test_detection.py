@@ -17,6 +17,7 @@ from arpsd import (
     SpectrumEstimate,
     TimeSeries,
     ar_psd,
+    burg_fit,
     channel_psd,
     classify_channel,
     coefficients_from_reflection,
@@ -180,16 +181,16 @@ def test_detect_recording_captures_per_channel_failures():
 def test_detect_recording_isolates_arithmetic_faults(monkeypatch, fault):
     rng = np.random.default_rng(10)
     channels = {name: TimeSeries(rng.standard_normal(400), 128.0) for name in ("a", "b", "c")}
-    real_fit = detection.burg_fit
+    real_lattice = estimation._burg_lattice
     calls = []
 
-    def faulty_fit(series, p):
+    def faulty_lattice(samples, p):
         calls.append(p)
         if len(calls) == 2:
             raise fault("numerical fault in channel b")
-        return real_fit(series, p)
+        return real_lattice(samples, p)
 
-    monkeypatch.setattr(detection, "burg_fit", faulty_fit)
+    monkeypatch.setattr(estimation, "_burg_lattice", faulty_lattice)
     report = detect_recording(Recording(channels))
     assert report.errors == {"b": "numerical fault in channel b"}
     assert [d.derivation for d in report.per_channel] == ["a", "c"]
@@ -249,7 +250,7 @@ def test_long_channels_get_the_bits_of_the_public_stages_composed(order):
     # constant ends in "degenerate signal", and one channel's stage sums
     # overflow, which under np.seterr(all="raise") stops its whole block.
     n = estimation._LAG_MIN_SAMPLES + 100
-    montage = tuple(f"ch{i:02d}" for i in range(detection.BLOCK_CHANNELS + 4))
+    montage = tuple(f"ch{i:02d}" for i in range(estimation.BLOCK_CHANNELS + 4))
     bursts = [BurstSpec(name, 5.0, 0.95) for name in montage[::8]]
     recording, _ = simulate_recording(montage, n, 128.0, 1.0, bursts, 10.0, seed=7)
     t = np.arange(n) / 128.0
@@ -262,8 +263,8 @@ def test_long_channels_get_the_bits_of_the_public_stages_composed(order):
     channels["ch09"] = TimeSeries(np.sqrt(1.2e308 / (2 * n)) * rng.standard_normal(n), 128.0)
     recording = Recording(channels)
     config = RunConfig(order=order)
-    sine = demean(difference(channels["ch03"], 1)).samples
-    assert len(estimation._burg_lag_products(sine - sine.mean(), 10)[0]) < 10
+    # The sine's sweep holds the lattice's stages from the one that stopped.
+    assert len(fit_sweep(demean(difference(channels["ch03"], 1)), 10).stages) == 2
     with np.errstate(all="raise"):
         report = detect_recording(recording, config)
         decisions, errors = [], {}
@@ -278,6 +279,24 @@ def test_long_channels_get_the_bits_of_the_public_stages_composed(order):
     assert list(report.errors.items()) == list(errors.items())
     assert set(errors) == {"ch05", "ch09"} and errors["ch05"] == "degenerate signal"
     assert all(alone[name] == {name: errors[name]} for name in errors)
+
+
+@pytest.mark.parametrize("n", [2559, estimation._LAG_MIN_SAMPLES + 100])
+@pytest.mark.parametrize("order", [10, "auto"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_channel_whose_energy_overflows_lands_in_errors(order, n):
+    # Differenced, the first channel's c(0) is about 1.2e308: finite, but
+    # its forward-plus-backward energy 2 c(0) is not.  Both Burg kernels
+    # once took that energy for a valid one and fitted white noise.
+    rng = np.random.default_rng(7)
+    steps = np.sqrt(1.2e308 / n) * rng.standard_normal(n)
+    channels = {"big": TimeSeries(np.cumsum(steps), 128.0),
+                "ok": TimeSeries(rng.standard_normal(n), 128.0)}
+    report = detect_recording(Recording(channels), RunConfig(order=order))
+    assert report.errors == {"big": "non-finite prediction-error energy"}
+    assert [decision.derivation for decision in report.per_channel] == ["ok"]
+    with pytest.raises(ValueError, match="non-finite prediction-error energy"):
+        burg_fit(demean(difference(channels["big"], 1)), 10)
 
 
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
@@ -335,16 +354,24 @@ def test_the_shared_buffer_carries_nothing_from_one_channel_to_the_next(
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
 @pytest.mark.parametrize("order", [10, "auto"])
 def test_a_channel_fit_holds_no_view_of_the_work_buffer(method, order):
-    recording, _ = _burst_recording(seed=2)
+    # Long Burg channels are fitted from lag rows; the sine's stages stop
+    # short, so it is prepared again for the lattice after the others.
     config = RunConfig(method=method, order=order)
-    work = np.empty(recording.n_samples)
-    first = detection._fit_channel(recording["F8-T4"], config, work)
-    fits = [first.fit] + ([first.scan.fit] if first.scan else [])
-    for fit in fits:
-        for values in (fit.model.coeffs, fit.reflection_coeffs, fit.prediction_error_by_order):
-            assert not np.shares_memory(values, work)
-    detection._fit_channel(recording["Fp2-F8"], config, work)
-    assert first == fit_channel(recording["F8-T4"], config)
+    for n in (2560, estimation._LAG_MIN_SAMPLES + 100):
+        bursts = [BurstSpec("F8-T4", 5.0, 0.95)]
+        recording, _ = simulate_recording(("F8-T4", "Fp2-F8"), n, 128.0, 1.0, bursts, 10.0, seed=2)
+        noise = 1e-9 * np.random.default_rng(2).standard_normal(n)
+        sine = TimeSeries(np.sin(2.0 * np.pi * 6.0 * np.arange(n) / 128.0) + noise, 128.0)
+        channels = [recording["F8-T4"], sine, recording["Fp2-F8"]]
+        work = np.empty(n)
+        outcomes = dict(detection._fit_channels(channels, config, work))
+        for index, x in enumerate(channels):
+            fitted = outcomes[index]
+            for fit in [fitted.fit] + ([fitted.scan.fit] if fitted.scan else []):
+                for values in (fit.model.coeffs, fit.reflection_coeffs,
+                               fit.prediction_error_by_order):
+                    assert not np.shares_memory(values, work)
+            assert fitted == fit_channel(x, config)
 
 
 def _detect_models(models, config, fs=128.0):
@@ -354,14 +381,16 @@ def _detect_models(models, config, fs=128.0):
     recording = Recording({name: TimeSeries(np.arange(4.0), fs) for name in names})
     by_series = {id(recording[name]): model for name, model in zip(names, models)}
 
-    def fit(x, config, work):
-        model = by_series[id(x)]
-        if isinstance(model, str):
-            raise ValueError(model)
-        p = model.order_p
-        return ChannelFit(FitResult(model, "burg", np.zeros(p), np.ones(p + 1)))
+    def fit(channels, config, work):
+        for index, x in enumerate(channels):
+            model = by_series[id(x)]
+            if isinstance(model, str):
+                yield index, ValueError(model)
+            else:
+                p = model.order_p
+                yield index, ChannelFit(FitResult(model, "burg", np.zeros(p), np.ones(p + 1)))
 
-    with mock.patch.object(detection, "_fit_channel", fit):
+    with mock.patch.object(detection, "_fit_channels", fit):
         return names, detect_recording(recording, config)
 
 

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import arpsd
-from arpsd import Recording, RunConfig, TimeSeries, detect_recording, simulate_recording
+from arpsd import (
+    BurstSpec,
+    Recording,
+    RunConfig,
+    TimeSeries,
+    detect_recording,
+    simulate_recording,
+)
+from arpsd.detection import ChannelDecision, DetectionReport
 from arpsd.io_csv import (
     echo_lines,
     read_annotations,
@@ -264,8 +272,10 @@ def test_psd_csv_format(tmp_path):
 
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+# Lone surrogates (category Cs) have no UTF-8 encoding, so no file holds them.
 NAMES = st.lists(
-    st.text(st.characters(blacklist_characters=",#\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    st.text(st.characters(blacklist_characters=",#\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+                          blacklist_categories=("Cs",)),
             min_size=1, max_size=6).map(str.strip).filter(bool),
     min_size=1, max_size=4, unique=True,
 )
@@ -296,24 +306,33 @@ def test_write_then_read_recording_is_bit_exact(names, data, fs):
 
 CELLS = st.one_of(
     st.sampled_from(["1.0", "-2e-310", "1.7e308", "nan", "inf", "-Infinity", "x", "", " 3 ",
-                     "1e999", "0x10", "1_0", "#", "# fs=64", "# fs=0", "# fs=inf", "# fs=nan"]),
+                     "1e999", "0x10", "1_0", "#", "# fs=64", "# fs=0", "# fs=inf", "# fs=nan",
+                     "0", "1", "2", "0.95", "-5", "a", "# error: a: b", "# error: ", "# error: a"]),
     st.text(max_size=5),
 )
 LINES = st.one_of(
     st.lists(CELLS, min_size=1, max_size=4).map(",".join),
-    st.sampled_from(["", "# comment", "# fs=256", "a,b", "a,a", "a,,b", "b,c,d"]),
+    st.sampled_from(["", "# comment", "# fs=256", "a,b", "a,a", "a,,b", "b,c,d",
+                     "derivation,label", "derivation,flagged", "flagged,derivation,x",
+                     "channel,center_hz,pole_radius", "channel,center_hz,pole_radius,gain"]),
 )
+READERS = (read_recording_csv, read_annotations, read_prediction_csv, read_report_errors,
+           read_burst_specs)
+HEADERS = ("", "a,b\n", "a,b,c\n", "derivation,label\n", "derivation,flagged\n",
+           "channel,center_hz,pole_radius\n", "channel,center_hz,pole_radius,gain\n")
 
 
-@PROPERTY
-@given(lines=st.lists(LINES, max_size=8), header=st.sampled_from(["", "a,b\n", "a,b,c\n"]))
-def test_fuzzed_recording_files_raise_only_line_numbered_errors(lines, header):
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(lines=st.lists(LINES, max_size=8), header=st.sampled_from(HEADERS),
+       reader=st.sampled_from(READERS))
+def test_fuzzed_recording_files_raise_only_line_numbered_errors(lines, header, reader):
+    # Every reader of the package's CSV formats, on fuzzed files.
     text = header + "\n".join(lines) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rec.csv"
         path.write_text(text, encoding="utf-8")
         try:
-            read_recording_csv(path)
+            reader(path)
         except ValueError as exc:
             message = str(exc)
         else:
@@ -327,3 +346,61 @@ def test_fuzzed_recording_files_raise_only_line_numbered_errors(lines, header):
     content = [raw.strip() for raw in text.splitlines() if raw.strip()]
     data = [line for line in content if not line.startswith("#")]
     assert (message, len(data)) in (("no header row found", 0), ("no data rows found", 1))
+
+
+# One-line text: no character that str.splitlines() breaks at.
+LINE_TEXT = st.text(st.characters(blacklist_characters="\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+                                  blacklist_categories=("Cs",)))
+
+
+@PROPERTY
+@given(names=NAMES, data=st.data())
+def test_write_then_read_annotations(names, data):
+    labels = {name: data.draw(st.booleans()) for name in names}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "truth.csv"
+        write_annotations(path, labels, {"seed": 7})
+        assert read_annotations(path) == labels
+
+
+@PROPERTY
+@given(names=NAMES, data=st.data())
+def test_write_then_read_report_flags_and_errors(names, data):
+    errored = data.draw(st.lists(st.sampled_from(names), unique=True))
+    decisions = tuple(
+        ChannelDecision(name, data.draw(st.booleans()),
+                        data.draw(st.sampled_from(["delta", "theta", "alpha", "beta", "none"])),
+                        data.draw(FLOATS), data.draw(FLOATS))
+        for name in names if name not in errored
+    )
+    errors = {name: data.draw(LINE_TEXT) for name in errored}
+    report = DetectionReport(decisions, RunConfig().summary(), errors)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.csv"
+        write_detection_report_csv(path, report)
+        assert read_prediction_csv(path) == {d.derivation: d.flagged for d in decisions}
+        assert list(read_report_errors(path).items()) == list(errors.items())
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True)
+
+
+@PROPERTY
+@given(names=NAMES, data=st.data(), with_gain=st.booleans())
+def test_write_then_read_burst_specs(names, data, with_gain):
+    bursts = [
+        BurstSpec(name, data.draw(POSITIVE),
+                  data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                  data.draw(POSITIVE) if with_gain else 1.0)
+        for name in names
+    ]
+    header = "channel,center_hz,pole_radius" + (",gain" if with_gain else "")
+    rows = [
+        ",".join([b.channel, repr(b.center_hz), repr(b.pole_radius)]
+                 + ([repr(b.gain)] if with_gain else []))
+        for b in bursts
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bursts.csv"
+        path.write_text("# planted rhythms\n" + "\n".join([header] + rows) + "\n", encoding="utf-8")
+        assert read_burst_specs(path) == bursts

@@ -29,13 +29,11 @@ from arpsd import (
 )
 from arpsd.estimation import (
     _LAG_MIN_SAMPLES,
-    _burg_lag_products,
     _burg_lag_rows,
     _burg_lattice,
-    _burg_stages,
+    _lag_row,
     _transfer_mag2,
-    burg_lag_row,
-    burg_sweep_rows,
+    burg_sweeps,
 )
 
 FS = 128.0
@@ -64,6 +62,12 @@ def _sine(n, hz=5.0, noise=0.0, seed=0):
     return x
 
 
+def _lag_stages(x, p):
+    """The lag-product Burg stages of one signal to order p: the one-row
+    case of ``_burg_lag_rows``."""
+    return _burg_lag_rows(_lag_row(x, p)[np.newaxis], x.size, p)[0]
+
+
 signals = st.builds(
     _resonance,
     seed=st.integers(0, 2**32 - 1),
@@ -79,7 +83,7 @@ signals = st.builds(
 def test_burg_reflections_bounded_and_error_non_increasing(x, p):
     p = min(p, x.size - 1)
     fit = burg_fit(TimeSeries(x, FS), p)
-    lag_coeffs, lag_ks, lag_errs = _burg_lag_products(x, p)
+    lag_coeffs, lag_ks, lag_errs = _lag_stages(x, p)
     done = len(lag_coeffs)
     for ks, errs in (
         (fit.reflection_coeffs, fit.prediction_error_by_order),
@@ -95,7 +99,7 @@ def test_burg_reflections_bounded_and_error_non_increasing(x, p):
 @given(x=signals, p=st.integers(1, 30))
 def test_lag_product_stages_match_the_lattice(x, p):
     p = min(p, x.size - 2)
-    lag_coeffs, lag_ks, lag_errs = _burg_lag_products(x, p)
+    lag_coeffs, lag_ks, lag_errs = _lag_stages(x, p)
     ref_coeffs, ref_ks, ref_errs = _burg_lattice(x, p)
     done = len(lag_coeffs)
     # Every stage that passed the conditioning test agrees with the lattice.
@@ -108,9 +112,11 @@ def test_lag_product_stages_match_the_lattice(x, p):
 def test_lag_products_serve_long_well_conditioned_inputs():
     # The pipeline's input: a differenced 5 Hz resonance in noise.
     x = np.diff(_resonance(3, 20_000, 0.95, 5.0 / FS))
-    x = x - x.mean()
-    stages = _burg_stages(x, 30)
-    assert len(stages) == 1 and len(_burg_lag_products(x, 30)[0]) == 30
+    coeffs_by_order = _lag_stages(x - x.mean(), 30)[0]
+    assert len(coeffs_by_order) == 30
+    ((_, sweep),) = burg_sweeps(lambda _: TimeSeries(x, FS), 1, 30)
+    assert len(sweep.stages) == 1
+    assert sweep.fit(30).model.coeffs.tobytes() == coeffs_by_order[-1].tobytes()
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-9])
@@ -119,7 +125,7 @@ def test_fallback_reproduces_the_lattice_bits_on_a_sine(noise):
     x = _sine(n, noise=noise)
     x = x - x.mean()
     # A sine is AR(2): a later stage cancels, so the lattice runs instead.
-    assert len(_burg_lag_products(x, 10)[0]) < 10
+    assert len(_lag_stages(x, 10)[0]) < 10
     fit = burg_fit(TimeSeries(x, FS), 10, demean=False)
     coeffs_by_order, ks, errs = _burg_lattice(x, 10)
     assert np.array_equal(fit.model.coeffs, coeffs_by_order[-1])
@@ -187,10 +193,11 @@ def _same_outcome(ours, ref):
 def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorter):
     shorter = min(shorter, p)
     series = [TimeSeries(_row_signal(kind, seed, n), FS) for kind, seed in rows]
+    centred = [x.samples - x.samples.mean() for x in series]
     # The products of an overflowing row add up to inf or inf - inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        lag_rows = np.stack([burg_lag_row(x, p) for x in series])
-        short_rows = np.stack([burg_lag_row(x, shorter) for x in series])
+        lag_rows = np.stack([_lag_row(x, p) for x in centred])
+        short_rows = np.stack([_lag_row(x, shorter) for x in centred])
     if all(kind != "overflow" for kind, _ in rows):
         together = _burg_lag_rows(lag_rows, n, p)
         prefixes = _burg_lag_rows(short_rows, n, shorter)
@@ -204,14 +211,22 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
             _assert_same_stages(prefixes[row], alone, min(done, shorter))
             assert done <= {"resonance": p, "sharp": 2, "sine": 2, "constant": 0}[kind]
     # The public form, with the lattice taking over from a failed stage;
-    # an overflowing row raises for the whole call, which then runs each
-    # row alone.
+    # an overflowing row raises for the whole block, which then runs each
+    # row alone.  Every channel is read into one buffer, which the next
+    # read overwrites, so a row that stops short must be read again.
+    work = np.empty(n)
+
+    def channel(index):
+        work[:] = series[index].samples
+        return TimeSeries.adopt(work[:], FS)
+
     with np.errstate(all="raise"):
-        outcomes = burg_sweep_rows(lag_rows, n, p, series.__getitem__)
-        for row, (kind, _) in enumerate(rows):
-            x = series[row]
-            alone = burg_sweep_rows(lag_rows[row : row + 1], n, p, lambda _, x=x: x)[0]
-            assert _same_outcome(outcomes[row], alone)
+        outcomes = list(burg_sweeps(channel, len(series), p))
+        assert sorted(index for index, _ in outcomes) == list(range(len(series)))
+        for row, outcome in outcomes:
+            kind, x = rows[row][0], series[row]
+            ((_, alone),) = burg_sweeps(lambda _, x=x: x, 1, p)
+            assert _same_outcome(outcome, alone)
             if kind == "overflow":
                 assert isinstance(alone, FloatingPointError)
                 continue
@@ -221,15 +236,50 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
                 expected = exc
             assert _same_outcome(alone, expected)
             assert not isinstance(alone, Exception) or kind == "constant"
+            if not isinstance(outcome, Exception):
+                for _, coeffs_by_order, ks, errs in outcome.stages:
+                    for values in (*coeffs_by_order, ks, errs):
+                        assert not np.shares_memory(values, work)
 
 
-def test_burg_lag_row_serves_only_long_inputs():
-    assert burg_lag_row(TimeSeries(np.arange(_LAG_MIN_SAMPLES - 1.0), FS), 10) is None
-    assert burg_lag_row(TimeSeries(np.arange(float(_LAG_MIN_SAMPLES)), FS), 10).shape == (32,)
-    with pytest.raises(ValueError, match="order must be at least 1"):
-        burg_lag_row(TimeSeries(np.arange(5.0), FS), 0)
-    with pytest.raises(ValueError, match="need more samples than the model order"):
-        burg_lag_row(TimeSeries(np.arange(5.0), FS), 5)
+def test_burg_sweeps_length_rule_and_lattice_rereads():
+    short = _resonance(0, _LAG_MIN_SAMPLES - 1, 0.9, 0.1)
+    long = _resonance(1, _LAG_MIN_SAMPLES, 0.9, 0.1)
+    sine = _sine(_LAG_MIN_SAMPLES + 100)
+    signals = [short, long, sine]
+    reads = []
+
+    def channel(index):
+        reads.append(index)
+        return TimeSeries(signals[index], FS)
+
+    outcomes = dict(burg_sweeps(channel, len(signals), 10))
+    # The sine's stages stop short, so the lattice reads it again.
+    assert sorted(reads) == [0, 1, 2, 2]
+    centred = [x - x.mean() for x in signals]
+    lattice_coeffs, lattice_ks, _ = _burg_lattice(centred[0], 10)
+    assert len(outcomes[0].stages) == 1
+    assert outcomes[0].fit(10).model.coeffs.tobytes() == lattice_coeffs[-1].tobytes()
+    assert outcomes[0].fit(10).reflection_coeffs.tobytes() == lattice_ks.tobytes()
+    lag_coeffs = _lag_stages(centred[1], 10)[0]
+    assert len(lag_coeffs) == 10 and len(outcomes[1].stages) == 1
+    assert outcomes[1].fit(10).model.coeffs.tobytes() == lag_coeffs[-1].tobytes()
+    assert len(outcomes[2].stages) == 2
+    assert _lag_row(centred[1], 10).shape == (32,)
+
+
+def test_burg_sweeps_yield_each_channels_error():
+    def channel(index):
+        if index == 1:
+            raise ValueError("unreadable channel")
+        return TimeSeries(np.arange(5.0), FS)
+
+    outcomes = dict(burg_sweeps(channel, 3, 2))
+    assert str(outcomes[1]) == "unreadable channel"
+    assert not isinstance(outcomes[0], Exception) and outcomes[0] == outcomes[2]
+    for p, message in ((0, "order must be at least 1"), (5, "need more samples than the model order")):
+        ((_, outcome),) = burg_sweeps(lambda _: TimeSeries(np.arange(5.0), FS), 1, p)
+        assert isinstance(outcome, ValueError) and str(outcome) == message
 
 
 def _direct_mag2(coeffs, grid_size):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arpsd import (
     Recording,
+    SpectrumEstimate,
     TimeSeries,
     biased_autocov,
     demean,
@@ -212,6 +213,22 @@ def test_periodogram_single_point_grid():
     pg = periodogram(TimeSeries([1.0, 2.0], 1.0), 1)
     assert pg.freqs_normalized.shape == (1,)
     assert abs(pg.values[0] - 4.5) < 1e-12
+
+
+def test_periodogram_is_a_spectrum_at_the_signal_sample_rate():
+    pg = periodogram(TimeSeries(np.arange(8.0), 256.0), 5)
+    assert isinstance(pg, SpectrumEstimate)
+    assert pg.sample_rate_hz == 256.0
+    assert pg.freqs_hz[-1] == 128.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_periodogram_refuses_an_overflowing_value():
+    # A sine of amplitude 2.8e151 over 2,559 samples has a finite energy,
+    # but its peak |X(f)|^2 overflows.  MLE fits report this message.
+    x = 2.8e151 * np.sin(2.0 * np.pi * 0.05 * np.arange(2559))
+    with pytest.raises(ValueError, match="periodogram values must be finite and nonnegative"):
+        periodogram(TimeSeries(x, 128.0), 512)
 
 
 def test_periodogram_values_nonnegative():
