@@ -81,7 +81,6 @@ def _config_from_args(args, method: str | None = None) -> RunConfig:
         k=args.k,
         rho=args.rho,
         grid_size=args.grid_size,
-        sample_rate_hz=args.fs,
         undifference_correction=args.correction,
     )
 
@@ -154,7 +153,7 @@ def _cmd_psd(args) -> int:
         target: channel_psd(_channel(recording, name), config) for target, name in targets.items()
     }
     out_dir.mkdir(parents=True, exist_ok=True)
-    parameters = config.summary()
+    parameters = {**config.summary(), "fs": recording.sample_rate_hz}
     for target, name in targets.items():
         write_psd_csv(target, spectra[target], {"channel": name, **parameters})
         print(f"wrote {target}")

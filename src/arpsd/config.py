@@ -30,7 +30,6 @@ class RunConfig:
     k: float = 2.0
     rho: float = 0.5
     grid_size: int = 512
-    sample_rate_hz: float = 128.0
     undifference_correction: bool = False
     bands: tuple[FrequencyBand, ...] = field(default_factory=default_bands)
 
@@ -54,12 +53,11 @@ class RunConfig:
             raise ValueError("rho must lie in [0, 1]")
         if self.grid_size < 2:
             raise ValueError("grid_size must be at least 2")
-        if not self.sample_rate_hz > 0.0:
-            raise ValueError("sample_rate_hz must be positive")
         check_bands(self.bands)
 
     def summary(self) -> dict[str, object]:
-        """Flat parameter echo used in report headers."""
+        """Flat parameter echo used in report headers, which add the
+        recording's sample rate as ``fs``."""
         return {
             "method": self.method,
             "order": self.order,
@@ -69,6 +67,5 @@ class RunConfig:
             "k": self.k,
             "rho": self.rho,
             "grid_size": self.grid_size,
-            "fs": self.sample_rate_hz,
             "correction": "on" if self.undifference_correction else "off",
         }

@@ -6,8 +6,8 @@ and every CLI subcommand share: :func:`fit_channel` prepares the channel
 and fits it as the run configuration says, :func:`channel_psd` turns the
 fit into a masked spectrum, and :func:`classify_channel` flags it.
 ``detect_recording`` runs the same formulas over many channels at once:
-Burg fits go through :func:`arpsd.estimation.burg_sweeps`, and the
-spectral stages after the fits run over blocks of models.  A channel
+every method's fits go through :func:`arpsd.estimation.fit_sweeps`, and
+the spectral stages after the fits run over blocks of models.  A channel
 alone is the one-row case.
 """
 
@@ -32,10 +32,7 @@ from .estimation import (
     FitSweep,
     ar_psd,
     ar_psd_rows,
-    burg_sweeps,
-    fit_sweep,
-    mle_fit,
-    yule_walker_fit,
+    fit_sweeps,
 )
 from .order_selection import OrderScanResult, check_scan, scan_sweep
 from .preprocess import prepare_into
@@ -208,12 +205,13 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig, work: np.nd
     :func:`fit_channel` gives it, or the ValueError or ArithmeticError it
     raises.
 
-    Each channel is prepared in ``work``, which must hold the longest.
-    Under Burg the channels go through
-    :func:`arpsd.estimation.burg_sweeps`, which may prepare a channel
-    again; the other methods fit one channel at a time.  Each outcome is
-    yielded as soon as it is known, so that a caller need not hold every
-    channel's fit (and order scan) at once.
+    Each channel is prepared in ``work``, which must hold the longest,
+    and swept by :func:`arpsd.estimation.fit_sweeps` to ``config.p_max``
+    under ``order="auto"`` or to the fixed order; Burg may prepare a
+    channel again.  Each sweep gives the channel its fit as
+    :func:`_sweep_fit` takes it, and each outcome is yielded as soon as it
+    is known, so that a caller need not hold every channel's fit (and
+    order scan) at once.
     """
     auto = config.order == "auto"
     sizes = {}  # prepared samples of each channel, for its order scan
@@ -225,34 +223,13 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig, work: np.nd
         sizes[index] = len(series)
         return series
 
-    if config.method == "burg":
-        outcomes = burg_sweeps(prepared, len(channels), config.p_max if auto else config.order)
-    else:
-        outcomes = _levinson_fits(prepared, len(channels), config)
-    for index, outcome in outcomes:
+    p = config.p_max if auto else config.order
+    for index, outcome in fit_sweeps(prepared, len(channels), p, config.method, config.grid_size):
         if isinstance(outcome, FitSweep):
             try:
                 outcome = _sweep_fit(outcome, sizes[index], config)
             except (ValueError, ArithmeticError) as exc:
                 outcome = exc
-        yield index, outcome
-
-
-def _levinson_fits(prepared, count: int, config: RunConfig):
-    """Yield ``(index, outcome)`` of Yule-Walker or MLE for each channel
-    ``prepared(index)``: its sweep to ``config.p_max`` under
-    ``order="auto"``, its fit at a fixed order, or the error raised."""
-    for index in range(count):
-        try:
-            series = prepared(index)
-            if config.order == "auto":
-                outcome = fit_sweep(series, config.p_max, config.method, config.grid_size)
-            elif config.method == "yule_walker":
-                outcome = ChannelFit(yule_walker_fit(series, config.order))
-            else:
-                outcome = ChannelFit(mle_fit(series, config.order, grid_size=config.grid_size))
-        except (ValueError, ArithmeticError) as exc:
-            outcome = exc
         yield index, outcome
 
 
@@ -341,13 +318,13 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     message, and the remaining channels are still screened.
 
     Every channel is fitted first, as by :func:`fit_channel`, but prepared
-    in one buffer that the channels share in turn; under Burg the
-    channels are fitted together by
-    :func:`arpsd.estimation.burg_sweeps`.  The fitted models are then
+    in one buffer that the channels share in turn and swept together by
+    :func:`arpsd.estimation.fit_sweeps`.  The fitted models are then
     screened ``BLOCK_CHANNELS`` at a time by the row-wise forms of
     :func:`channel_psd`'s and :func:`classify_channel`'s stages.  Each
     row-wise step gives each channel the bits it gets alone.  ``errors``
-    keeps the recording's channel order.
+    keeps the recording's channel order, and ``parameters`` echoes
+    ``config.summary()`` and the recording's sample rate as ``fs``.
     """
     if config is None:
         config = RunConfig()
@@ -381,7 +358,8 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
         if isinstance(outcome, ChannelDecision)
     )
     errors = {name: outcomes[name] for name in recording.names if isinstance(outcomes[name], str)}
-    return DetectionReport(decisions, config.summary(), errors)
+    parameters = {**config.summary(), "fs": recording.sample_rate_hz}
+    return DetectionReport(decisions, parameters, errors)
 
 
 def confusion_from_flags(

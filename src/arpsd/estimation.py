@@ -8,18 +8,17 @@ Three fitting routes share one coefficient convention (see
 * ``burg_fit`` runs the Burg recursion on the raw samples, minimizing the
   summed forward plus backward prediction error at each stage.  Long
   inputs are evaluated from lag products, with the lattice as the
-  fallback on ill-conditioned input.  ``burg_sweeps`` fits many channels
-  at once and runs the lag-product stages of the long ones as rows, bit
-  for bit as ``fit_sweep``; ``burg_fit`` and ``fit_sweep`` are its
-  one-channel case.
+  fallback on ill-conditioned input.
 * ``mle_fit`` reuses the Yule-Walker coefficients (the likelihood is
   maximized by the same normal equations) and estimates the innovation
   variance by integrating |A(f)|^2 I(f) against the periodogram.
 
 All three return a :class:`FitResult` carrying the model, the reflection
 coefficients, and the prediction-error power at every order up to p.
-``fit_sweep`` fits every order up to p_max at once, bit for bit as the
-fitters would.
+``fit_sweep`` fits every order up to p_max at once, and each fitter is
+its order-p fit.  ``fit_sweeps`` sweeps many channels with one method:
+it runs the lag-product stages of long Burg channels as rows, and gives
+each channel the bits ``fit_sweep`` gives it alone.
 """
 
 import math
@@ -41,7 +40,7 @@ __all__ = [
     "yule_walker_fit",
     "BLOCK_CHANNELS",
     "burg_fit",
-    "burg_sweeps",
+    "fit_sweeps",
     "mle_fit",
     "ar_psd",
     "ar_psd_rows",
@@ -73,7 +72,7 @@ _LAG_CANCELLATION_LIMIT = 20.0
 # gather indices of each stage are kept for reuse; above this order the
 # lattice takes over, as from a failed stage.
 _LAG_MAX_ORDER = 48
-# burg_sweeps runs the lag-product stages of this many channels at once,
+# fit_sweeps runs the lag-product stages of this many channels at once,
 # and detect_recording screens fitted models in blocks of the same size.
 # The largest array of a Burg stage holds rows x (5m + 5) x (m + 1)
 # values: 128 kB at 32 rows and order 10, 1.2 MB at order 30.
@@ -438,29 +437,17 @@ def _centred(x: TimeSeries) -> np.ndarray:
     return x.samples - x.samples.mean()
 
 
-def burg_sweeps(channel: Callable[[int], TimeSeries], count: int, p: int):
-    """Burg sweeps to order p of ``channel(0)``, ..., ``channel(count - 1)``.
-
-    Yields ``(index, outcome)`` once for each index, as soon as the
-    outcome is known: the sweep that ``fit_sweep(channel(index), p,
-    "burg")`` returns, bit for bit, or the ValueError or ArithmeticError
-    that it, or ``channel(index)`` itself, raises.  ``channel(index)``
-    may return a view that the next call overwrites; no sweep holds a
-    view of it.
-
-    A channel of fewer than ``_LAG_MIN_SAMPLES`` samples is fitted by the
-    lattice as soon as it is read.  Of a longer one only the lag row is
-    kept (:func:`_lag_row`), and once every channel is read the
-    lag-product stages run over ``BLOCK_CHANNELS`` rows at a time
-    (:func:`_burg_lag_rows`), which gives each row the bits it gets
-    alone.  A row that stops short of p has its channel read again, and
-    the lattice fits it from the start.
-    """
-    return _burg_sweeps(lambda index: _centred(channel(index)), count, p)
-
-
 def _burg_sweeps(samples: Callable[[int], np.ndarray], count: int, p: int):
-    """:func:`burg_sweeps` of the arrays ``samples(index)``, as they are."""
+    """Burg's :func:`fit_sweeps` of the arrays ``samples(index)`` as given.
+
+    An array of fewer than ``_LAG_MIN_SAMPLES`` samples is fitted by the
+    lattice as soon as it is read.  Of a longer one only the lag row is
+    kept (:func:`_lag_row`), and once every array is read the lag-product
+    stages run over ``BLOCK_CHANNELS`` rows at a time
+    (:func:`_burg_lag_rows`), which gives each row the bits it gets
+    alone.  A row that stops short of p has its array read again, and the
+    lattice fits it from the start.
+    """
     waiting = []  # (index, n, lag row) of the long channels
     for index in range(count):
         try:
@@ -574,23 +561,16 @@ def mle_fit(x: TimeSeries, p: int, grid_size: int = 512) -> FitResult:
     coefficient vector equals the :func:`yule_walker_fit` result exactly.
     The innovation variance is re-estimated by integrating the squared
     transfer function against the periodogram of the demeaned signal on
-    a ``grid_size``-point frequency grid.
+    a ``grid_size``-point frequency grid.  The error profile documents
+    the coefficient recursion; the spectral variance estimate lives only
+    in ``model.sigma2``.
 
     Raises
     ------
     ValueError
         "grid too coarse for order" when ``grid_size < 2 p``.
     """
-    if p < 1:
-        raise ValueError("order must be at least 1")
-    if grid_size < 2 * p:
-        raise ValueError("grid too coarse for order")
-    base = yule_walker_fit(x, p)
-    sigma2 = _mle_sigma2(base.model.coeffs[np.newaxis], _centered_periodogram(x, grid_size))[0]
-    model = ArModel(p, base.model.coeffs, sigma2)
-    # The error profile documents the coefficient recursion; the spectral
-    # variance estimate lives only in model.sigma2.
-    return FitResult(model, METHOD_MLE, base.reflection_coeffs, base.prediction_error_by_order)
+    return fit_sweep(x, p, METHOD_MLE, grid_size).fit(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,6 +667,40 @@ def fit_sweep(
         coeff_rows[p - 1, :p] = coeffs
     sigma2 = _mle_sigma2(coeff_rows, _centered_periodogram(x, grid_size))
     return _sweep(METHOD_MLE, sweep.stages, sigma2)
+
+
+def fit_sweeps(
+    channel: Callable[[int], TimeSeries], count: int, p: int, method: str = METHOD_BURG,
+    grid_size: int = 512,
+):
+    """Sweeps to order p of ``channel(0)``, ..., ``channel(count - 1)``.
+
+    Yields ``(index, outcome)`` once for each index, as soon as the
+    outcome is known: the sweep that ``fit_sweep(channel(index), p,
+    method, grid_size)`` returns, bit for bit, or the ValueError or
+    ArithmeticError that it, or ``channel(index)`` itself, raises.
+    ``channel(index)`` may return a view that the next call overwrites;
+    no sweep holds a view of it.
+
+    Yule-Walker and MLE fit one channel at a time.  Burg runs the
+    lag-product stages of the long channels as rows once every channel
+    is read, and reads again a channel whose rows stop short (see
+    :func:`_burg_sweeps`).
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method: {method!r}")
+    if method == METHOD_BURG:
+        return _burg_sweeps(lambda index: _centred(channel(index)), count, p)
+    return _levinson_sweeps(channel, count, p, method, grid_size)
+
+
+def _levinson_sweeps(channel, count: int, p: int, method: str, grid_size: int):
+    for index in range(count):
+        try:
+            outcome = fit_sweep(channel(index), p, method, grid_size)
+        except (ValueError, ArithmeticError) as exc:
+            outcome = exc
+        yield index, outcome
 
 
 def _step_down(coeff_rows: np.ndarray):

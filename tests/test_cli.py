@@ -1,5 +1,6 @@
 """End-to-end command-line workflows driven through main()."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,23 @@ def test_psd_all_writes_nothing_when_a_channel_fails(tmp_path, capsys):
     assert list(out_dir.glob("*")) == []
 
 
+def test_report_headers_give_the_recordings_sample_rate(tmp_path, capsys):
+    rows = "\n".join(f"{i % 7 - 3.0},{(i * 5) % 11 - 5.0}" for i in range(300))
+    stamped, plain = tmp_path / "stamped.csv", tmp_path / "plain.csv"
+    stamped.write_text("# fs=256\nA,B\n" + rows + "\n")
+    plain.write_text("A,B\n" + rows + "\n")
+    # --fs is the rate of a file that carries none; a stamped file keeps its own.
+    for rec, fs, expected in ((stamped, "128", "256.0"), (plain, "200", "200.0")):
+        report, out_dir = tmp_path / f"{rec.stem}-report.csv", tmp_path / f"{rec.stem}-psd"
+        assert main(["detect", str(rec), "--fs", fs, "--out", str(report)]) == 0
+        assert main(["psd", str(rec), "--fs", fs, "--channel", "A", "--out", str(out_dir)]) == 0
+        psd_lines = (out_dir / "A.csv").read_text().splitlines()
+        for echo in (report.read_text().splitlines()[1], psd_lines[1]):
+            assert dict(item.split("=", 1) for item in echo[2:].split())["fs"] == expected
+        assert psd_lines[-1].split(",")[0] == str(float(expected) / 2)
+    capsys.readouterr()
+
+
 def test_missing_input_file_is_a_clean_error(tmp_path, capsys):
     assert main(["detect", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r.csv")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -244,8 +262,11 @@ def test_unknown_subcommand_exits_with_usage_error():
 
 
 def test_module_entry_point_reports_version():
+    # The child imports the package this test imported, installed or not.
+    src = str(Path(arpsd.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "arpsd", "--version"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout.strip() == f"arpsd {arpsd.__version__}"

@@ -149,7 +149,7 @@ def test_detect_recording_echoes_parameters():
     recording, _ = _burst_recording(seed=1)
     config = RunConfig(method="yule_walker", k=3.0)
     report = detect_recording(recording, config)
-    assert report.parameters == config.summary()
+    assert report.parameters == {**config.summary(), "fs": recording.sample_rate_hz}
     assert report.parameters["method"] == "yule_walker"
     assert report.parameters["k"] == 3.0
 
@@ -177,23 +177,37 @@ def test_detect_recording_captures_per_channel_failures():
     assert [d.derivation for d in report.per_channel] == ["good-1", "good-2"]
 
 
-@pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
-def test_detect_recording_isolates_arithmetic_faults(monkeypatch, fault):
+def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None):
+    """Make the estimation kernel ``kernel`` raise ``fault`` on its second
+    call, which fits channel b of three, and check that only b errs."""
     rng = np.random.default_rng(10)
     channels = {name: TimeSeries(rng.standard_normal(400), 128.0) for name in ("a", "b", "c")}
-    real_lattice = estimation._burg_lattice
+    real_kernel = getattr(estimation, kernel)
     calls = []
 
-    def faulty_lattice(samples, p):
-        calls.append(p)
+    def faulty_kernel(*args):
+        calls.append(args)
         if len(calls) == 2:
             raise fault("numerical fault in channel b")
-        return real_lattice(samples, p)
+        return real_kernel(*args)
 
-    monkeypatch.setattr(estimation, "_burg_lattice", faulty_lattice)
-    report = detect_recording(Recording(channels))
+    monkeypatch.setattr(estimation, kernel, faulty_kernel)
+    report = detect_recording(Recording(channels), config)
     assert report.errors == {"b": "numerical fault in channel b"}
     assert [d.derivation for d in report.per_channel] == ["a", "c"]
+
+
+@pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
+def test_detect_recording_isolates_arithmetic_faults(monkeypatch, fault):
+    _assert_fault_lands_on_channel_b(monkeypatch, "_burg_lattice", fault)
+
+
+@pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
+@pytest.mark.parametrize("order", [10, "auto"])
+@pytest.mark.parametrize("method", ["yule_walker", "mle"])
+def test_detect_recording_isolates_levinson_faults(monkeypatch, method, order, fault):
+    config = RunConfig(method=method, order=order)
+    _assert_fault_lands_on_channel_b(monkeypatch, "_levinson_recursion", fault, config)
 
 
 def test_low_band_fraction_never_exceeds_one_on_simulated_bursts():

@@ -33,7 +33,7 @@ from arpsd.estimation import (
     _burg_lattice,
     _lag_row,
     _transfer_mag2,
-    burg_sweeps,
+    fit_sweeps,
 )
 
 FS = 128.0
@@ -114,7 +114,7 @@ def test_lag_products_serve_long_well_conditioned_inputs():
     x = np.diff(_resonance(3, 20_000, 0.95, 5.0 / FS))
     coeffs_by_order = _lag_stages(x - x.mean(), 30)[0]
     assert len(coeffs_by_order) == 30
-    ((_, sweep),) = burg_sweeps(lambda _: TimeSeries(x, FS), 1, 30)
+    ((_, sweep),) = fit_sweeps(lambda _: TimeSeries(x, FS), 1, 30)
     assert len(sweep.stages) == 1
     assert sweep.fit(30).model.coeffs.tobytes() == coeffs_by_order[-1].tobytes()
 
@@ -221,11 +221,11 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
         return TimeSeries.adopt(work[:], FS)
 
     with np.errstate(all="raise"):
-        outcomes = list(burg_sweeps(channel, len(series), p))
+        outcomes = list(fit_sweeps(channel, len(series), p))
         assert sorted(index for index, _ in outcomes) == list(range(len(series)))
         for row, outcome in outcomes:
             kind, x = rows[row][0], series[row]
-            ((_, alone),) = burg_sweeps(lambda _, x=x: x, 1, p)
+            ((_, alone),) = fit_sweeps(lambda _, x=x: x, 1, p)
             assert _same_outcome(outcome, alone)
             if kind == "overflow":
                 assert isinstance(alone, FloatingPointError)
@@ -253,7 +253,7 @@ def test_burg_sweeps_length_rule_and_lattice_rereads():
         reads.append(index)
         return TimeSeries(signals[index], FS)
 
-    outcomes = dict(burg_sweeps(channel, len(signals), 10))
+    outcomes = dict(fit_sweeps(channel, len(signals), 10))
     # The sine's stages stop short, so the lattice reads it again.
     assert sorted(reads) == [0, 1, 2, 2]
     centred = [x - x.mean() for x in signals]
@@ -268,17 +268,27 @@ def test_burg_sweeps_length_rule_and_lattice_rereads():
     assert _lag_row(centred[1], 10).shape == (32,)
 
 
-def test_burg_sweeps_yield_each_channels_error():
-    def channel(index):
-        if index == 1:
-            raise ValueError("unreadable channel")
-        return TimeSeries(np.arange(5.0), FS)
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+def test_fit_sweeps_yield_each_channels_error(method):
+    signals = [np.arange(5.0), None, np.arange(5.0) ** 2, np.full(5, 3.0)]
 
-    outcomes = dict(burg_sweeps(channel, 3, 2))
+    def channel(index):
+        if signals[index] is None:
+            raise ValueError("unreadable channel")
+        return TimeSeries(signals[index], FS)
+
+    outcomes = dict(fit_sweeps(channel, len(signals), 2, method, grid_size=8))
+    assert sorted(outcomes) == [0, 1, 2, 3]
     assert str(outcomes[1]) == "unreadable channel"
-    assert not isinstance(outcomes[0], Exception) and outcomes[0] == outcomes[2]
-    for p, message in ((0, "order must be at least 1"), (5, "need more samples than the model order")):
-        ((_, outcome),) = burg_sweeps(lambda _: TimeSeries(np.arange(5.0), FS), 1, p)
+    for index in (0, 2):
+        assert outcomes[index] == fit_sweep(channel(index), 2, method, grid_size=8)
+    flat = "degenerate signal" if method == "burg" else "zero-variance signal"
+    assert isinstance(outcomes[3], ValueError) and str(outcomes[3]) == flat
+    cases = [(0, 512, "order must be at least 1"), (5, 512, "need more samples than the model order")]
+    if method == "mle":
+        cases.append((3, 5, "grid too coarse for order"))
+    for p, grid_size, message in cases:
+        ((_, outcome),) = fit_sweeps(lambda _: TimeSeries(np.arange(5.0), FS), 1, p, method, grid_size)
         assert isinstance(outcome, ValueError) and str(outcome) == message
 
 
