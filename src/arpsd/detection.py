@@ -6,12 +6,16 @@ and every CLI subcommand share: :func:`fit_channel` prepares the channel
 and fits it as the run configuration says, :func:`channel_psd` turns the
 fit into a masked spectrum, and :func:`classify_channel` flags it.
 ``detect_recording`` runs the same formulas over many channels at once:
-every method's fits go through :func:`arpsd.estimation.fit_sweeps`, and
-the spectral stages after the fits run over blocks of models.  A channel
-alone is the one-row case.
+every method's fits go through :func:`arpsd.estimation.fit_sweeps`, the
+automatic order of a block of sweeps comes from one
+:func:`arpsd.order_selection.sweep_orders` call, and the spectral stages
+after the fits run over blocks of models.  A channel alone is the
+one-row case.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +38,7 @@ from .estimation import (
     ar_psd_rows,
     fit_sweeps,
 )
-from .order_selection import OrderScanResult, check_scan, scan_sweep
+from .order_selection import OrderScanResult, check_scan, scan_sweep, sweep_orders
 from .preprocess import prepare_into
 from .spectral import (
     MaskedSpectrum,
@@ -176,12 +180,23 @@ def classify_channel(
 class ChannelFit:
     """One channel prepared and fitted as a run configuration says.
 
-    ``scan`` is the order scan under ``order="auto"``, whose ``fit`` is
-    ``fit``; it is None at a fixed order.
+    Under ``order="auto"``, ``sweep`` is the channel's sweep to p_max over
+    ``n`` prepared samples, and ``scan`` is its order scan by
+    ``criterion``, whose ``fit`` is ``fit``; the scan's per-order scores
+    are built when ``scan`` is first read.  At a fixed order ``sweep`` and
+    ``scan`` are None.
     """
 
     fit: FitResult
-    scan: OrderScanResult | None = None
+    sweep: FitSweep | None = None
+    n: int = 0
+    criterion: str = "bic"
+
+    @cached_property
+    def scan(self) -> OrderScanResult | None:
+        if self.sweep is None:
+            return None
+        return scan_sweep(self.sweep, self.n, self.criterion)
 
 
 def fit_channel(x: TimeSeries, config: RunConfig) -> ChannelFit:
@@ -208,10 +223,11 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig, work: np.nd
     Each channel is prepared in ``work``, which must hold the longest,
     and swept by :func:`arpsd.estimation.fit_sweeps` to ``config.p_max``
     under ``order="auto"`` or to the fixed order; Burg may prepare a
-    channel again.  Each sweep gives the channel its fit as
-    :func:`_sweep_fit` takes it, and each outcome is yielded as soon as it
-    is known, so that a caller need not hold every channel's fit (and
-    order scan) at once.
+    channel again.  Under ``order="auto"`` the sweeps are taken in groups
+    of ``BLOCK_CHANNELS`` as they come, and each group's orders are
+    selected by one :func:`arpsd.order_selection.sweep_orders` call.
+    Outcomes are yielded group by group, so that a caller need not hold
+    every channel's fit at once.
     """
     auto = config.order == "auto"
     sizes = {}  # prepared samples of each channel, for its order scan
@@ -224,21 +240,33 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig, work: np.nd
         return series
 
     p = config.p_max if auto else config.order
-    for index, outcome in fit_sweeps(prepared, len(channels), p, config.method, config.grid_size):
-        if isinstance(outcome, FitSweep):
-            try:
-                outcome = _sweep_fit(outcome, sizes[index], config)
-            except (ValueError, ArithmeticError) as exc:
-                outcome = exc
-        yield index, outcome
+    outcomes = fit_sweeps(prepared, len(channels), p, config.method, config.grid_size)
+    while group := list(islice(outcomes, BLOCK_CHANNELS)):
+        swept = {index: sweep for index, sweep in group if isinstance(sweep, FitSweep)}
+        if auto and swept:
+            orders = sweep_orders(list(swept.values()), [sizes[i] for i in swept], config.criterion)
+        else:
+            orders = [config.order] * len(swept)
+        order_of = dict(zip(swept, orders))
+        for index, outcome in group:
+            if index in swept:
+                outcome = _sweep_fit(outcome, order_of[index], sizes[index], config)
+            yield index, outcome
 
 
-def _sweep_fit(sweep: FitSweep, n: int, config: RunConfig) -> ChannelFit:
-    """The fit that ``config`` takes from a sweep over n prepared samples."""
+def _sweep_fit(sweep: FitSweep, order, n: int, config: RunConfig):
+    """The channel fit at ``order`` of a sweep over n prepared samples, or
+    the ValueError or ArithmeticError that taking it raises.  ``order`` is
+    the ValueError itself when selecting the order raised one."""
+    if isinstance(order, Exception):
+        return order
+    try:
+        fit = sweep.fit(order)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
     if config.order == "auto":
-        scan = scan_sweep(sweep, n, config.criterion)
-        return ChannelFit(scan.fit, scan)
-    return ChannelFit(sweep.fit(config.order))
+        return ChannelFit(fit, sweep, n, config.criterion)
+    return ChannelFit(fit)
 
 
 def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
@@ -318,8 +346,9 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     message, and the remaining channels are still screened.
 
     Every channel is fitted first, as by :func:`fit_channel`, but prepared
-    in one buffer that the channels share in turn and swept together by
-    :func:`arpsd.estimation.fit_sweeps`.  The fitted models are then
+    in one buffer that the channels share in turn, swept together by
+    :func:`arpsd.estimation.fit_sweeps` and, under ``order="auto"``,
+    scored ``BLOCK_CHANNELS`` sweeps at a time.  The fitted models are then
     screened ``BLOCK_CHANNELS`` at a time by the row-wise forms of
     :func:`channel_psd`'s and :func:`classify_channel`'s stages.  Each
     row-wise step gives each channel the bits it gets alone.  ``errors``

@@ -11,14 +11,18 @@ Three fitting routes share one coefficient convention (see
   fallback on ill-conditioned input.
 * ``mle_fit`` reuses the Yule-Walker coefficients (the likelihood is
   maximized by the same normal equations) and estimates the innovation
-  variance by integrating |A(f)|^2 I(f) against the periodogram.
+  variance by integrating |A(f)|^2 I(f) against the periodogram, in
+  closed form from the periodogram's circular autocovariance, with the
+  trapezoid sum as the fallback where the closed form cancels.
 
 All three return a :class:`FitResult` carrying the model, the reflection
 coefficients, and the prediction-error power at every order up to p.
 ``fit_sweep`` fits every order up to p_max at once, and each fitter is
-its order-p fit.  ``fit_sweeps`` sweeps many channels with one method:
-it runs the lag-product stages of long Burg channels as rows, and gives
-each channel the bits ``fit_sweep`` gives it alone.
+its order-p fit.  ``fit_sweeps`` sweeps many channels with one method,
+and ``fit_sweep`` is its one-channel case.  It runs the Levinson
+recursion and the MLE variance of Yule-Walker and MLE channels as rows,
+and the lag-product stages of long Burg channels, and gives each channel
+the bits it gets alone.
 """
 
 import math
@@ -72,8 +76,18 @@ _LAG_CANCELLATION_LIMIT = 20.0
 # gather indices of each stage are kept for reuse; above this order the
 # lattice takes over, as from a failed stage.
 _LAG_MAX_ORDER = 48
-# fit_sweeps runs the lag-product stages of this many channels at once,
-# and detect_recording screens fitted models in blocks of the same size.
+# An MLE variance whose closed form q' C q (see _mle_sigma2) has a scale
+# sum_st |q(s) q(t) c(|s - t|)| above this multiple of its value takes the
+# trapezoid instead.  Over 25,560 orders (p <= 30, 2,560 samples, G = 512)
+# of simulated montages differenced 0-2 times, sines in noise and AR(2)
+# resonances up to pole radius 0.999, the closed form was within 4.8e-16
+# times its scale ratio of the trapezoid; the orders that passed this limit
+# agreed within 1.7e-13 relative, and at 1e4 the worst was 1.5e-12.  Noise
+# and burst channels differenced once stay below a ratio of 70.
+_MLE_CANCELLATION_LIMIT = 500.0
+# fit_sweeps runs the lag-product stages, and the Levinson recursion and
+# MLE variance, of this many channels at once, and detect_recording
+# scores and screens fitted models in blocks of the same size.
 # The largest array of a Burg stage holds rows x (5m + 5) x (m + 1)
 # values: 128 kB at 32 rows and order 10, 1.2 MB at order 30.
 BLOCK_CHANNELS = 32
@@ -116,36 +130,61 @@ class FitResult(ArrayFields):
         object.__setattr__(self, "prediction_error_by_order", errs)
 
 
-def _levinson_recursion(r: np.ndarray, p: int):
-    """Order-recursive solve of the Toeplitz normal equations.
+def _levinson_rows(r: np.ndarray, p: int):
+    """The Levinson-Durbin recursion to order p over rows of autocovariances.
 
-    Returns the coefficient vectors for every order 1..p, the reflection
-    coefficients, and the prediction-error powers E(0..p).
+    Row i of ``r`` holds r(0..p) of one channel.  Returns ``(coeffs, errs,
+    faults)``: a(1..m) of order m of row i is ``coeffs[i, m - 1, :m]``
+    (zeros follow it), k(m) is ``coeffs[i, m - 1, m - 1]``, and ``errs[i]``
+    holds the prediction-error powers E(0..p).  ``faults[i]`` is None, or
+    the message of the ValueError row i ends in: "degenerate
+    autocovariance" when r(0) <= 0, "non-positive-definite
+    autocovariance" at the first |k| >= 1.  A faulted row stops there and
+    the other rows go on without it.
+
+    Order m takes k = -(r(m) + sum_i a(i) r(m - i)) / E(m - 1).  The sum of
+    every row comes from one matmul of (1 x m-1) by (m-1 x 1) matrices,
+    which NumPy runs through the dot loop of ``np.dot``, so each row gets
+    the bits of ``np.dot`` over that row.  No step mixes rows, so a row's
+    arithmetic is the same however many rows share the call.
     """
-    if p < 1:
-        raise ValueError("order must be at least 1")
-    if r.size < p + 1:
-        raise ValueError("need autocovariances up to lag p")
-    if r[0] <= 0.0:
-        raise ValueError("degenerate autocovariance")
-    coeffs_by_order: list[np.ndarray] = []
-    ks = np.empty(p)
-    errs = np.empty(p + 1)
-    errs[0] = r[0]
-    a = np.empty(0)
+    count = r.shape[0]
+    coeffs = np.zeros((count, p, p))
+    errs = np.zeros((count, p + 1))
+    errs[:, 0] = r[:, 0]
+    # r(p), ..., r(0), so that r(m - 1), ..., r(1) is a slice of positive
+    # stride, which the dot loop hands to BLAS.
+    lags = np.ascontiguousarray(r[:, p::-1])
+    faults = [None if r0 > 0.0 else "degenerate autocovariance" for r0 in r[:, 0].tolist()]
+    alive = np.flatnonzero(r[:, 0] > 0.0)
+    live = slice(None) if alive.size == count else alive  # the rows still running
+    a = np.empty((alive.size, 0))
+    err = errs[live, 0]
     for m in range(1, p + 1):
-        acc = r[m] + np.dot(a, r[m - 1 : 0 : -1])
-        k = -acc / errs[m - 1]
-        if abs(k) >= 1.0:
-            raise ValueError("non-positive-definite autocovariance")
-        new = np.empty(m)
-        new[: m - 1] = a + k * a[::-1]
-        new[m - 1] = k
+        dots = np.matmul(a[:, np.newaxis, :], lags[live, p - m + 1 : p, np.newaxis])[:, 0, 0]
+        k = -(r[live, m] + dots) / err
+        stop = np.abs(k) >= 1.0
+        if stop.any():
+            for row in alive[stop].tolist():
+                faults[row] = "non-positive-definite autocovariance"
+            alive, a, k, err = (values[~stop] for values in (alive, a, k, err))
+            live = alive
+        new = np.empty((alive.size, m))
+        new[:, : m - 1] = a + k[:, np.newaxis] * a[:, ::-1]
+        new[:, m - 1] = k
+        coeffs[live, m - 1, :m] = new
         a = new
-        ks[m - 1] = k
-        errs[m] = errs[m - 1] * (1.0 - k * k)
-        coeffs_by_order.append(a)
-    return coeffs_by_order, ks, errs
+        err = err * (1.0 - k * k)
+        errs[live, m] = err
+    return coeffs, errs, faults
+
+
+def _stage(coeffs: np.ndarray, errs: np.ndarray):
+    """The ``(1, coeffs_by_order, ks, errs)`` stage of one row of
+    :func:`_levinson_rows`, in arrays of its own, so that no sweep keeps
+    its block's arrays alive."""
+    coeffs = coeffs.copy()
+    return 1, [coeffs[m, : m + 1] for m in range(errs.size - 1)], np.diagonal(coeffs), errs.copy()
 
 
 def levinson_durbin(r: AutocovarianceSeq, p: int) -> FitResult:
@@ -154,6 +193,7 @@ def levinson_durbin(r: AutocovarianceSeq, p: int) -> FitResult:
     Solves sum_i a(i) r(l-i) = -r(l) for l = 1..p by the Levinson-Durbin
     recursion in O(p^2) operations.  The innovation variance is the
     final prediction-error power, which equals r(0) + sum_i a(i) r(i).
+    This is the one-row case of the recursion :func:`fit_sweeps` runs.
 
     Parameters
     ----------
@@ -173,9 +213,15 @@ def levinson_durbin(r: AutocovarianceSeq, p: int) -> FitResult:
         coefficient reaches magnitude 1 ("non-positive-definite
         autocovariance").
     """
-    coeffs_by_order, ks, errs = _levinson_recursion(r.values, p)
-    model = ArModel(p, coeffs_by_order[-1], errs[p])
-    return FitResult(model, METHOD_YULE_WALKER, ks, errs)
+    if p < 1:
+        raise ValueError("order must be at least 1")
+    if r.values.size < p + 1:
+        raise ValueError("need autocovariances up to lag p")
+    coeffs, errs, faults = _levinson_rows(r.values[np.newaxis, : p + 1], p)
+    if faults[0] is not None:
+        raise ValueError(faults[0])
+    _, coeffs_by_order, ks, errs = _stage(coeffs[0], errs[0])
+    return FitResult(ArModel(p, coeffs_by_order[-1], errs[p]), METHOD_YULE_WALKER, ks, errs)
 
 
 def yule_walker_fit(x: TimeSeries, p: int) -> FitResult:
@@ -190,7 +236,7 @@ def yule_walker_fit(x: TimeSeries, p: int) -> FitResult:
         "zero-variance signal" when the demeaned signal is identically
         zero (constant input).
     """
-    return _levinson_sweep(x, p).fit(p)
+    return fit_sweep(x, p, METHOD_YULE_WALKER).fit(p)
 
 
 def _burg_lattice(samples: np.ndarray, p: int):
@@ -534,23 +580,54 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
     return _burg_sweep(_centred(x) if demean else x.samples, p).fit(p)
 
 
-def _mle_sigma2(coeff_rows: np.ndarray, pgram) -> np.ndarray:
-    """Innovation variance by spectral matching, one per coefficient row.
+def _mle_sigma2(coeffs: np.ndarray, autocovs: np.ndarray, pgrams: np.ndarray) -> np.ndarray:
+    """Innovation variance by spectral matching, for every order of every row.
 
-    sigma^2 = integral over [-1/2, 1/2] of |A(f)|^2 I(f) df, evaluated as
-    twice the trapezoidal integral over [0, 1/2] (the integrand is even).
-    Every trapezoid term is nonnegative, so nothing cancels.  Each row of
-    ``coeff_rows`` holds a(1..p) followed by zeros; all rows share one
-    rfft and one trapezoid call, which give every row the bits of its own
-    one-dimensional calls.
+    sigma^2 = integral over [-1/2, 1/2] of |A(f)|^2 I(f) df, taken as twice
+    the trapezoidal integral of |A(f_j)|^2 I(f_j) over the G grid points
+    f_j = j / M of [0, 1/2], M = 2 (G - 1).  Unfolded to the whole circle,
+    that is the mean of |A|^2 I over the M Fourier frequencies, so with the
+    circular autocovariance c = irfft(I, M) of the periodogram it is the
+    quadratic form
+
+        sigma^2(p) = q' C q,  q = [1, a(1..p)],  C(s, t) = c(|s - t|),
+
+    which this takes for each order from the rows' own coefficients.
+    ``coeffs`` is the coefficient array of :func:`_levinson_rows`; row i
+    of ``autocovs`` holds c(0..p), and ``pgrams[i]`` the periodogram
+    values I(f_0..f_{G-1}).  No step mixes rows, and the sums of order p run over
+    its p + 1 taps only, so an order's variance is the same whatever order
+    its sweep runs to and however many rows share the call.
+
+    The trapezoid's terms are all nonnegative, but the form's are not, and
+    on a spectrum as sharp as a sine's they cancel.  An order whose scale
+    sum_st |q(s) q(t) c(|s - t|)| exceeds ``_MLE_CANCELLATION_LIMIT``
+    times its form (or whose form is not positive) takes the trapezoid
+    sum 2 trapz(|A(f_j)|^2 I(f_j)) itself, with |A|^2 from one rfft of its
+    polynomial (:func:`_transfer_mag2`).
     """
-    amp2 = _transfer_mag2(coeff_rows, pgram.values.size)
-    return 2.0 * np.trapezoid(amp2 * pgram.values, pgram.freqs_normalized, axis=-1)
-
-
-def _centered_periodogram(x: TimeSeries, grid_size: int):
-    centered = TimeSeries(x.samples - x.samples.mean(), x.sample_rate_hz)
-    return periodogram(centered, grid_size)
+    count, p = coeffs.shape[:2]
+    taps = np.arange(p + 1)
+    lags = np.abs(taps[:, np.newaxis] - taps)
+    polys = np.ones((count, p + 1))
+    sigma2, scale = np.empty((2, count, p))
+    for m in range(1, p + 1):
+        polys[:, 1 : m + 1] = coeffs[:, m - 1, :m]
+        q = polys[:, : m + 1]
+        # C(s, t) q(t), whose magnitudes are the scale's |C(s, t) q(t)|.
+        products = autocovs.take(lags[: m + 1, : m + 1], axis=1)
+        products *= q[:, np.newaxis, :]
+        sigma2[:, m - 1] = (q * products.sum(axis=-1)).sum(axis=-1)
+        scale[:, m - 1] = (np.abs(q) * np.abs(products, out=products).sum(axis=-1)).sum(axis=-1)
+    rows, orders = np.nonzero(~(scale <= _MLE_CANCELLATION_LIMIT * sigma2))
+    if rows.size:
+        # One rfft and one trapezoid call over the rows of (row, order)
+        # pairs give each pair the bits of its own one-dimensional calls.
+        values = np.array([pgrams[row] for row in rows.tolist()])
+        amp2 = _transfer_mag2(coeffs[rows, orders], values.shape[1])
+        freqs = np.linspace(0.0, 0.5, values.shape[1])
+        sigma2[rows, orders] = 2.0 * np.trapezoid(amp2 * values, freqs, axis=-1)
+    return sigma2
 
 
 def mle_fit(x: TimeSeries, p: int, grid_size: int = 512) -> FitResult:
@@ -561,9 +638,13 @@ def mle_fit(x: TimeSeries, p: int, grid_size: int = 512) -> FitResult:
     coefficient vector equals the :func:`yule_walker_fit` result exactly.
     The innovation variance is re-estimated by integrating the squared
     transfer function against the periodogram of the demeaned signal on
-    a ``grid_size``-point frequency grid.  The error profile documents
-    the coefficient recursion; the spectral variance estimate lives only
-    in ``model.sigma2``.
+    a ``grid_size``-point frequency grid, as the trapezoid rule does.  It
+    is evaluated in closed form, as q' C q with q = [1, a(1..p)] and C the
+    Toeplitz matrix of the periodogram's circular autocovariance; where
+    that form cancels (a spectrum as sharp as a sine's), the trapezoid sum
+    itself is taken (see :func:`_mle_sigma2`).  The error profile
+    documents the coefficient recursion; the spectral variance estimate
+    lives only in ``model.sigma2``.
 
     Raises
     ------
@@ -621,21 +702,12 @@ def _sweep(method: str, stages, sigma2_by_order=None) -> FitSweep:
     return FitSweep(method, sigma2_by_order, tuple(stages))
 
 
-def _levinson_sweep(x: TimeSeries, p_max: int):
-    if p_max < 1:
-        raise ValueError("order must be at least 1")
-    if len(x) < p_max + 1:
-        raise ValueError("need more samples than the model order")
-    r = biased_autocov(x, p_max)
-    if r[0] == 0.0:
-        raise ValueError("zero-variance signal")
-    return _sweep(METHOD_YULE_WALKER, [(1, *_levinson_recursion(r.values, p_max))])
-
-
 def fit_sweep(
     x: TimeSeries, p_max: int, method: str = METHOD_BURG, grid_size: int = 512
 ) -> FitSweep:
     """Fit every order 1..p_max of one method in a single sweep.
+
+    This is the one-channel case of :func:`fit_sweeps`.
 
     Parameters
     ----------
@@ -653,20 +725,10 @@ def fit_sweep(
     ValueError
         As the method's fitter does at order p_max.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method: {method!r}")
-    if method == METHOD_BURG:
-        return _burg_sweep(_centred(x), p_max)
-    if method == METHOD_MLE and grid_size < 2 * p_max:
-        raise ValueError("grid too coarse for order")
-    sweep = _levinson_sweep(x, p_max)
-    if method == METHOD_YULE_WALKER:
-        return sweep
-    coeff_rows = np.zeros((p_max, p_max))
-    for p, coeffs in enumerate(sweep.stages[0][1], start=1):
-        coeff_rows[p - 1, :p] = coeffs
-    sigma2 = _mle_sigma2(coeff_rows, _centered_periodogram(x, grid_size))
-    return _sweep(METHOD_MLE, sweep.stages, sigma2)
+    ((_, outcome),) = fit_sweeps(lambda _: x, 1, p_max, method, grid_size)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def fit_sweeps(
@@ -682,10 +744,13 @@ def fit_sweeps(
     ``channel(index)`` may return a view that the next call overwrites;
     no sweep holds a view of it.
 
-    Yule-Walker and MLE fit one channel at a time.  Burg runs the
-    lag-product stages of the long channels as rows once every channel
-    is read, and reads again a channel whose rows stop short (see
-    :func:`_burg_sweeps`).
+    Every method runs its recursion over rows of channels.  Yule-Walker
+    and MLE keep only each channel's autocovariances (and, for MLE, its
+    periodogram) once it is read, and run the Levinson recursion and the
+    MLE variance of ``BLOCK_CHANNELS`` channels at a time (see
+    :func:`_levinson_sweeps`).  Burg runs the lag-product stages of the
+    long channels as rows once every channel is read, and reads again a
+    channel whose rows stop short (see :func:`_burg_sweeps`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
@@ -695,12 +760,83 @@ def fit_sweeps(
 
 
 def _levinson_sweeps(channel, count: int, p: int, method: str, grid_size: int):
+    """Yule-Walker's or MLE's :func:`fit_sweeps`.
+
+    Each channel is checked and reduced to its row as soon as it is read
+    (:func:`_read_levinson`); every ``BLOCK_CHANNELS`` rows, and once
+    after the last channel, :func:`_levinson_block` runs the recursion and
+    the variances of the rows read so far.
+    """
+    block = []
     for index in range(count):
         try:
-            outcome = fit_sweep(channel(index), p, method, grid_size)
+            block.append((index, *_read_levinson(channel(index), p, method, grid_size)))
         except (ValueError, ArithmeticError) as exc:
-            outcome = exc
-        yield index, outcome
+            yield index, exc
+        if len(block) == BLOCK_CHANNELS or (block and index == count - 1):
+            yield from _levinson_block(block, p, method)
+            block = []
+
+
+def _read_levinson(x: TimeSeries, p: int, method: str, grid_size: int):
+    """``(r(0..p), spectrum)`` of one channel, with the checks of its sweep.
+
+    For MLE ``spectrum`` is ``(c(0..p), I)``: the periodogram of the
+    demeaned signal and its circular autocovariance c = irfft(I, M),
+    M = 2 (grid_size - 1).  If the periodogram raises, ``spectrum`` is
+    that error, which the channel ends in unless its recursion fails
+    first.  For Yule-Walker it is None.
+    """
+    if method == METHOD_MLE and grid_size < 2 * p:
+        raise ValueError("grid too coarse for order")
+    if p < 1:
+        raise ValueError("order must be at least 1")
+    if len(x) < p + 1:
+        raise ValueError("need more samples than the model order")
+    r = biased_autocov(x, p)
+    if r[0] == 0.0:
+        raise ValueError("zero-variance signal")
+    if method == METHOD_YULE_WALKER:
+        return r.values, None
+    try:
+        values = periodogram(TimeSeries.adopt(_centred(x), x.sample_rate_hz), grid_size).values
+    except (ValueError, ArithmeticError) as exc:
+        return r.values, exc
+    return r.values, (np.fft.irfft(values, 2 * (grid_size - 1))[: p + 1], values)
+
+
+def _levinson_block(block, p: int, method: str):
+    """Yield ``(index, outcome)`` of the channels in ``block``, ``(index,
+    r, spectrum)`` each (see :func:`_read_levinson`), from one
+    :func:`_levinson_rows` call and, for MLE, one :func:`_mle_sigma2`
+    call over the rows whose recursion and periodogram succeeded."""
+    indices, rows, spectra = zip(*block)
+    try:
+        coeffs, errs, faults = _levinson_rows(np.array(rows), p)
+        variances = {}
+        ok = [row for row, fault in enumerate(faults)
+              if fault is None and isinstance(spectra[row], tuple)]
+        if method == METHOD_MLE and ok:
+            autocovs, pgrams = zip(*(spectra[row] for row in ok))
+            sigma2 = _mle_sigma2(coeffs if len(ok) == len(block) else coeffs[ok],
+                                 np.array(autocovs), pgrams)
+            variances = {row: values.copy() for row, values in zip(ok, sigma2)}
+    except ArithmeticError as exc:
+        if len(block) == 1:
+            yield indices[0], exc
+            return
+        # Under np.seterr(..., "raise") one row's fault stops them all;
+        # run each row alone instead.
+        for item in block:
+            yield from _levinson_block([item], p, method)
+        return
+    for row, index in enumerate(indices):
+        if faults[row] is not None:
+            yield index, ValueError(faults[row])
+        elif isinstance(spectra[row], Exception):
+            yield index, spectra[row]
+        else:
+            yield index, _sweep(method, [_stage(coeffs[row], errs[row])], variances.get(row))
 
 
 def _step_down(coeff_rows: np.ndarray):

@@ -9,6 +9,7 @@ line number.
 
 import io
 import itertools
+import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -207,17 +208,45 @@ def write_annotations(path, labels: Mapping[str, bool], parameters: Mapping[str,
 _ERROR_PREFIX = "# error: "
 
 
+def _error_line(name: str, message: str) -> str:
+    """``# error: <name>: <message>``, with a name that holds ": " or
+    starts with a double quote written as a JSON string literal."""
+    if ": " in name or name.startswith('"'):
+        name = json.dumps(name)
+    return f"{_ERROR_PREFIX}{name}: {message}"
+
+
+def _error_entry(text: str) -> tuple[str, str]:
+    """``(name, message)`` of an error line after its prefix; the name is
+    empty when there is no ": " to end it.  A leading JSON string literal
+    followed by ": " is the name; any other line splits at its first
+    ": ", as lines without a literal have always been read."""
+    if text.startswith('"'):
+        try:
+            name, end = json.JSONDecoder().raw_decode(text)
+        except ValueError:
+            pass
+        else:
+            if text.startswith(": ", end):
+                return name, text[end + 2 :]
+    name, sep, message = text.partition(": ")
+    return (name if sep else ""), message
+
+
 def write_detection_report_csv(path, report: DetectionReport) -> None:
     """Write per-channel decisions with the parameter echo header.
 
-    Channels that failed to fit are recorded as ``# error:`` comment
-    lines so they remain visible without breaking the column layout.
+    Channels that failed to fit are recorded as ``# error: <name>:
+    <message>`` comment lines so they remain visible without breaking the
+    column layout.  A name that contains ": " or starts with a double quote
+    is written as a JSON string literal, so that :func:`read_report_errors`
+    reads it back whole.
     """
     out = io.StringIO()
     for line in echo_lines("detect", report.parameters):
         out.write(line + "\n")
     for name, message in report.errors.items():
-        out.write(f"{_ERROR_PREFIX}{name}: {message}\n")
+        out.write(_error_line(name, message) + "\n")
     out.write("derivation,flagged,dominant_band,low_band_fraction,survivor_fraction\n")
     for decision in report.per_channel:
         out.write(
@@ -270,13 +299,15 @@ def read_report_errors(path) -> dict[str, str]:
     """Read the channels a detection report lists as errors, with their messages.
 
     These are the ``# error: <name>: <message>`` comment lines that
-    :func:`write_detection_report_csv` writes, in file order.
+    :func:`write_detection_report_csv` writes, in file order.  A name
+    written as a JSON string literal is decoded; any other name ends at
+    the line's first ": ".
     """
     errors: dict[str, str] = {}
     for number, raw in _split_lines(Path(path).read_text(encoding="utf-8")):
         if raw.startswith(_ERROR_PREFIX):
-            name, sep, message = raw[len(_ERROR_PREFIX):].partition(": ")
-            if not (sep and name):
+            name, message = _error_entry(raw[len(_ERROR_PREFIX):])
+            if not name:
                 raise ValueError(f"line {number}: error line names no channel")
             errors[name] = message
     return errors

@@ -31,6 +31,7 @@ __all__ = [
     "order_scan",
     "scan_sweep",
     "select_order",
+    "sweep_orders",
 ]
 
 CRITERIA = ("aic", "aicc", "bic")
@@ -42,20 +43,26 @@ def _check_sigma2(sigma2: float) -> float:
     return sigma2
 
 
-def _penalties(criterion: str, n: int, orders) -> list[float]:
-    """The term a criterion adds to log(sigma2), at each of ``orders``;
-    AICc needs n > p + 2."""
+def _logs(values: np.ndarray) -> np.ndarray:
+    """math.log of every entry.  NumPy's vector log rounds some inputs
+    differently in the last bit, and the criteria keep math.log's bits."""
+    return np.array(list(map(log, values.ravel().tolist()))).reshape(values.shape)
+
+
+def _penalties(criterion: str, n, orders: np.ndarray) -> np.ndarray:
+    """The term a criterion adds to log(sigma2) at each of ``orders``, for
+    n samples (a number, or a column of one count per row); AICc needs
+    n > p + 2.  Each entry has the bits of the scalar formula."""
     if criterion == "aic":
-        return [(n + 2 * p) / n for p in orders]
+        return (n + 2 * orders) / n
     if criterion == "aicc":
-        return [(n + p) / (n - p - 2) for p in orders]
-    log_n = log(n)
-    return [p * log_n / n for p in orders]
+        return (n + orders) / (n - orders - 2)
+    return orders * _logs(np.asarray(n, dtype=np.float64)) / n
 
 
 def aic(sigma2: float, n: int, p: int) -> float:
     """Akaike information criterion, log(sigma2) + (n + 2p) / n."""
-    return log(_check_sigma2(sigma2)) + _penalties("aic", n, [p])[0]
+    return log(_check_sigma2(sigma2)) + float(_penalties("aic", n, np.array([p]))[0])
 
 
 def aicc(sigma2: float, n: int, p: int) -> float:
@@ -68,12 +75,12 @@ def aicc(sigma2: float, n: int, p: int) -> float:
     """
     if n <= p + 2:
         raise ValueError("AICc undefined for this n,p")
-    return log(_check_sigma2(sigma2)) + _penalties("aicc", n, [p])[0]
+    return log(_check_sigma2(sigma2)) + float(_penalties("aicc", n, np.array([p]))[0])
 
 
 def bic(sigma2: float, n: int, p: int) -> float:
     """Bayesian information criterion, log(sigma2) + p log(n) / n."""
-    return log(_check_sigma2(sigma2)) + _penalties("bic", n, [p])[0]
+    return log(_check_sigma2(sigma2)) + float(_penalties("bic", n, np.array([p]))[0])
 
 
 @dataclass(frozen=True)
@@ -167,23 +174,76 @@ def check_scan(n: int, p_max: int, method: str = METHOD_BURG, criterion: str = "
         raise ValueError("need more than p_max + 2 samples")
 
 
+def _criterion_rows(sigma2_rows: np.ndarray, sizes: Sequence[int], criteria: Sequence[str]):
+    """log(sigma2) plus each criterion's penalty, at every order of every row.
+
+    Row i of ``sigma2_rows`` holds sigma2 at orders 1..p of a signal of
+    ``sizes[i]`` samples.  Returns one (rows, p) array per criterion, each
+    criterion's penalties computed once for all rows, and for each row None
+    or "sigma2 must be positive" when one of its sigma2 is not (that row's
+    values then mean nothing).  Each value has the bits of :func:`aic`,
+    :func:`aicc` or :func:`bic`.
+    """
+    positive = sigma2_rows > 0.0
+    faults = [None if ok else "sigma2 must be positive" for ok in positive.all(axis=1).tolist()]
+    log_sigma2 = _logs(np.where(positive, sigma2_rows, 1.0))
+    orders = np.arange(1, sigma2_rows.shape[1] + 1)
+    n = np.array(sizes)[:, np.newaxis]
+    return [log_sigma2 + _penalties(name, n, orders) for name in criteria], faults
+
+
+def _minimizers(values: np.ndarray) -> list:
+    """Per row, the order (from 1) of the smallest value, ties going to
+    the smaller order as in :func:`select_order`, or its ValueError
+    message when no value is below infinity."""
+    best = values.argmin(axis=1)
+    found = (values[np.arange(best.size), best] < np.inf).tolist()
+    return [p + 1 if ok else "no candidate orders to select from"
+            for p, ok in zip(best.tolist(), found)]
+
+
 def scan_sweep(sweep: FitSweep, n: int, criterion: str = "bic") -> OrderScanResult:
     """Score every order of a sweep over a signal of n samples.
 
     This is :func:`order_scan` after its fit: ``order_scan(x, ...)`` is
     ``scan_sweep(fit_sweep(x, ...), len(x), criterion)`` once
-    :func:`check_scan` passes, which it must.
+    :func:`check_scan` passes, which it must.  The order is selected by
+    the expression :func:`sweep_orders` evaluates, so both select the same
+    order from the same sweep.
     """
-    # Each criterion's penalties once per scan, log(sigma2) once per order;
-    # n > p_max + 2 keeps AICc defined.
-    orders = range(1, sweep.p_max + 1)
-    penalties = [_penalties(name, n, orders) for name in CRITERIA]
-    scores = []
-    for p, sigma2, aic_pen, aicc_pen, bic_pen in zip(
-        orders, sweep.sigma2_by_order.tolist(), *penalties
-    ):
-        log_sigma2 = log(_check_sigma2(sigma2))
-        scores.append(OrderScore(p, sigma2, log_sigma2 + aic_pen, log_sigma2 + aicc_pen,
-                                 log_sigma2 + bic_pen))
-    selected = select_order(scores, criterion)
-    return OrderScanResult(tuple(scores), selected, criterion, sweep.fit(selected))
+    values, (fault,) = _criterion_rows(sweep.sigma2_by_order[np.newaxis], [n], CRITERIA)
+    if fault is not None:
+        raise ValueError(fault)
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion: {criterion!r}")
+    (selected,) = _minimizers(values[CRITERIA.index(criterion)])
+    if isinstance(selected, str):
+        raise ValueError(selected)
+    scores = tuple(
+        OrderScore(p, sigma2, aic_value, aicc_value, bic_value)
+        for p, sigma2, aic_value, aicc_value, bic_value in zip(
+            range(1, sweep.p_max + 1), sweep.sigma2_by_order.tolist(),
+            *(rows[0].tolist() for rows in values),
+        )
+    )
+    return OrderScanResult(scores, selected, criterion, sweep.fit(selected))
+
+
+def sweep_orders(sweeps: Sequence[FitSweep], sizes: Sequence[int], criterion: str = "bic") -> list:
+    """The order :func:`scan_sweep` selects from each sweep, without its scores.
+
+    ``sweeps`` share one p_max, and ``sizes[i]`` is the number of samples
+    ``sweeps[i]`` was fitted to.  Entry i is ``scan_sweep(sweeps[i],
+    sizes[i], criterion).selected_p``, or the ValueError it raises.  One
+    array expression scores every sweep: the criterion's penalties once,
+    and the arg-min of log(sigma2) plus penalty per row.
+    """
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion: {criterion!r}")
+    (values,), faults = _criterion_rows(
+        np.array([sweep.sigma2_by_order for sweep in sweeps]), sizes, [criterion]
+    )
+    return [
+        ValueError(fault or selected) if fault or isinstance(selected, str) else selected
+        for fault, selected in zip(faults, _minimizers(values))
+    ]

@@ -17,6 +17,7 @@ from arpsd import (
     SpectrumEstimate,
     TimeSeries,
     ar_psd,
+    biased_autocov,
     burg_fit,
     channel_psd,
     classify_channel,
@@ -177,9 +178,12 @@ def test_detect_recording_captures_per_channel_failures():
     assert [d.derivation for d in report.per_channel] == ["good-1", "good-2"]
 
 
-def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None):
-    """Make the estimation kernel ``kernel`` raise ``fault`` on its second
-    call, which fits channel b of three, and check that only b errs."""
+def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None, hits_b=None):
+    """Make the estimation kernel ``kernel`` raise ``fault`` on the calls
+    that fit channel b of three, and check that only b errs, and that a
+    and c get the decisions they get alone.  ``hits_b(args, b)`` tells
+    such a call by its arguments and channel b; by default it is the
+    kernel's second call."""
     rng = np.random.default_rng(10)
     channels = {name: TimeSeries(rng.standard_normal(400), 128.0) for name in ("a", "b", "c")}
     real_kernel = getattr(estimation, kernel)
@@ -187,14 +191,16 @@ def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None):
 
     def faulty_kernel(*args):
         calls.append(args)
-        if len(calls) == 2:
+        if hits_b(args, channels["b"]) if hits_b else len(calls) == 2:
             raise fault("numerical fault in channel b")
         return real_kernel(*args)
 
+    alone = {name: detect_recording(Recording({name: channels[name]}), config).per_channel
+             for name in ("a", "c")}
     monkeypatch.setattr(estimation, kernel, faulty_kernel)
     report = detect_recording(Recording(channels), config)
     assert report.errors == {"b": "numerical fault in channel b"}
-    assert [d.derivation for d in report.per_channel] == ["a", "c"]
+    assert report.per_channel == alone["a"] + alone["c"]
 
 
 @pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
@@ -206,8 +212,16 @@ def test_detect_recording_isolates_arithmetic_faults(monkeypatch, fault):
 @pytest.mark.parametrize("order", [10, "auto"])
 @pytest.mark.parametrize("method", ["yule_walker", "mle"])
 def test_detect_recording_isolates_levinson_faults(monkeypatch, method, order, fault):
+    # The row kernel runs a, b and c together, so the fault stops the
+    # whole block, which then runs each row alone.
     config = RunConfig(method=method, order=order)
-    _assert_fault_lands_on_channel_b(monkeypatch, "_levinson_recursion", fault, config)
+    p = config.p_max if order == "auto" else order
+
+    def hits_b(args, b):
+        b_row = biased_autocov(demean(difference(b, config.diff_order)), p).values
+        return any(np.array_equal(row, b_row) for row in args[0])
+
+    _assert_fault_lands_on_channel_b(monkeypatch, "_levinson_rows", fault, config, hits_b)
 
 
 def test_low_band_fraction_never_exceeds_one_on_simulated_bursts():
@@ -386,6 +400,29 @@ def test_a_channel_fit_holds_no_view_of_the_work_buffer(method, order):
                                fit.prediction_error_by_order):
                     assert not np.shares_memory(values, work)
             assert fitted == fit_channel(x, config)
+
+
+def test_order_scores_are_built_only_where_a_scan_is_read(monkeypatch):
+    # detect_recording selects every order from the block's sweeps and
+    # reads no scan; fit_channel's scan is scored when first read.
+    recording, _ = _burst_recording(seed=1)
+    config = RunConfig(method="mle", order="auto")
+    expected = detect_recording(recording, config)
+    scans = []
+    real_scan_sweep = detection.scan_sweep
+
+    def counted(*args):
+        scans.append(args)
+        return real_scan_sweep(*args)
+
+    monkeypatch.setattr(detection, "scan_sweep", counted)
+    assert detect_recording(recording, config) == expected
+    assert scans == []
+    fitted = fit_channel(recording["F8-T4"], config)
+    assert scans == []
+    assert fitted.scan.fit == fitted.fit and fitted.scan is fitted.scan
+    assert fitted.scan.selected_p == fitted.fit.model.order_p
+    assert len(scans) == 1
 
 
 def _detect_models(models, config, fs=128.0):

@@ -363,8 +363,22 @@ def test_write_then_read_annotations(names, data):
         assert read_annotations(path) == labels
 
 
+# Report names may hold ": " or start with a double quote, which the
+# error lines write as JSON string literals.
+NAME_TEXT = st.text(st.characters(blacklist_characters=",#\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+                                  blacklist_categories=("Cs",)), max_size=4)
+REPORT_NAMES = st.lists(
+    st.one_of(
+        NAME_TEXT,
+        st.builds(lambda head, tail: head + ": " + tail, NAME_TEXT, NAME_TEXT),
+        st.builds(lambda tail: '"' + tail, NAME_TEXT),
+    ).map(str.strip).filter(bool),
+    min_size=1, max_size=4, unique=True,
+)
+
+
 @PROPERTY
-@given(names=NAMES, data=st.data())
+@given(names=REPORT_NAMES, data=st.data())
 def test_write_then_read_report_flags_and_errors(names, data):
     errored = data.draw(st.lists(st.sampled_from(names), unique=True))
     decisions = tuple(
@@ -380,6 +394,39 @@ def test_write_then_read_report_flags_and_errors(names, data):
         write_detection_report_csv(path, report)
         assert read_prediction_csv(path) == {d.derivation: d.flagged for d in decisions}
         assert list(read_report_errors(path).items()) == list(errors.items())
+        text = path.read_text(encoding="utf-8")
+    # A name without ": " or a leading quote keeps the line it always had.
+    for name, message in errors.items():
+        if ": " not in name and not name.startswith('"'):
+            assert f"# error: {name}: {message}\n" in text
+
+
+def test_report_error_names_with_separators_round_trip(tmp_path):
+    # The name "a: b" once read back as "a", with message "b: degenerate signal".
+    report = DetectionReport((), {"k": 2.0}, {"a: b": "degenerate signal", '"q': "x: y"})
+    path = tmp_path / "report.csv"
+    write_detection_report_csv(path, report)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[2:4] == ['# error: "a: b": degenerate signal', '# error: "\\"q": x: y']
+    assert read_report_errors(path) == report.errors
+
+
+def test_reports_keep_the_bytes_and_readings_they_had(tmp_path):
+    # Written before names were quoted: a report whose names need no
+    # quoting has these bytes, and a raw leading quote reads as it did.
+    decisions = (ChannelDecision("Fp1-F7", True, "theta", 0.75, 0.1),
+                 ChannelDecision('"F7" T3', False, "alpha", 0.125, 1 / 3))
+    path = tmp_path / "report.csv"
+    write_detection_report_csv(path, DetectionReport(decisions, {"method": "burg", "k": 2.0},
+                                                     {"flat": "degenerate signal"}))
+    assert path.read_bytes() == (
+        f"# arpsd detect v{arpsd.__version__}\n# method=burg k=2.0\n"
+        "# error: flat: degenerate signal\n"
+        "derivation,flagged,dominant_band,low_band_fraction,survivor_fraction\n"
+        'Fp1-F7,1,theta,0.75,0.1\n"F7" T3,0,alpha,0.125,0.3333333333333333\n'
+    ).encode("utf-8")
+    path.write_text('# error: "quoted: unstable AR polynomial\n# error: "x"y: z\n', encoding="utf-8")
+    assert read_report_errors(path) == {'"quoted': "unstable AR polynomial", '"x"y': "z"}
 
 
 POSITIVE = st.floats(min_value=0.0, exclude_min=True)

@@ -1,9 +1,12 @@
 """Properties of the fast AR kernels, checked against their slow references.
 
 The references are the Burg lattice (``_burg_lattice``), which updates the
-forward and backward error vectors stage by stage, and a direct cosine and
-sine sum for |A(f)|^2.  Examples are drawn by hypothesis with a fixed
-derivation, so every run checks the same inputs.
+forward and backward error vectors stage by stage; a direct cosine and
+sine sum for |A(f)|^2; and, for the Levinson and MLE rows, the
+per-channel arithmetic they replaced: a Levinson recursion with one
+``np.dot`` per order and the MLE variance as 2 trapz(|A|^2 I).  Examples
+are drawn by hypothesis with a fixed derivation, so every run checks the
+same inputs.
 """
 
 import math
@@ -16,22 +19,33 @@ from scipy.linalg import toeplitz
 
 from arpsd import (
     AutocovarianceSeq,
+    BurstSpec,
     Recording,
     RunConfig,
     TimeSeries,
+    ar_psd,
+    biased_autocov,
     burg_fit,
+    default_montage,
+    demean,
     detect_recording,
+    difference,
     fit_sweep,
     levinson_durbin,
     mle_fit,
     order_scan,
+    periodogram,
+    simulate_recording,
     yule_walker_fit,
 )
+from arpsd import estimation
 from arpsd.estimation import (
     _LAG_MIN_SAMPLES,
     _burg_lag_rows,
     _burg_lattice,
     _lag_row,
+    _levinson_rows,
+    _mle_sigma2,
     _transfer_mag2,
     fit_sweeps,
 )
@@ -290,6 +304,179 @@ def test_fit_sweeps_yield_each_channels_error(method):
     for p, grid_size, message in cases:
         ((_, outcome),) = fit_sweeps(lambda _: TimeSeries(np.arange(5.0), FS), 1, p, method, grid_size)
         assert isinstance(outcome, ValueError) and str(outcome) == message
+
+
+def _levinson_signal(kind, seed, n):
+    """A signal whose Levinson and MLE rows end in a known way: a sine in
+    1e-9 noise takes the trapezoid from order 2 on, a resonance may not."""
+    rng = np.random.default_rng(seed)
+    if kind == "resonance":
+        return _resonance(seed, n, rng.uniform(0.0, 0.99), rng.uniform(0.01, 0.49), 1.0)
+    if kind == "sharp":
+        return _resonance(seed, n, 0.995, rng.uniform(0.01, 0.49), noise=0.0)
+    return _sine(n, hz=rng.uniform(1.0, 60.0), noise=1e-9, seed=seed)
+
+
+def _levinson_inputs(rows, n, p, grid_size):
+    """(r, c, I) rows of the signals; "nonpd" is a resonance whose r(2) is
+    set to r(0) and r(1) to 0, so that |k(2)| = 1, and "zero" has r = 0."""
+    series = [TimeSeries(_levinson_signal(kind, seed, n), FS) for kind, seed in rows]
+    r = np.array([biased_autocov(x, p).values for x in series])
+    for row, (kind, _) in enumerate(rows):
+        if kind == "nonpd" and p >= 2:
+            r[row, 1], r[row, 2] = 0.0, r[row, 0]
+        elif kind == "zero":
+            r[row] = 0.0
+    pgrams = np.array([periodogram(TimeSeries(x.samples - x.samples.mean(), FS), grid_size).values
+                       for x in series])
+    autocovs = np.fft.irfft(pgrams, 2 * (grid_size - 1))[:, : p + 1]
+    return series, r, autocovs, pgrams
+
+
+@PROPERTY
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from(["resonance", "sharp", "sine", "nonpd", "zero"]),
+                  st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+    n=st.integers(64, 3000),
+    p=st.integers(1, 30),
+    shorter=st.integers(1, 30),
+)
+def test_levinson_and_mle_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorter):
+    shorter = min(shorter, p)
+    series, r, autocovs, pgrams = _levinson_inputs(rows, n, p, 128)
+    coeffs, errs, faults = _levinson_rows(r, p)
+    ok = [row for row, fault in enumerate(faults) if fault is None]
+    sigma2 = _mle_sigma2(coeffs[ok], autocovs[ok], pgrams[ok]) if ok else None
+    # The same rows in reverse order, and the sweeps to a lower order.
+    back = _levinson_rows(r[::-1], p)
+    low_coeffs, low_errs, low_faults = _levinson_rows(r[:, : shorter + 1], shorter)
+    for row, (kind, _) in enumerate(rows):
+        alone_coeffs, alone_errs, (alone_fault,) = _levinson_rows(r[row : row + 1], p)
+        assert faults[row] == back[2][-1 - row] == alone_fault
+        expected = {"zero": "degenerate autocovariance",
+                    "nonpd": "non-positive-definite autocovariance" if p >= 2 else None}
+        assert alone_fault == expected.get(kind)
+        if alone_fault is not None:
+            continue
+        for ours in ((coeffs[row], errs[row]), (back[0][-1 - row], back[1][-1 - row])):
+            assert ours[0].tobytes() == alone_coeffs[0].tobytes()
+            assert ours[1].tobytes() == alone_errs[0].tobytes()
+        assert low_faults[row] is None
+        assert low_coeffs[row].tobytes() == coeffs[row, :shorter, :shorter].tobytes()
+        assert low_errs[row].tobytes() == errs[row, : shorter + 1].tobytes()
+        alone = _mle_sigma2(alone_coeffs, autocovs[row : row + 1], pgrams[row : row + 1])[0]
+        assert sigma2[ok.index(row)].tobytes() == alone.tobytes()
+        low = _mle_sigma2(low_coeffs[row : row + 1], autocovs[row : row + 1, : shorter + 1],
+                          pgrams[row : row + 1])[0]
+        assert low.tobytes() == alone[:shorter].tobytes()
+    if len(ok) > 1:
+        flipped = _mle_sigma2(coeffs[ok[::-1]], autocovs[ok[::-1]], pgrams[ok[::-1]])
+        assert flipped[::-1].tobytes() == sigma2.tobytes()
+    # The public form: every channel read into one buffer, which the next
+    # read overwrites.
+    work = np.empty(n)
+
+    def channel(index):
+        work[:] = series[index].samples
+        return TimeSeries.adopt(work[:], FS)
+
+    for method in ("yule_walker", "mle"):
+        outcomes = dict(fit_sweeps(channel, len(series), p, method, 128))
+        assert sorted(outcomes) == list(range(len(series)))
+        for row, x in enumerate(series):
+            try:
+                expected = fit_sweep(x, p, method, 128)
+            except ValueError as exc:
+                expected = exc
+            assert _same_outcome(outcomes[row], expected)
+            if not isinstance(expected, Exception):
+                assert outcomes[row].sigma2_by_order.tobytes() == expected.sigma2_by_order.tobytes()
+                for values in (*outcomes[row].stages[0][1], outcomes[row].sigma2_by_order):
+                    assert not np.shares_memory(values, work)
+
+
+def _dot_levinson(r, p):
+    """The per-channel Levinson recursion, one np.dot per order."""
+    coeffs_by_order, ks, errs = [], np.empty(p), np.empty(p + 1)
+    errs[0] = r[0]
+    a = np.empty(0)
+    for m in range(1, p + 1):
+        k = -(r[m] + np.dot(a, r[m - 1 : 0 : -1])) / errs[m - 1]
+        new = np.empty(m)
+        new[: m - 1] = a + k * a[::-1]
+        new[m - 1] = k
+        a = new
+        ks[m - 1] = k
+        errs[m] = errs[m - 1] * (1.0 - k * k)
+        coeffs_by_order.append(a)
+    return coeffs_by_order, ks, errs
+
+
+def _trapezoid_sweep(coeffs_by_order, x, grid_size):
+    """The MLE variance of every order as 2 trapz(|A|^2 I), one rfft row
+    per order."""
+    p = len(coeffs_by_order)
+    rows = np.zeros((p, p))
+    for order, coeffs in enumerate(coeffs_by_order, start=1):
+        rows[order - 1, :order] = coeffs
+    pgram = periodogram(TimeSeries(x.samples - x.samples.mean(), x.sample_rate_hz), grid_size)
+    return 2.0 * np.trapezoid(_transfer_mag2(rows, grid_size) * pgram.values,
+                              pgram.freqs_normalized, axis=-1)
+
+
+def _relative(ours, ref):
+    """Largest difference relative to the largest reference entry."""
+    return float(np.max(np.abs(np.asarray(ours) - ref)) / np.max(np.abs(ref)))
+
+
+def _pointwise(ours, ref):
+    """Largest difference relative to its own (positive) reference entry."""
+    return float(np.max(np.abs(np.asarray(ours) - ref) / ref))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_levinson_and_mle_rows_agree_with_the_per_channel_arithmetic(seed):
+    # Within 1e-12 relative of the per-channel arithmetic on a montage with
+    # bursts and a near-sine, whose MLE variance cancels in closed form
+    # and takes the trapezoid.
+    n, p, grid_size = 2560, 30, 512
+    bursts = [BurstSpec(name, 5.0, 0.95) for name in ("F8-T4", "T3-T5", "Cz-Pz")]
+    recording, _ = simulate_recording(default_montage(), n, FS, 1.0, bursts, 10.0, seed)
+    sine = TimeSeries(_sine(n, 6.0, noise=1e-9, seed=seed), FS)
+    channels = [demean(difference(x, 1)) for x in (*recording.channels.values(), sine)]
+    sweeps = {method: dict(fit_sweeps(lambda index: channels[index], len(channels), p, method))
+              for method in ("yule_walker", "mle")}
+    for index, x in enumerate(channels):
+        coeffs_by_order, ks, errs = _dot_levinson(biased_autocov(x, p).values, p)
+        sigma2 = {"yule_walker": errs[1:], "mle": _trapezoid_sweep(coeffs_by_order, x, grid_size)}
+        for method, by_index in sweeps.items():
+            sweep = by_index[index]
+            assert _pointwise(sweep.sigma2_by_order, sigma2[method]) <= 1e-12
+            for order in range(1, p + 1):
+                fit = sweep.fit(order)
+                assert _relative(fit.model.coeffs, coeffs_by_order[order - 1]) <= 1e-12
+                assert _relative(fit.reflection_coeffs, ks[:order]) <= 1e-12
+                assert _pointwise(fit.prediction_error_by_order, errs[: order + 1]) <= 1e-12
+                model = type(fit.model)(order, coeffs_by_order[order - 1], sigma2[method][order - 1])
+                ref_psd = ar_psd(model, grid_size).values
+                assert _pointwise(ar_psd(fit.model, grid_size).values, ref_psd) <= 1e-12
+    # The near-sine takes the trapezoid at every order from 2 on, and gets
+    # its bits, which the closed form alone does not.
+    near_sine = sweeps["mle"][len(channels) - 1].sigma2_by_order
+    coeffs_by_order = _dot_levinson(biased_autocov(channels[-1], p).values, p)[0]
+    today = _trapezoid_sweep(coeffs_by_order, channels[-1], grid_size)
+    assert near_sine[1:].tobytes() == today[1:].tobytes()
+    limit = estimation._MLE_CANCELLATION_LIMIT
+    try:
+        estimation._MLE_CANCELLATION_LIMIT = np.inf
+        closed = fit_sweep(channels[-1], p, "mle").sigma2_by_order
+    finally:
+        estimation._MLE_CANCELLATION_LIMIT = limit
+    assert all(ours != ref for ours, ref in zip(closed[1:].tolist(), today[1:].tolist()))
 
 
 def _direct_mag2(coeffs, grid_size):

@@ -1,6 +1,7 @@
 """Information criteria and the single-sweep order scan."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from arpsd import (
     simulate_ar,
     yule_walker_fit,
 )
-from arpsd.order_selection import select_order
+from arpsd.estimation import fit_sweep
+from arpsd.order_selection import _minimizers, scan_sweep, select_order, sweep_orders
 
 
 def test_aic_exact_values():
@@ -81,6 +83,41 @@ def test_select_order_breaks_ties_toward_smaller_p():
         select_order(scores, "hqc")
     with pytest.raises(ValueError, match="no candidate"):
         select_order([], "bic")
+
+
+def test_block_selection_breaks_ties_toward_smaller_p():
+    values = np.array([[2.0, 1.0, 1.0], [0.5, 0.5, 0.5], [np.inf, np.inf, np.inf]])
+    assert _minimizers(values) == [2, 1, "no candidate orders to select from"]
+
+
+def test_sweep_orders_select_what_scan_sweep_selects_whatever_the_neighbours():
+    # Each sweep's order, or error, is scan_sweep's, in any company and
+    # order; a sweep whose sigma2 is not positive, or is infinite at every
+    # order, fails alone.
+    rng = np.random.default_rng(5)
+    sweeps, sizes = [], []
+    for seed, method in zip(range(12), ["burg", "yule_walker", "mle"] * 4):
+        n = int(rng.integers(200, 3000))
+        x = simulate_ar(ArModel(2, [-1.2, 0.8], 1.0), n, seed=seed)
+        sweeps.append(fit_sweep(x, 12, method, grid_size=64))
+        sizes.append(n)
+    zero, infinite = sweeps[0].sigma2_by_order.copy(), np.full(12, np.inf)
+    zero[5] = 0.0
+    sweeps += [replace(sweeps[0], sigma2_by_order=zero), replace(sweeps[1], sigma2_by_order=infinite)]
+    sizes += sizes[:2]
+    for criterion in ("aic", "aicc", "bic"):
+        expected = []
+        for sweep, n in zip(sweeps, sizes):
+            try:
+                expected.append(scan_sweep(sweep, n, criterion).selected_p)
+            except ValueError as exc:
+                expected.append(str(exc))
+        assert expected[-2:] == ["sigma2 must be positive", "no candidate orders to select from"]
+        for order in (list(range(len(sweeps))), list(range(len(sweeps)))[::-1], [3], [12, 4]):
+            selected = sweep_orders([sweeps[i] for i in order], [sizes[i] for i in order], criterion)
+            assert [str(p) if isinstance(p, ValueError) else p for p in selected] == [
+                expected[i] for i in order
+            ]
 
 
 def test_order_scan_result_structure():
