@@ -5,16 +5,17 @@ Every channel is screened through one path, which ``detect_recording``
 and every CLI subcommand share: :func:`fit_channel` prepares the channel
 and fits it as the run configuration says, :func:`channel_psd` turns the
 fit into a masked spectrum, and :func:`classify_channel` flags it.
-``detect_recording`` runs the same formulas over many channels at once:
-every method's fits go through :func:`arpsd.estimation.fit_sweeps`, the
-automatic order of a block of sweeps comes from one
-:func:`arpsd.order_selection.sweep_orders` call, and the spectral stages
-after the fits run over blocks of models.  A channel alone is the
-one-row case.
+``detect_recording`` runs the same formulas over blocks of
+``BLOCK_CHANNELS`` channels, fitting and screening each block in one
+pass: every method's fits go through
+:func:`arpsd.estimation.fit_sweeps`, the automatic order of a block of
+sweeps comes from one :func:`arpsd.order_selection.sweep_orders` call,
+and the block's fitted models are screened at once through
+:func:`arpsd.core.in_rows`.  A channel alone is the one-row case.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from typing import Mapping, Sequence
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from .config import RunConfig
 from .core import (
+    BLOCK_CHANNELS,
     ArModel,
     ConfusionCounts,
     FrequencyBand,
@@ -29,25 +31,12 @@ from .core import (
     SpectrumEstimate,
     TimeSeries,
     default_bands,
+    in_rows,
 )
-from .estimation import (
-    BLOCK_CHANNELS,
-    FitResult,
-    FitSweep,
-    ar_psd,
-    ar_psd_rows,
-    fit_sweeps,
-)
+from .estimation import FitResult, FitSweep, ar_psd_rows, fit_sweeps
 from .order_selection import OrderScanResult, check_scan, scan_sweep, sweep_orders
 from .preprocess import prepare_into
-from .spectral import (
-    MaskedSpectrum,
-    band_power_rows,
-    threshold_psd,
-    threshold_rows,
-    undifference_psd,
-    undifference_rows,
-)
+from .spectral import MaskedSpectrum, band_power_rows, threshold_rows, undifference_rows
 
 __all__ = [
     "ChannelDecision",
@@ -204,29 +193,30 @@ def fit_channel(x: TimeSeries, config: RunConfig) -> ChannelFit:
 
     The channel is differenced ``config.diff_order`` times and demeaned,
     ``demean(difference(x, config.diff_order))``.  At a fixed order the
-    method's fitter runs once; under ``order="auto"`` :func:`order_scan`
-    scores every order 1..``config.p_max`` and the selected order's fit
-    comes from that scan.  This is the one-channel case of the fit phase
+    method's sweep runs to that order and gives its top fit; under
+    ``order="auto"`` it runs to ``config.p_max``, and the order that
+    :func:`arpsd.order_selection.order_scan` would select gives the fit.
+    The scan's per-order scores are built when ``scan`` is first read.
+    This is the one-channel case of :func:`_fit_channels`, the fit phase
     of :func:`detect_recording`.
     """
-    ((_, outcome),) = _fit_channels([x], config, np.empty(len(x)))
+    [[(_, outcome)]] = _fit_channels([x], config, np.empty(len(x)))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig, work: np.ndarray):
-    """Yield ``(index, outcome)`` for each channel: its fit as
-    :func:`fit_channel` gives it, or the ValueError or ArithmeticError it
-    raises.
+    """Yield one list per block of ``BLOCK_CHANNELS`` channels: ``(index,
+    outcome)`` of each, its fit as :func:`fit_channel` gives it, or the
+    ValueError or ArithmeticError it raises.
 
     Each channel is prepared in ``work``, which must hold the longest,
     and swept by :func:`arpsd.estimation.fit_sweeps` to ``config.p_max``
     under ``order="auto"`` or to the fixed order; Burg may prepare a
-    channel again.  Under ``order="auto"`` the sweeps are taken in groups
-    of ``BLOCK_CHANNELS`` as they come, and each group's orders are
-    selected by one :func:`arpsd.order_selection.sweep_orders` call.
-    Outcomes are yielded group by group, so that a caller need not hold
+    channel again.  The sweeps are taken in blocks as they come, and under
+    ``order="auto"`` each block's orders are selected by one
+    :func:`arpsd.order_selection.sweep_orders` call.  No caller need hold
     every channel's fit at once.
     """
     auto = config.order == "auto"
@@ -241,17 +231,18 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig, work: np.nd
 
     p = config.p_max if auto else config.order
     outcomes = fit_sweeps(prepared, len(channels), p, config.method, config.grid_size)
-    while group := list(islice(outcomes, BLOCK_CHANNELS)):
-        swept = {index: sweep for index, sweep in group if isinstance(sweep, FitSweep)}
+    while block := list(islice(outcomes, BLOCK_CHANNELS)):
+        swept = {index: sweep for index, sweep in block if isinstance(sweep, FitSweep)}
         if auto and swept:
             orders = sweep_orders(list(swept.values()), [sizes[i] for i in swept], config.criterion)
         else:
             orders = [config.order] * len(swept)
         order_of = dict(zip(swept, orders))
-        for index, outcome in group:
-            if index in swept:
-                outcome = _sweep_fit(outcome, order_of[index], sizes[index], config)
-            yield index, outcome
+        yield [
+            (index, _sweep_fit(outcome, order_of[index], sizes[index], config) if index in swept
+             else outcome)
+            for index, outcome in block
+        ]
 
 
 def _sweep_fit(sweep: FitSweep, order, n: int, config: RunConfig):
@@ -269,47 +260,14 @@ def _sweep_fit(sweep: FitSweep, order, n: int, config: RunConfig):
     return ChannelFit(fit)
 
 
-def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
-    """The masked model spectrum of one raw channel.
+def _masked_rows(models: Sequence[ArModel], config: RunConfig):
+    """:func:`channel_psd`'s stages after the fit, over rows of models.
 
-    Fits the channel by :func:`fit_channel`, evaluates the model PSD on
-    ``config.grid_size`` points, divides out the differencing response
-    when ``config.undifference_correction`` is set, and zeroes the power
-    below ``config.k`` times the grid mean.
+    Returns ``(freqs, spectra, threshold_rows(spectra, config.k),
+    faults)``: ``faults[r]`` is None or the ValueError message that the
+    spectrum of ``models[r]`` raises, and ``spectra`` holds the rows
+    without one, on the normalized grid ``freqs``.
     """
-    fit = fit_channel(x, config).fit
-    spectrum = ar_psd(fit.model, config.grid_size, x.sample_rate_hz)
-    if config.undifference_correction and config.diff_order > 0:
-        spectrum = undifference_psd(spectrum, config.diff_order)
-    return threshold_psd(spectrum, config.k)
-
-
-def _screen_block(
-    models: Sequence[ArModel], names: Sequence[str], config: RunConfig, sample_rate_hz: float
-) -> list:
-    """Decision or error message of each fitted model, by the row-wise stages.
-
-    Entry r is what :func:`channel_psd` and :func:`classify_channel` give
-    ``models[r]``: the decision, or the message of the ValueError or
-    ArithmeticError raised.
-    """
-    try:
-        return _screen_rows(models, names, config, sample_rate_hz)
-    except ArithmeticError as exc:
-        if len(models) == 1:
-            return [str(exc)]
-    # Under np.seterr(..., "raise") one channel's fault stops the whole
-    # block; screen its channels one by one instead.
-    return [
-        outcome
-        for model, name in zip(models, names)
-        for outcome in _screen_block([model], [name], config, sample_rate_hz)
-    ]
-
-
-def _screen_rows(
-    models: Sequence[ArModel], names: Sequence[str], config: RunConfig, sample_rate_hz: float
-) -> list:
     values, faults = ar_psd_rows(models, config.grid_size)
     freqs = np.linspace(0.0, 0.5, config.grid_size)
     if config.undifference_correction and config.diff_order > 0:
@@ -320,18 +278,43 @@ def _screen_rows(
     ok = [row for row, fault in enumerate(faults) if fault is None]
     if len(ok) < len(faults):
         values = values[ok]
-    _, masked, survivor_fractions = threshold_rows(values, config.k)
+    return freqs, values, threshold_rows(values, config.k), faults
+
+
+def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
+    """The masked model spectrum of one raw channel.
+
+    Fits the channel by :func:`fit_channel`, evaluates the model PSD on
+    ``config.grid_size`` points, divides out the differencing response
+    when ``config.undifference_correction`` is set, and zeroes the power
+    below ``config.k`` times the grid mean.  This is the one-row case of
+    the screen of :func:`detect_recording`.
+    """
+    fit = fit_channel(x, config).fit
+    freqs, values, (mean_power, masked, survivors), (fault,) = _masked_rows([fit.model], config)
+    if fault is not None:
+        raise ValueError(fault)
+    spectrum = SpectrumEstimate(freqs, values[0], x.sample_rate_hz)
+    return MaskedSpectrum(spectrum, float(config.k), float(mean_power[0]), masked[0],
+                          float(survivors[0]))
+
+
+def _screen_rows(fitted: Sequence[tuple[str, ArModel]], config: RunConfig, sample_rate_hz: float):
+    """The decision of each ``(name, model)`` in ``fitted``, or the
+    ValueError that its spectrum or classification raises, as
+    :func:`channel_psd` and :func:`classify_channel` give it."""
+    names, models = zip(*fitted)
+    freqs, _, (_, masked, survivor_fractions), faults = _masked_rows(models, config)
+    ok = [row for row, fault in enumerate(faults) if fault is None]
     try:
         decisions = _classify_rows(
             freqs * sample_rate_hz, masked, survivor_fractions.tolist(), config.bands,
             config.rho, [names[row] for row in ok],
         )
     except ValueError as exc:
-        decisions = [str(exc)] * len(ok)
-    outcomes = list(faults)
-    for row, decision in zip(ok, decisions):
-        outcomes[row] = decision
-    return outcomes
+        decisions = [exc] * len(ok)
+    decided = dict(zip(ok, decisions))
+    return [ValueError(fault) if fault else decided[row] for row, fault in enumerate(faults)]
 
 
 def detect_recording(recording: Recording, config: RunConfig | None = None) -> DetectionReport:
@@ -345,48 +328,33 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     zero-division or overflow fault) is reported in ``errors`` with the
     message, and the remaining channels are still screened.
 
-    Every channel is fitted first, as by :func:`fit_channel`, but prepared
-    in one buffer that the channels share in turn, swept together by
-    :func:`arpsd.estimation.fit_sweeps` and, under ``order="auto"``,
-    scored ``BLOCK_CHANNELS`` sweeps at a time.  The fitted models are then
-    screened ``BLOCK_CHANNELS`` at a time by the row-wise forms of
-    :func:`channel_psd`'s and :func:`classify_channel`'s stages.  Each
-    row-wise step gives each channel the bits it gets alone.  ``errors``
-    keeps the recording's channel order, and ``parameters`` echoes
-    ``config.summary()`` and the recording's sample rate as ``fs``.
+    Channels are fitted and screened in one pass per block of
+    ``BLOCK_CHANNELS``: each block is fitted as by :func:`fit_channel`
+    (see :func:`_fit_channels`), every channel prepared in one shared
+    buffer, and its fitted models are screened at once by the row-wise
+    forms of :func:`channel_psd`'s and :func:`classify_channel`'s stages,
+    through :func:`arpsd.core.in_rows`.  Each channel gets the bits it
+    gets alone.  ``errors`` keeps the recording's channel order, and
+    ``parameters`` echoes ``config.summary()`` and the recording's sample
+    rate as ``fs``.
     """
     if config is None:
         config = RunConfig()
-    outcomes: dict[str, object] = {}
-    models: dict[str, ArModel] = {}
+    names = recording.names
+    outcomes = {}
     # Every channel is prepared in this one buffer.  Fresh channel-length
     # arrays, freed at the end of each channel, let the allocator hand
     # their pages back to the system, and the next channel fault them in
     # again.
     work = np.empty(recording.n_samples)
-    channel_names = recording.names
-    for index, fit in _fit_channels([recording[name] for name in channel_names], config, work):
-        if isinstance(fit, Exception):
-            outcomes[channel_names[index]] = str(fit)
-        else:
-            models[channel_names[index]] = fit.fit.model
-    fitted = [name for name in channel_names if name in models]
-    # A screening block holds a few channels x grid_size float64 matrices
-    # (|A(f)|^2, PSD, mask, trapezoid terms); at 32 rows of a 512-point
-    # grid each is 128 kB.  One block for all 256 channels of perfbench's
-    # wide montage raised the library workload's peak resident memory from
-    # about 260 to 264 MB (2-core x86 VM); blocks of 32 keep it at the
-    # level of one channel at a time, and its wide-montage detect took the
-    # same time.
-    for start in range(0, len(fitted), BLOCK_CHANNELS):
-        names = fitted[start : start + BLOCK_CHANNELS]
-        screened = _screen_block([models[n] for n in names], names, config, recording.sample_rate_hz)
-        outcomes.update(zip(names, screened))
-    decisions = tuple(
-        outcome for outcome in (outcomes[name] for name in recording.names)
-        if isinstance(outcome, ChannelDecision)
-    )
-    errors = {name: outcomes[name] for name in recording.names if isinstance(outcomes[name], str)}
+    screen = partial(_screen_rows, config=config, sample_rate_hz=recording.sample_rate_hz)
+    for block in _fit_channels([recording[name] for name in names], config, work):
+        outcomes.update((names[index], fit) for index, fit in block)
+        fitted = [(names[i], fit.fit.model) for i, fit in block if isinstance(fit, ChannelFit)]
+        if fitted:
+            outcomes.update(zip([name for name, _ in fitted], in_rows(fitted, screen)))
+    decisions = tuple(outcomes[n] for n in names if isinstance(outcomes[n], ChannelDecision))
+    errors = {name: str(outcomes[name]) for name in names if isinstance(outcomes[name], Exception)}
     parameters = {**config.summary(), "fs": recording.sample_rate_hz}
     return DetectionReport(decisions, parameters, errors)
 

@@ -19,10 +19,12 @@ All three return a :class:`FitResult` carrying the model, the reflection
 coefficients, and the prediction-error power at every order up to p.
 ``fit_sweep`` fits every order up to p_max at once, and each fitter is
 its order-p fit.  ``fit_sweeps`` sweeps many channels with one method,
-and ``fit_sweep`` is its one-channel case.  It runs the Levinson
-recursion and the MLE variance of Yule-Walker and MLE channels as rows,
-and the lag-product stages of long Burg channels, and gives each channel
-the bits it gets alone.
+and ``fit_sweep`` is its one-channel case.  One loop serves every
+method: it reads each channel into an outcome or a row, and runs the
+rows ``BLOCK_CHANNELS`` at a time through :func:`arpsd.core.in_rows`,
+as the lag-product stages of long Burg channels or as the Levinson
+recursion and MLE variance of Yule-Walker and MLE channels.  Each
+channel gets the bits it gets alone.
 """
 
 import math
@@ -32,7 +34,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ArModel, ArrayFields, AutocovarianceSeq, SpectrumEstimate, TimeSeries
+from .core import (
+    BLOCK_CHANNELS,
+    ArModel,
+    ArrayFields,
+    AutocovarianceSeq,
+    SpectrumEstimate,
+    TimeSeries,
+    in_rows,
+)
 from .preprocess import biased_autocov, periodogram
 
 __all__ = [
@@ -42,7 +52,6 @@ __all__ = [
     "fit_sweep",
     "levinson_durbin",
     "yule_walker_fit",
-    "BLOCK_CHANNELS",
     "burg_fit",
     "fit_sweeps",
     "mle_fit",
@@ -85,12 +94,6 @@ _LAG_MAX_ORDER = 48
 # agreed within 1.7e-13 relative, and at 1e4 the worst was 1.5e-12.  Noise
 # and burst channels differenced once stay below a ratio of 70.
 _MLE_CANCELLATION_LIMIT = 500.0
-# fit_sweeps runs the lag-product stages, and the Levinson recursion and
-# MLE variance, of this many channels at once, and detect_recording
-# scores and screens fitted models in blocks of the same size.
-# The largest array of a Burg stage holds rows x (5m + 5) x (m + 1)
-# values: 128 kB at 32 rows and order 10, 1.2 MB at order 30.
-BLOCK_CHANNELS = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,31 +486,6 @@ def _centred(x: TimeSeries) -> np.ndarray:
     return x.samples - x.samples.mean()
 
 
-def _burg_sweeps(samples: Callable[[int], np.ndarray], count: int, p: int):
-    """Burg's :func:`fit_sweeps` of the arrays ``samples(index)`` as given.
-
-    An array of fewer than ``_LAG_MIN_SAMPLES`` samples is fitted by the
-    lattice as soon as it is read.  Of a longer one only the lag row is
-    kept (:func:`_lag_row`), and once every array is read the lag-product
-    stages run over ``BLOCK_CHANNELS`` rows at a time
-    (:func:`_burg_lag_rows`), which gives each row the bits it gets
-    alone.  A row that stops short of p has its array read again, and the
-    lattice fits it from the start.
-    """
-    waiting = []  # (index, n, lag row) of the long channels
-    for index in range(count):
-        try:
-            outcome = _read_burg(samples(index), p)
-        except (ValueError, ArithmeticError) as exc:
-            outcome = exc
-        if isinstance(outcome, tuple):
-            waiting.append((index, *outcome))
-        else:
-            yield index, outcome
-    for start in range(0, len(waiting), BLOCK_CHANNELS):
-        yield from _lag_block(waiting[start : start + BLOCK_CHANNELS], p, samples)
-
-
 def _read_burg(x: np.ndarray, p: int):
     """The lattice's sweep of a short array, or ``(n, lag row)`` of a long
     one.  Nothing holds ``x`` afterwards, so each array is freed before
@@ -518,21 +496,15 @@ def _read_burg(x: np.ndarray, p: int):
     return _sweep(METHOD_BURG, [(1, *_burg_lattice(x, p))])
 
 
-def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]):
-    """Yield ``(index, outcome)`` of the long channels in ``block``,
-    ``(index, n, lag row)`` each, from one :func:`_burg_lag_rows` call."""
+def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]) -> list:
+    """The outcome of each long channel in ``block``, ``(index, n, lag
+    row)`` each, from one :func:`_burg_lag_rows` call.  A row that stops
+    short of p has its array ``samples(index)`` read again, and the
+    lattice, run from the start, serves the orders from the stage that
+    failed."""
     indices, sizes, rows = zip(*block)
-    try:
-        lags = _burg_lag_rows(np.array(rows), np.array(sizes)[:, np.newaxis], p)
-    except ArithmeticError as exc:
-        if len(block) == 1:
-            yield indices[0], exc
-            return
-        # Under np.seterr(..., "raise") one row's fault stops them all;
-        # run each row alone instead.
-        for item in block:
-            yield from _lag_block([item], p, samples)
-        return
+    lags = _burg_lag_rows(np.array(rows), np.array(sizes)[:, np.newaxis], p)
+    outcomes = []
     for index, (coeffs_by_order, ks, errs) in zip(indices, lags):
         # Each sweep serves the orders from its first on; the lattice
         # takes the orders from a failed check, or the order cap, on.
@@ -541,18 +513,16 @@ def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]):
         try:
             if done < p:
                 stages.append((done + 1, *_burg_lattice(samples(index), p)))
-            outcome = _sweep(METHOD_BURG, stages)
+            outcomes.append(_sweep(METHOD_BURG, stages))
         except (ValueError, ArithmeticError) as exc:
-            outcome = exc
-        yield index, outcome
+            outcomes.append(exc)
+    return outcomes
 
 
-def _burg_sweep(samples: np.ndarray, p: int) -> "FitSweep":
-    """The Burg sweep of one array: the one-channel case of :func:`_burg_sweeps`."""
-    ((_, outcome),) = _burg_sweeps(lambda _: samples, 1, p)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+def _burg_route(samples: Callable[[int], np.ndarray], p: int):
+    """Burg's reader and block kernel for :func:`_block_sweeps`, over the
+    arrays ``samples(index)`` as given."""
+    return (lambda index: _read_burg(samples(index), p)), (lambda block: _lag_block(block, p, samples))
 
 
 def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
@@ -577,7 +547,8 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
         (identically zero residuals), "non-finite prediction-error
         energy" when it overflows.
     """
-    return _burg_sweep(_centred(x) if demean else x.samples, p).fit(p)
+    samples = _centred(x) if demean else x.samples
+    return _only(_block_sweeps(1, *_burg_route(lambda _: samples, p))).fit(p)
 
 
 def _mle_sigma2(coeffs: np.ndarray, autocovs: np.ndarray, pgrams: np.ndarray) -> np.ndarray:
@@ -725,7 +696,12 @@ def fit_sweep(
     ValueError
         As the method's fitter does at order p_max.
     """
-    ((_, outcome),) = fit_sweeps(lambda _: x, 1, p_max, method, grid_size)
+    return _only(fit_sweeps(lambda _: x, 1, p_max, method, grid_size))
+
+
+def _only(outcomes):
+    """The sweep of a one-channel :func:`fit_sweeps`, or its error raised."""
+    ((_, outcome),) = outcomes
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -744,37 +720,45 @@ def fit_sweeps(
     ``channel(index)`` may return a view that the next call overwrites;
     no sweep holds a view of it.
 
-    Every method runs its recursion over rows of channels.  Yule-Walker
-    and MLE keep only each channel's autocovariances (and, for MLE, its
-    periodogram) once it is read, and run the Levinson recursion and the
-    MLE variance of ``BLOCK_CHANNELS`` channels at a time (see
-    :func:`_levinson_sweeps`).  Burg runs the lag-product stages of the
-    long channels as rows once every channel is read, and reads again a
-    channel whose rows stop short (see :func:`_burg_sweeps`).
+    Every method runs one loop (:func:`_block_sweeps`).  A short Burg
+    channel is fitted by the lattice as soon as it is read; of a long one
+    only its lag products are kept (:func:`_read_burg`), and of a
+    Yule-Walker or MLE channel its autocovariances and, for MLE, its
+    periodogram (:func:`_read_levinson`).  These rows run
+    ``BLOCK_CHANNELS`` at a time, by :func:`_lag_block` or
+    :func:`_levinson_block`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
     if method == METHOD_BURG:
-        return _burg_sweeps(lambda index: _centred(channel(index)), count, p)
-    return _levinson_sweeps(channel, count, p, method, grid_size)
+        return _block_sweeps(count, *_burg_route(lambda index: _centred(channel(index)), p))
+    return _block_sweeps(
+        count,
+        lambda index: _read_levinson(channel(index), p, method, grid_size),
+        lambda block: _levinson_block(block, p, method),
+    )
 
 
-def _levinson_sweeps(channel, count: int, p: int, method: str, grid_size: int):
-    """Yule-Walker's or MLE's :func:`fit_sweeps`.
+def _block_sweeps(count: int, read: Callable, kernel: Callable):
+    """Yield ``(index, outcome)`` for index 0..count-1 as each is known.
 
-    Each channel is checked and reduced to its row as soon as it is read
-    (:func:`_read_levinson`); every ``BLOCK_CHANNELS`` rows, and once
-    after the last channel, :func:`_levinson_block` runs the recursion and
-    the variances of the rows read so far.
+    ``read(index)`` returns the channel's sweep or its row (a tuple), or
+    raises the error it ends in.  Every ``BLOCK_CHANNELS`` rows, and after
+    the last channel, ``kernel`` turns the waiting ``(index, *row)`` into
+    one outcome each, through :func:`arpsd.core.in_rows`.
     """
     block = []
     for index in range(count):
         try:
-            block.append((index, *_read_levinson(channel(index), p, method, grid_size)))
+            outcome = read(index)
         except (ValueError, ArithmeticError) as exc:
-            yield index, exc
+            outcome = exc
+        if isinstance(outcome, tuple):
+            block.append((index, *outcome))
+        else:
+            yield index, outcome
         if len(block) == BLOCK_CHANNELS or (block and index == count - 1):
-            yield from _levinson_block(block, p, method)
+            yield from zip([item[0] for item in block], in_rows(block, kernel))
             block = []
 
 
@@ -805,38 +789,27 @@ def _read_levinson(x: TimeSeries, p: int, method: str, grid_size: int):
     return r.values, (np.fft.irfft(values, 2 * (grid_size - 1))[: p + 1], values)
 
 
-def _levinson_block(block, p: int, method: str):
-    """Yield ``(index, outcome)`` of the channels in ``block``, ``(index,
-    r, spectrum)`` each (see :func:`_read_levinson`), from one
-    :func:`_levinson_rows` call and, for MLE, one :func:`_mle_sigma2`
-    call over the rows whose recursion and periodogram succeeded."""
-    indices, rows, spectra = zip(*block)
-    try:
-        coeffs, errs, faults = _levinson_rows(np.array(rows), p)
-        variances = {}
-        ok = [row for row, fault in enumerate(faults)
-              if fault is None and isinstance(spectra[row], tuple)]
-        if method == METHOD_MLE and ok:
-            autocovs, pgrams = zip(*(spectra[row] for row in ok))
-            sigma2 = _mle_sigma2(coeffs if len(ok) == len(block) else coeffs[ok],
-                                 np.array(autocovs), pgrams)
-            variances = {row: values.copy() for row, values in zip(ok, sigma2)}
-    except ArithmeticError as exc:
-        if len(block) == 1:
-            yield indices[0], exc
-            return
-        # Under np.seterr(..., "raise") one row's fault stops them all;
-        # run each row alone instead.
-        for item in block:
-            yield from _levinson_block([item], p, method)
-        return
-    for row, index in enumerate(indices):
-        if faults[row] is not None:
-            yield index, ValueError(faults[row])
-        elif isinstance(spectra[row], Exception):
-            yield index, spectra[row]
-        else:
-            yield index, _sweep(method, [_stage(coeffs[row], errs[row])], variances.get(row))
+def _levinson_block(block, p: int, method: str) -> list:
+    """The outcome of each channel in ``block``, ``(index, r, spectrum)``
+    each (see :func:`_read_levinson`), from one :func:`_levinson_rows`
+    call and, for MLE, one :func:`_mle_sigma2` call over the rows whose
+    recursion and periodogram succeeded."""
+    _, rows, spectra = zip(*block)
+    coeffs, errs, faults = _levinson_rows(np.array(rows), p)
+    variances = {}
+    ok = [row for row, fault in enumerate(faults)
+          if fault is None and isinstance(spectra[row], tuple)]
+    if method == METHOD_MLE and ok:
+        autocovs, pgrams = zip(*(spectra[row] for row in ok))
+        sigma2 = _mle_sigma2(coeffs if len(ok) == len(block) else coeffs[ok],
+                             np.array(autocovs), pgrams)
+        variances = {row: values.copy() for row, values in zip(ok, sigma2)}
+    return [
+        ValueError(fault) if fault is not None
+        else spectrum if isinstance(spectrum, Exception)
+        else _sweep(method, [_stage(coeffs[row], errs[row])], variances.get(row))
+        for row, (fault, spectrum) in enumerate(zip(faults, spectra))
+    ]
 
 
 def _step_down(coeff_rows: np.ndarray):

@@ -46,6 +46,25 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _check_names(names: Iterable[str]) -> None:
+    """Raise a ValueError naming the first of ``names`` that the readers
+    could not read back: they break lines where ``str.splitlines`` does,
+    take a line that starts with ``#`` for a comment, split cells at commas
+    and strip them, and refuse an empty name; and files are UTF-8."""
+    for name in names:
+        fault = (
+            "it is empty" if not name
+            else "it has leading or trailing whitespace" if name != name.strip()
+            else "it starts with '#'" if name.startswith("#")
+            else "it contains a comma" if "," in name
+            else "it contains a line break" if name.splitlines() != [name]
+            else "UTF-8 cannot encode it" if any("\ud800" <= c <= "\udfff" for c in name)
+            else None
+        )
+        if fault:
+            raise ValueError(f"cannot write channel name {name!r} to CSV: {fault}")
+
+
 def _split_lines(text: str):
     """Yield (line_number, content) for non-blank lines, 1-based."""
     for number, raw in enumerate(text.splitlines(), start=1):
@@ -147,8 +166,11 @@ def write_recording_csv(path, recording: Recording, extra_comments: Sequence[str
     """Write a recording in the format read_recording_csv parses.
 
     Sample values use the shortest exact decimal representation, so a
-    write/read round trip reproduces every float bit for bit.
+    write/read round trip reproduces every float bit for bit.  A channel
+    name that the reader could not read back raises a ValueError that
+    names it, before anything is written.
     """
+    _check_names(recording.names)
     out = io.StringIO()
     for line in echo_lines("recording"):
         out.write(line + "\n")
@@ -195,6 +217,9 @@ def read_annotations(path) -> dict[str, bool]:
 
 
 def write_annotations(path, labels: Mapping[str, bool], parameters: Mapping[str, object] | None = None) -> None:
+    """Write labels in the format read_annotations parses, refusing a
+    name it could not read back as write_recording_csv does."""
+    _check_names(labels)
     out = io.StringIO()
     for line in echo_lines("annotations", parameters):
         out.write(line + "\n")
@@ -240,8 +265,11 @@ def write_detection_report_csv(path, report: DetectionReport) -> None:
     <message>`` comment lines so they remain visible without breaking the
     column layout.  A name that contains ": " or starts with a double quote
     is written as a JSON string literal, so that :func:`read_report_errors`
-    reads it back whole.
+    reads it back whole.  A channel name, errored or not, that the readers
+    could not read back from a decision row is refused first, as by
+    write_recording_csv.
     """
+    _check_names([*report.errors, *(decision.derivation for decision in report.per_channel)])
     out = io.StringIO()
     for line in echo_lines("detect", report.parameters):
         out.write(line + "\n")

@@ -211,11 +211,11 @@ def scan_sweep(sweep: FitSweep, n: int, criterion: str = "bic") -> OrderScanResu
     the expression :func:`sweep_orders` evaluates, so both select the same
     order from the same sweep.
     """
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion: {criterion!r}")
     values, (fault,) = _criterion_rows(sweep.sigma2_by_order[np.newaxis], [n], CRITERIA)
     if fault is not None:
         raise ValueError(fault)
-    if criterion not in CRITERIA:
-        raise ValueError(f"unknown criterion: {criterion!r}")
     (selected,) = _minimizers(values[CRITERIA.index(criterion)])
     if isinstance(selected, str):
         raise ValueError(selected)

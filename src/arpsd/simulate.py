@@ -5,7 +5,7 @@ given seed reproduces the same recording bit for bit on any platform.
 """
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import lfilter

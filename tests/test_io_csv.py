@@ -451,3 +451,45 @@ def test_write_then_read_burst_specs(names, data, with_gain):
         path = Path(tmp) / "bursts.csv"
         path.write_text("# planted rhythms\n" + "\n".join([header] + rows) + "\n", encoding="utf-8")
         assert read_burst_specs(path) == bursts
+
+
+# Any text, lone surrogates included, with the characters that the readers
+# treat specially drawn often.
+ANY_NAME = st.text(
+    st.one_of(st.characters(blacklist_categories=()), st.sampled_from(',#"\t \n\r\x0b\x1c\x85 ')),
+    max_size=5,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(names=st.lists(ANY_NAME, min_size=1, max_size=4, unique=True), data=st.data())
+def test_writers_refuse_or_round_trip_any_channel_name(names, data):
+    # A channel "#x" once read back as one channel named "0.0", "a,b" made
+    # its file unreadable, and " sp " read back as "sp".
+    recording = Recording({name: TimeSeries(np.arange(3.0), 128.0) for name in names})
+    labels = {name: data.draw(st.booleans()) for name in names}
+    errored = data.draw(st.lists(st.sampled_from(names), unique=True))
+    decisions = tuple(ChannelDecision(name, data.draw(st.booleans()), "delta", 0.75, 0.5)
+                      for name in names if name not in errored)
+    report = DetectionReport(decisions, {"k": 2.0}, {name: "degenerate signal" for name in errored})
+
+    def read_report(path):
+        return read_prediction_csv(path), read_report_errors(path)
+
+    cases = (
+        (write_recording_csv, recording, lambda path: read_recording_csv(path).names, recording.names),
+        (write_annotations, labels, read_annotations, labels),
+        (write_detection_report_csv, report, read_report,
+         ({d.derivation: d.flagged for d in decisions}, report.errors)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        for write, value, read, expected in cases:
+            try:
+                write(path, value)
+            except ValueError as exc:
+                assert any(repr(name) in str(exc) for name in names)
+                assert not path.exists()
+                continue
+            assert read(path) == expected
+            path.unlink()

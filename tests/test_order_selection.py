@@ -186,6 +186,14 @@ def test_order_scan_input_guards():
         order_scan(x, method="welch")
     with pytest.raises(ValueError, match="unknown criterion"):
         order_scan(x, criterion="hqc")
+    # The criterion is checked before the sweep is scored: Burg of
+    # [1, -1, 1, -1] reaches k = 1 and sigma2 0, which scoring refuses.
+    alternating = fit_sweep(TimeSeries(np.array([1.0, -1.0, 1.0, -1.0]), 1.0), 1)
+    assert alternating.sigma2_by_order[0] == 0.0
+    for select in (lambda: scan_sweep(alternating, 4, "nope"),
+                   lambda: sweep_orders([alternating], [4], "nope")):
+        with pytest.raises(ValueError, match="^unknown criterion: 'nope'$"):
+            select()
     with pytest.raises(ValueError, match="p_max"):
         order_scan(x, p_max=0)
     with pytest.raises(ValueError, match="more than p_max"):
