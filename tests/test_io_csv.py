@@ -271,6 +271,28 @@ def test_psd_csv_format(tmp_path):
     assert float(kept) in (0.0, float(psd))
 
 
+def test_recording_annotation_and_psd_files_keep_their_bytes(tmp_path):
+    head = f"# arpsd {{}} v{arpsd.__version__}\n"
+    recording = Recording({"Fp1-F7": TimeSeries(np.array([0.1, -2.0, 1e-300]), 256.0),
+                           "T3 T5": TimeSeries(np.array([3.0, 0.0, -1.5e300]), 256.0)})
+    path = tmp_path / "rec.csv"
+    write_recording_csv(path, recording, extra_comments=["seed=3 n=3"])
+    assert path.read_bytes() == (
+        head.format("recording") + "# seed=3 n=3\n# fs=256.0\nFp1-F7,T3 T5\n"
+        "0.1,3.0\n-2.0,0.0\n1e-300,-1.5e+300\n"
+    ).encode("utf-8")
+    write_annotations(path, {"Fp1-F7": True, "Cz-Pz": False}, {"seed": 3, "snr": 10.0})
+    assert path.read_bytes() == (
+        head.format("annotations") + "# seed=3 snr=10.0\nderivation,label\nFp1-F7,1\nCz-Pz,0\n"
+    ).encode("utf-8")
+    masked = threshold_psd(ar_psd(ArModel(1, [-0.5], 2.0), 3, 8.0), 1.0)
+    write_psd_csv(path, masked, {"channel": "Fp1-F7", "k": 1.0})
+    assert path.read_bytes() == (
+        head.format("psd") + "# channel=Fp1-F7 k=1.0\nfreq_hz,psd,psd_masked\n"
+        "0.0,8.0,8.0\n2.0,1.6,0.0\n4.0,0.8888888888888888,0.0\n"
+    ).encode("utf-8")
+
+
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 # Lone surrogates (category Cs) have no UTF-8 encoding, so no file holds them.
 NAMES = st.lists(
