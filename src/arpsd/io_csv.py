@@ -1,17 +1,23 @@
-"""CSV formats: recordings, annotations, detection reports, PSD dumps.
+"""CSV formats: recordings, annotations, detection reports, burst specs,
+PSD dumps.
 
-All files are UTF-8 text.  Lines starting with ``#`` are comments; every
-file the package writes begins with a ``#``-prefixed echo of the
-producing parameters.  Recording files may carry their sample rate in a
-``# fs=<hz>`` comment.  Parse errors always name the offending 1-based
-line number.
+All files are UTF-8 text, read through one line walker (:func:`_walk`):
+blank lines are skipped, lines starting with ``#`` are comments, cells are
+split at commas and stripped, the first other line is the header, and
+every row must have as many cells as the header.  Recording files may
+carry their sample rate in a ``# fs=<hz>`` comment, and reports list
+failed channels in ``# error:`` comments.  Every file the package writes
+begins with a ``#``-prefixed echo of the producing parameters.  One name
+rule (:func:`_check_names`) refuses a channel name that would not read
+back, in writers and readers alike.  Parse errors always name the
+offending 1-based line number.
 """
 
 import io
 import itertools
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,43 +52,76 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _check_names(names: Iterable[str]) -> None:
-    """Raise a ValueError naming the first of ``names`` that the readers
-    could not read back: they break lines where ``str.splitlines`` does,
-    take a line that starts with ``#`` for a comment, split cells at commas
-    and strip them, and refuse an empty name; and files are UTF-8."""
+def _has_break(text: str) -> bool:
+    """Whether ``str.splitlines``, which the readers use, breaks ``text``."""
+    return "".join(text.splitlines()) != text
+
+
+def _check_names(names: Iterable[str], where: str, kind: str = "channel") -> None:
+    """Raise ``ValueError("<where>: ...")`` naming the first of ``names``
+    that the readers could not read back: they break lines where
+    ``str.splitlines`` does, take a line that starts with ``#`` for a
+    comment, split cells at commas and strip them, and refuse an empty
+    name; and files are UTF-8.  Writers and readers alike apply it."""
     for name in names:
+        subject = f"{kind} name {name!r}"
         fault = (
-            "it is empty" if not name
-            else "it has leading or trailing whitespace" if name != name.strip()
-            else "it starts with '#'" if name.startswith("#")
-            else "it contains a comma" if "," in name
-            else "it contains a line break" if name.splitlines() != [name]
-            else "UTF-8 cannot encode it" if any("\ud800" <= c <= "\udfff" for c in name)
+            f"empty {subject}" if not name
+            else f"{subject} has leading or trailing whitespace" if name != name.strip()
+            else f"{subject} starts with '#'" if name.startswith("#")
+            else f"{subject} contains a comma" if "," in name
+            else f"{subject} contains a line break" if _has_break(name)
+            else f"UTF-8 cannot encode {subject}" if any("\ud800" <= c <= "\udfff" for c in name)
             else None
         )
         if fault:
-            raise ValueError(f"cannot write channel name {name!r} to CSV: {fault}")
+            raise ValueError(f"{where}: {fault}")
 
 
-def _split_lines(text: str):
-    """Yield (line_number, content) for non-blank lines, 1-based."""
-    for number, raw in enumerate(text.splitlines(), start=1):
-        if raw.strip():
-            yield number, raw
+def _walk(path, comment: Callable[[int, str], None] | None = None):
+    """Yield ``(line_number, cells)`` for each data line of the UTF-8 file
+    at ``path``, 1-based.
+
+    Blank lines are skipped.  A line that starts with ``#`` is a comment,
+    passed whole to ``comment(line_number, line)`` when that is given.  A
+    data line's cells are split at commas and stripped; the first data line
+    is the header, and a later one with another number of cells raises a
+    line-numbered ValueError.
+    """
+    width = None
+    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        content = raw.strip()
+        if content.startswith("#"):
+            if comment is not None:
+                comment(number, raw)
+        elif content:
+            cells = [cell.strip() for cell in content.split(",")]
+            if width is None:
+                width = len(cells)
+            elif len(cells) != width:
+                raise ValueError(f"line {number}: row has {len(cells)} cells, expected {width}")
+            yield number, cells
 
 
-def _parse_fs_comment(content: str, number: int) -> float | None:
-    body = content.lstrip("#").strip()
-    if not body.lower().startswith("fs="):
-        return None
-    try:
-        fs = float(body[3:])
-    except ValueError:
-        raise ValueError(f"line {number}: cannot parse sample rate {body[3:]!r}") from None
-    if not 0.0 < fs < np.inf:
-        raise ValueError(f"line {number}: sample rate must be positive and finite")
-    return fs
+def _table(path, comment: Callable[[int, str], None] | None = None):
+    """``(line_number, header, rows)`` of the file at ``path`` through
+    :func:`_walk`, where ``rows`` yields the data lines after the header;
+    a ValueError when there is no header."""
+    rows = _walk(path, comment)
+    for number, header in rows:
+        return number, header, rows
+    raise ValueError("no header row found")
+
+
+def _write(path, names: Iterable[str], comments: Iterable[str], header: str, rows: Iterable[str]) -> None:
+    """Write ``comments``, ``header`` and ``rows`` as the lines of a UTF-8
+    file, after refusing, before anything is written, a channel name in
+    ``names`` that the readers could not read back."""
+    _check_names(names, "cannot write to CSV")
+    out = io.StringIO()
+    for line in itertools.chain(comments, (header,), rows):
+        out.write(line + "\n")
+    Path(path).write_text(out.getvalue(), encoding="utf-8")
 
 
 def read_recording_csv(path, default_sample_rate_hz: float = 128.0) -> Recording:
@@ -95,45 +134,37 @@ def read_recording_csv(path, default_sample_rate_hz: float = 128.0) -> Recording
     Raises
     ------
     ValueError
-        On duplicate header names, ragged rows, non-numeric or non-finite
-        cells, or a bad sample rate, naming the offending line; or when
-        the file has no header or no data row.
+        On header names that are duplicated or that no writer could write,
+        ragged rows, non-numeric or non-finite cells, or a bad sample rate,
+        naming the offending line; or when the file has no header or no
+        data row.
     """
-    text = Path(path).read_text(encoding="utf-8")
     sample_rate = default_sample_rate_hz
-    header: list[str] | None = None
-    columns: list[list[float]] = []
-    for number, raw in _split_lines(text):
-        content = raw.strip()
-        if content.startswith("#"):
-            fs = _parse_fs_comment(content, number)
-            if fs is not None:
-                sample_rate = fs
-            continue
-        cells = [cell.strip() for cell in content.split(",")]
-        if header is None:
-            if any(not cell for cell in cells):
-                raise ValueError(f"line {number}: empty derivation name in header")
-            duplicates = {c for c in cells if cells.count(c) > 1}
-            if duplicates:
-                raise ValueError(
-                    f"line {number}: duplicate derivation name(s): "
-                    + ", ".join(sorted(duplicates))
-                )
-            header = cells
-            columns = [[] for _ in header]
-            continue
-        if len(cells) != len(header):
-            raise ValueError(
-                f"line {number}: row has {len(cells)} cells, expected {len(header)}"
-            )
+
+    def fs_comment(number: int, raw: str) -> None:
+        nonlocal sample_rate
+        body = raw.strip().lstrip("#").strip()
+        if not body.lower().startswith("fs="):
+            return
+        try:
+            sample_rate = float(body[3:])
+        except ValueError:
+            raise ValueError(f"line {number}: cannot parse sample rate {body[3:]!r}") from None
+        if not 0.0 < sample_rate < np.inf:
+            raise ValueError(f"line {number}: sample rate must be positive and finite")
+
+    number, header, rows = _table(path, fs_comment)
+    _check_names(header, f"line {number}", "derivation")
+    duplicates = {c for c in header if header.count(c) > 1}
+    if duplicates:
+        raise ValueError(f"line {number}: duplicate derivation name(s): " + ", ".join(sorted(duplicates)))
+    columns: list[list[float]] = [[] for _ in header]
+    for number, cells in rows:
         for cell, column in zip(cells, columns):
             try:
                 column.append(float(cell))
             except ValueError:
                 raise ValueError(f"line {number}: non-numeric cell {cell!r}") from None
-    if header is None:
-        raise ValueError("no header row found")
     if not columns[0]:
         raise ValueError("no data rows found")
     samples = [np.array(column) for column in columns]
@@ -143,23 +174,18 @@ def read_recording_csv(path, default_sample_rate_hz: float = 128.0) -> Recording
         if not finite.all()
     ]
     if bad:
-        raise ValueError(_non_finite_cell(text, *min(bad), header))
+        raise ValueError(_non_finite_cell(path, *min(bad), header))
     return Recording({
         name: TimeSeries.adopt(column, sample_rate) for name, column in zip(header, samples)
     })
 
 
-def _non_finite_cell(text: str, row: int, channel: int, header: list[str]) -> str:
+def _non_finite_cell(path, row: int, channel: int, header: list[str]) -> str:
     """The message for the non-finite cell of data row ``row`` (0-based)
     in column ``channel``, naming its line.  Only called on failure, so
     the reader does no per-cell work to find it."""
-    data = (
-        (number, raw) for number, raw in _split_lines(text) if not raw.strip().startswith("#")
-    )
-    next(data)  # the header
-    number, raw = next(itertools.islice(data, row, None))
-    cell = raw.strip().split(",")[channel].strip()
-    return f"line {number}: non-finite cell {cell!r} in channel {header[channel]}"
+    number, cells = next(itertools.islice(_walk(path), row + 1, None))
+    return f"line {number}: non-finite cell {cells[channel]!r} in channel {header[channel]}"
 
 
 def write_recording_csv(path, recording: Recording, extra_comments: Sequence[str] = ()) -> None:
@@ -170,18 +196,14 @@ def write_recording_csv(path, recording: Recording, extra_comments: Sequence[str
     name that the reader could not read back raises a ValueError that
     names it, before anything is written.
     """
-    _check_names(recording.names)
-    out = io.StringIO()
-    for line in echo_lines("recording"):
-        out.write(line + "\n")
-    for comment in extra_comments:
-        out.write(f"# {comment}\n")
-    out.write(f"# fs={_fmt(recording.sample_rate_hz)}\n")
-    out.write(",".join(recording.names) + "\n")
     matrix = np.column_stack([recording[name].samples for name in recording.names])
-    for row in matrix:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-    Path(path).write_text(out.getvalue(), encoding="utf-8")
+    _write(
+        path, recording.names,
+        [*echo_lines("recording"), *(f"# {comment}" for comment in extra_comments),
+         f"# fs={_fmt(recording.sample_rate_hz)}"],
+        ",".join(recording.names),
+        (",".join(_fmt(v) for v in row) for row in matrix),
+    )
 
 
 def read_annotations(path) -> dict[str, bool]:
@@ -190,43 +212,25 @@ def read_annotations(path) -> dict[str, bool]:
     Labels must be 0 or 1.  Comment lines are allowed; a file with only
     the header yields an empty map.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    header_seen = False
+    number, header, rows = _table(path)
+    if [c.lower() for c in header] != ["derivation", "label"]:
+        raise ValueError(f'line {number}: expected header "derivation,label"')
     labels: dict[str, bool] = {}
-    for number, raw in _split_lines(text):
-        content = raw.strip()
-        if content.startswith("#"):
-            continue
-        cells = [cell.strip() for cell in content.split(",")]
-        if not header_seen:
-            if [c.lower() for c in cells] != ["derivation", "label"]:
-                raise ValueError(f'line {number}: expected header "derivation,label"')
-            header_seen = True
-            continue
-        if len(cells) != 2:
-            raise ValueError(f"line {number}: expected 2 cells, got {len(cells)}")
-        name, label = cells
+    for number, (name, label) in rows:
+        _check_names([name], f"line {number}", "derivation")
         if label not in ("0", "1"):
             raise ValueError(f"line {number}: label must be 0 or 1, got {label!r}")
         if name in labels:
             raise ValueError(f"line {number}: duplicate derivation {name!r}")
         labels[name] = label == "1"
-    if not header_seen:
-        raise ValueError("no header row found")
     return labels
 
 
 def write_annotations(path, labels: Mapping[str, bool], parameters: Mapping[str, object] | None = None) -> None:
     """Write labels in the format read_annotations parses, refusing a
     name it could not read back as write_recording_csv does."""
-    _check_names(labels)
-    out = io.StringIO()
-    for line in echo_lines("annotations", parameters):
-        out.write(line + "\n")
-    out.write("derivation,label\n")
-    for name, label in labels.items():
-        out.write(f"{name},{1 if label else 0}\n")
-    Path(path).write_text(out.getvalue(), encoding="utf-8")
+    _write(path, labels, echo_lines("annotations", parameters), "derivation,label",
+           (f"{name},{1 if label else 0}" for name, label in labels.items()))
 
 
 # Prefix of the comment line that records one channel's error in a report.
@@ -235,27 +239,39 @@ _ERROR_PREFIX = "# error: "
 
 def _error_line(name: str, message: str) -> str:
     """``# error: <name>: <message>``, with a name that holds ": " or
-    starts with a double quote written as a JSON string literal."""
+    starts with a double quote, and a message that holds a line break or
+    starts with a double quote, written as JSON string literals."""
     if ": " in name or name.startswith('"'):
         name = json.dumps(name)
+    if _has_break(message) or message.startswith('"'):
+        message = json.dumps(message)
     return f"{_ERROR_PREFIX}{name}: {message}"
+
+
+def _literal(text: str) -> tuple[str, int] | None:
+    """The JSON string literal that ``text`` starts with, and its end."""
+    if text.startswith('"'):
+        try:
+            return json.JSONDecoder().raw_decode(text)
+        except ValueError:
+            pass
+    return None
 
 
 def _error_entry(text: str) -> tuple[str, str]:
     """``(name, message)`` of an error line after its prefix; the name is
     empty when there is no ": " to end it.  A leading JSON string literal
     followed by ": " is the name; any other line splits at its first
-    ": ", as lines without a literal have always been read."""
-    if text.startswith('"'):
-        try:
-            name, end = json.JSONDecoder().raw_decode(text)
-        except ValueError:
-            pass
-        else:
-            if text.startswith(": ", end):
-                return name, text[end + 2 :]
-    name, sep, message = text.partition(": ")
-    return (name if sep else ""), message
+    ": ", as lines without a literal have always been read.  A message that
+    is one JSON string literal is decoded."""
+    literal = _literal(text)
+    if literal and text.startswith(": ", literal[1]):
+        name, message = literal[0], text[literal[1] + 2 :]
+    else:
+        name, sep, message = text.partition(": ")
+        name = name if sep else ""
+    literal = _literal(message)
+    return name, literal[0] if literal and literal[1] == len(message) else message
 
 
 def write_detection_report_csv(path, report: DetectionReport) -> None:
@@ -263,63 +279,42 @@ def write_detection_report_csv(path, report: DetectionReport) -> None:
 
     Channels that failed to fit are recorded as ``# error: <name>:
     <message>`` comment lines so they remain visible without breaking the
-    column layout.  A name that contains ": " or starts with a double quote
-    is written as a JSON string literal, so that :func:`read_report_errors`
-    reads it back whole.  A channel name, errored or not, that the readers
-    could not read back from a decision row is refused first, as by
-    write_recording_csv.
+    column layout.  A name that contains ": " or starts with a double
+    quote, and a message that holds a line break or starts with a double
+    quote, are written as JSON string literals, so that
+    :func:`read_report_errors` reads them back whole.  A channel name,
+    errored or not, that the readers could not read back from a decision
+    row is refused first, as by write_recording_csv.
     """
-    _check_names([*report.errors, *(decision.derivation for decision in report.per_channel)])
-    out = io.StringIO()
-    for line in echo_lines("detect", report.parameters):
-        out.write(line + "\n")
-    for name, message in report.errors.items():
-        out.write(_error_line(name, message) + "\n")
-    out.write("derivation,flagged,dominant_band,low_band_fraction,survivor_fraction\n")
-    for decision in report.per_channel:
-        out.write(
-            ",".join(
-                (
-                    decision.derivation,
-                    "1" if decision.flagged else "0",
-                    decision.dominant_band,
-                    _fmt(decision.low_band_fraction),
-                    _fmt(decision.survivor_fraction),
-                )
-            )
-            + "\n"
-        )
-    Path(path).write_text(out.getvalue(), encoding="utf-8")
+    _write(
+        path, [*report.errors, *(decision.derivation for decision in report.per_channel)],
+        [*echo_lines("detect", report.parameters),
+         *(_error_line(name, message) for name, message in report.errors.items())],
+        "derivation,flagged,dominant_band,low_band_fraction,survivor_fraction",
+        (
+            ",".join((d.derivation, "1" if d.flagged else "0", d.dominant_band,
+                      _fmt(d.low_band_fraction), _fmt(d.survivor_fraction)))
+            for d in report.per_channel
+        ),
+    )
 
 
 def read_prediction_csv(path) -> dict[str, bool]:
     """Read the flagged column of a detection report back into a map."""
-    text = Path(path).read_text(encoding="utf-8")
-    header: list[str] | None = None
+    number, header, rows = _table(path)
+    header = [c.lower() for c in header]
+    if "derivation" not in header or "flagged" not in header:
+        raise ValueError(f"line {number}: header must contain derivation and flagged columns")
     flags: dict[str, bool] = {}
-    for number, raw in _split_lines(text):
-        content = raw.strip()
-        if content.startswith("#"):
-            continue
-        cells = [cell.strip() for cell in content.split(",")]
-        if header is None:
-            header = [c.lower() for c in cells]
-            if "derivation" not in header or "flagged" not in header:
-                raise ValueError(
-                    f"line {number}: header must contain derivation and flagged columns"
-                )
-            continue
-        if len(cells) != len(header):
-            raise ValueError(f"line {number}: row has {len(cells)} cells, expected {len(header)}")
+    for number, cells in rows:
         name = cells[header.index("derivation")]
         flag = cells[header.index("flagged")]
+        _check_names([name], f"line {number}", "derivation")
         if flag not in ("0", "1"):
             raise ValueError(f"line {number}: flagged must be 0 or 1, got {flag!r}")
         if name in flags:
             raise ValueError(f"line {number}: duplicate derivation {name!r}")
         flags[name] = flag == "1"
-    if header is None:
-        raise ValueError("no header row found")
     return flags
 
 
@@ -329,15 +324,20 @@ def read_report_errors(path) -> dict[str, str]:
     These are the ``# error: <name>: <message>`` comment lines that
     :func:`write_detection_report_csv` writes, in file order.  A name
     written as a JSON string literal is decoded; any other name ends at
-    the line's first ": ".
+    the line's first ": ".  A message written as a JSON string literal is
+    decoded too.
     """
     errors: dict[str, str] = {}
-    for number, raw in _split_lines(Path(path).read_text(encoding="utf-8")):
+
+    def error_comment(number: int, raw: str) -> None:
         if raw.startswith(_ERROR_PREFIX):
             name, message = _error_entry(raw[len(_ERROR_PREFIX):])
             if not name:
                 raise ValueError(f"line {number}: error line names no channel")
             errors[name] = message
+
+    for _ in _walk(path, error_comment):
+        pass
     return errors
 
 
@@ -345,51 +345,37 @@ def read_burst_specs(path) -> list:
     """Load burst definitions for the simulator.
 
     Header ``channel,center_hz,pole_radius`` with an optional ``gain``
-    column; a file with only the header means no bursts.
+    column; a file with only the header means no bursts.  A channel may
+    carry one burst.
     """
     from .simulate import BurstSpec
 
-    text = Path(path).read_text(encoding="utf-8")
-    header: list[str] | None = None
-    bursts: list[BurstSpec] = []
-    for number, raw in _split_lines(text):
-        content = raw.strip()
-        if content.startswith("#"):
-            continue
-        cells = [cell.strip() for cell in content.split(",")]
-        if header is None:
-            header = [c.lower() for c in cells]
-            if header not in (
-                ["channel", "center_hz", "pole_radius"],
-                ["channel", "center_hz", "pole_radius", "gain"],
-            ):
-                raise ValueError(
-                    f'line {number}: expected header "channel,center_hz,pole_radius[,gain]"'
-                )
-            continue
-        if len(cells) != len(header):
-            raise ValueError(f"line {number}: row has {len(cells)} cells, expected {len(header)}")
+    number, header, rows = _table(path)
+    if [c.lower() for c in header] not in (
+        ["channel", "center_hz", "pole_radius"],
+        ["channel", "center_hz", "pole_radius", "gain"],
+    ):
+        raise ValueError(f'line {number}: expected header "channel,center_hz,pole_radius[,gain]"')
+    bursts: dict[str, BurstSpec] = {}
+    for number, (channel, *values) in rows:
+        _check_names([channel], f"line {number}")
+        if channel in bursts:
+            raise ValueError(f"line {number}: duplicate burst channel {channel!r}")
         try:
-            center = float(cells[1])
-            radius = float(cells[2])
-            gain = float(cells[3]) if len(cells) == 4 else 1.0
+            numbers = [float(value) for value in values]
         except ValueError:
             raise ValueError(f"line {number}: non-numeric burst parameter") from None
         try:
-            bursts.append(BurstSpec(cells[0], center, radius, gain))
+            bursts[channel] = BurstSpec(channel, *numbers)
         except ValueError as exc:
             raise ValueError(f"line {number}: {exc}") from None
-    if header is None:
-        raise ValueError("no header row found")
-    return bursts
+    return list(bursts.values())
 
 
 def write_psd_csv(path, masked, parameters: Mapping[str, object] | None = None) -> None:
     """Write one channel's PSD and masked PSD as freq_hz,psd,psd_masked."""
-    out = io.StringIO()
-    for line in echo_lines("psd", parameters):
-        out.write(line + "\n")
-    out.write("freq_hz,psd,psd_masked\n")
-    for freq, value, kept in zip(masked.freqs_hz, masked.base.values, masked.values):
-        out.write(f"{_fmt(freq)},{_fmt(value)},{_fmt(kept)}\n")
-    Path(path).write_text(out.getvalue(), encoding="utf-8")
+    _write(
+        path, (), echo_lines("psd", parameters), "freq_hz,psd,psd_masked",
+        (f"{_fmt(freq)},{_fmt(value)},{_fmt(kept)}"
+         for freq, value, kept in zip(masked.freqs_hz, masked.base.values, masked.values)),
+    )

@@ -111,6 +111,15 @@ def test_read_recording_reports_offending_line_numbers(tmp_path):
         read_recording_csv(path)
 
 
+def test_read_recording_refuses_header_names_no_writer_can_write(tmp_path):
+    # "a,#b" was read as channels "a" and "#b"; a detect run then failed
+    # only when its report refused to write "#b".
+    path = tmp_path / "rec.csv"
+    path.write_text("# fs=64\na,#b\n1.0,2.0\n")
+    with pytest.raises(ValueError, match="^line 2: derivation name '#b' starts with '#'$"):
+        read_recording_csv(path)
+
+
 def test_a_non_finite_cell_names_its_line_and_channel(tmp_path):
     # TimeSeries refused such a column with "samples contains non-finite
     # values", naming neither.
@@ -172,6 +181,9 @@ def test_read_annotations_parse_errors(tmp_path):
     path.write_text("derivation,label\na,1,9\n")
     with pytest.raises(ValueError, match="line 2.*expected 2"):
         read_annotations(path)
+    path.write_text("derivation,label\n,1\n")
+    with pytest.raises(ValueError, match="^line 2: empty derivation name ''$"):
+        read_annotations(path)
     path.write_text("# nothing\n")
     with pytest.raises(ValueError, match="no header"):
         read_annotations(path)
@@ -227,6 +239,12 @@ def test_read_prediction_parse_errors(tmp_path):
     path.write_text("derivation,flagged\na,1\na,1\n")
     with pytest.raises(ValueError, match="line 3.*duplicate"):
         read_prediction_csv(path)
+    path.write_text("derivation,flagged\n,1\n")
+    with pytest.raises(ValueError, match="^line 2: empty derivation name ''$"):
+        read_prediction_csv(path)
+    path.write_text("flagged,derivation\n1,#a\n")
+    with pytest.raises(ValueError, match="^line 2: derivation name '#a' starts with '#'$"):
+        read_prediction_csv(path)
 
 
 def test_burst_specs_round_trip(tmp_path):
@@ -253,6 +271,12 @@ def test_burst_specs_parse_errors(tmp_path):
         read_burst_specs(path)
     path.write_text("channel,center_hz,pole_radius\nF8-T4,5.0,1.5\n")
     with pytest.raises(ValueError, match="line 2.*pole_radius"):
+        read_burst_specs(path)
+    path.write_text("channel,center_hz,pole_radius\nF8-T4,5.0,0.9\n\nF8-T4,6.0,0.9\n")
+    with pytest.raises(ValueError, match="^line 4: duplicate burst channel 'F8-T4'$"):
+        read_burst_specs(path)
+    path.write_text("channel,center_hz,pole_radius\n,5.0,0.9\n")
+    with pytest.raises(ValueError, match="^line 2: empty channel name ''$"):
         read_burst_specs(path)
 
 
@@ -385,8 +409,9 @@ def test_write_then_read_annotations(names, data):
         assert read_annotations(path) == labels
 
 
-# Report names may hold ": " or start with a double quote, which the
-# error lines write as JSON string literals.
+# Report names may hold ": " or start with a double quote, and messages
+# may hold line breaks or start with a double quote; the error lines write
+# such names and messages as JSON string literals.
 NAME_TEXT = st.text(st.characters(blacklist_characters=",#\r\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
                                   blacklist_categories=("Cs",)), max_size=4)
 REPORT_NAMES = st.lists(
@@ -396,6 +421,12 @@ REPORT_NAMES = st.lists(
         st.builds(lambda tail: '"' + tail, NAME_TEXT),
     ).map(str.strip).filter(bool),
     min_size=1, max_size=4, unique=True,
+)
+MESSAGES = st.one_of(
+    LINE_TEXT,
+    st.text(st.one_of(st.characters(blacklist_categories=("Cs",)), st.sampled_from('"\n\r\x85\u2028 ')),
+            max_size=8),
+    st.builds(lambda tail: '"' + tail, LINE_TEXT),
 )
 
 
@@ -409,7 +440,7 @@ def test_write_then_read_report_flags_and_errors(names, data):
                         data.draw(FLOATS), data.draw(FLOATS))
         for name in names if name not in errored
     )
-    errors = {name: data.draw(LINE_TEXT) for name in errored}
+    errors = {name: data.draw(MESSAGES) for name in errored}
     report = DetectionReport(decisions, RunConfig().summary(), errors)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.csv"
@@ -417,9 +448,11 @@ def test_write_then_read_report_flags_and_errors(names, data):
         assert read_prediction_csv(path) == {d.derivation: d.flagged for d in decisions}
         assert list(read_report_errors(path).items()) == list(errors.items())
         text = path.read_text(encoding="utf-8")
-    # A name without ": " or a leading quote keeps the line it always had.
+    # A name without ": " or a leading quote, with a message on one line
+    # that does not start with a quote, keeps the line it always had.
     for name, message in errors.items():
-        if ": " not in name and not name.startswith('"'):
+        one_line = "".join(message.splitlines()) == message
+        if ": " not in name and not name.startswith('"') and one_line and not message.startswith('"'):
             assert f"# error: {name}: {message}\n" in text
 
 
