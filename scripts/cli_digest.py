@@ -9,9 +9,12 @@ Runs ``arpsd.cli.main`` in process, in a temporary working directory:
 and ``eval`` on a hand-written recording whose ``# fs=`` comment sets the
 rate and whose constant channel gives the report a ``# error:`` line.
 
-Prints the number of files and the sha256 over each run's arguments, exit
+Prints the number of files, the sha256 over each run's arguments, exit
 status and printed lines, and each written file's name and bytes, in run
-order.  A change that keeps the CSV formats byte for byte keeps the digest.
+order, and the ``OPENBLAS_NUM_THREADS`` it ran under (``unset`` when
+unset), since long dot products may round differently at another BLAS
+thread count.  A change that keeps the CSV formats byte for byte keeps the
+digest.
 """
 
 import contextlib
@@ -77,7 +80,8 @@ def main() -> None:
                     written.append(path)
         finally:
             os.chdir(start)
-    print(f"{len(written)} files, sha256 {digest.hexdigest()}")
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"{len(written)} files, sha256 {digest.hexdigest()}, OPENBLAS_NUM_THREADS={threads}")
 
 
 if __name__ == "__main__":

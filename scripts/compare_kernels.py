@@ -16,10 +16,12 @@ Recordings are the standard 18-channel montage, 2560 samples at 128 Hz,
 with bursts on F8-T4, T3-T5 and Cz-Pz at SNR 2.  Each seed runs four burst
 shapes, (centre Hz, pole radius) = (5, 0.95), (7.5, 0.99), (2, 0.9) and
 (10, 0.95), through all three methods at order 10 and ``auto``.  Each
-recording-config is run twice: as the package runs it, and with the
-lag-product Burg forced on every length, since 2560 samples fall below the
-length from which the package uses it.  A difference in any channel's flag,
-dominant band or error counts against the recording-config.
+recording-config is run as the package runs it, where 2560 samples take
+the lag-product Burg.  A second run forces the lag-product Burg on every
+length (``_LAG_MIN_SAMPLES = 0``) and screens these recordings again, and
+recordings of ``SHORT_N`` samples, a length from which the package would
+fit Burg by the lattice.  A difference in any channel's flag, dominant
+band or error counts against the recording-config.
 
 A third pass is exact: it composes the public stages, ``difference`` ->
 ``demean`` -> ``fit_sweep(...).fit`` or ``order_scan(...).fit`` -> ``ar_psd``
@@ -79,6 +81,7 @@ BURST_CHANNELS = ("F8-T4", "T3-T5", "Cz-Pz")
 METHODS = ("burg", "yule_walker", "mle")
 ORDERS = (10, "auto")
 N, LONG_N, FS, SNR = 2560, 76800, 128.0, 2.0
+SHORT_N = estimation._LAG_MIN_SAMPLES - 1
 LONG_SEEDS = 2
 LONG_DIFF_ORDERS = (0, 1, 2)
 WIDE_SEEDS = 2
@@ -174,11 +177,12 @@ def recordings(seeds, n, montage=default_montage(), burst_channels=BURST_CHANNEL
             yield f"{len(montage)} x {n} seed {seed} burst {hz} Hz/{radius}", recording
 
 
-def compare_pass(seeds, label):
+def compare_pass(seeds, label, lengths=(N,)):
     configs = differ = 0
     worst = {method: [0.0, 0.0] for method in METHODS}  # sigma2, PSD
     first = None
-    for name_of_input, recording in recordings(seeds, N):
+    inputs = itertools.chain.from_iterable(recordings(seeds, n) for n in lengths)
+    for name_of_input, recording in inputs:
         prepared = {name: demean(difference(recording[name], 1)) for name in recording.names}
         for method in METHODS:
             for order in ORDERS:
@@ -278,7 +282,7 @@ def main(argv=None):
     differ = exact_pass(args.seeds)
     differ += compare_pass(args.seeds, "package as shipped")
     estimation._LAG_MIN_SAMPLES = 0
-    differ += compare_pass(args.seeds, "lag-product Burg on every length")
+    differ += compare_pass(args.seeds, "lag-product Burg on every length", (N, SHORT_N))
     return 1 if differ else 0
 
 

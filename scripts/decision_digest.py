@@ -8,18 +8,22 @@ and Cz-Pz, then a 6 Hz sine in 1e-9 noise, a constant, a channel of noise
 scaled by 1e160 (whose differences overflow), and 40 noise channels with a
 constant at every seventh, so that a recording's 61 channels cross two
 edges of the 32-row blocks with errored channels on both sides.  The grid
-is seeds 0-2, 2,560 and 8,292 samples (the longer takes Burg's lag-product
-rows), the three methods at order 10 and "auto", differencing orders 0-2,
-the correction off and on, and floating-point errors ignored and raised:
-432 configs.
+is seeds 0-2, 2,560 and 8,292 samples (both lengths take Burg's
+lag-product rows, and the sine takes the lattice from the stage where its
+rows stop), the three methods at order 10 and "auto", differencing orders
+0-2, the correction off and on, and floating-point errors ignored and
+raised: 432 configs.
 
-Prints the number of configs and the sha256 of the repr of every
-``(config, per_channel, sorted errors)`` in grid order.  A change that
-keeps every decision and error bit for bit keeps the digest.
+Prints the number of configs, the sha256 of the repr of every
+``(config, per_channel, sorted errors)`` in grid order, and the
+``OPENBLAS_NUM_THREADS`` it ran under (``unset`` when unset), since long
+dot products may round differently at another BLAS thread count.  A
+change that keeps every decision and error bit for bit keeps the digest.
 """
 
 import hashlib
 import itertools
+import os
 
 import numpy as np
 
@@ -65,7 +69,8 @@ def main() -> None:
             entry = ((seed, n, *config), report.per_channel, sorted(report.errors.items()))
             digest.update(repr(entry).encode("utf-8"))
             count += 1
-    print(f"{count} configs, sha256 {digest.hexdigest()}")
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    print(f"{count} configs, sha256 {digest.hexdigest()}, OPENBLAS_NUM_THREADS={threads}")
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ Three fitting routes share one coefficient convention (see
 * ``yule_walker_fit`` solves the autocovariance normal equations with the
   Levinson-Durbin recursion.
 * ``burg_fit`` runs the Burg recursion on the raw samples, minimizing the
-  summed forward plus backward prediction error at each stage.  Long
-  inputs are evaluated from lag products, with the lattice as the
-  fallback on ill-conditioned input.
+  summed forward plus backward prediction error at each stage.  Inputs
+  of ``_LAG_MIN_SAMPLES`` samples or more are evaluated from their lag
+  products in O(m) work per stage; a stage that fails its conditioning
+  test, and every stage after it, comes from the lattice instead.
 * ``mle_fit`` reuses the Yule-Walker coefficients (the likelihood is
   maximized by the same normal equations) and estimates the innovation
   variance by integrating |A(f)|^2 I(f) against the periodogram, in
@@ -22,14 +23,13 @@ its order-p fit.  ``fit_sweeps`` sweeps many channels with one method,
 and ``fit_sweep`` is its one-channel case.  One loop serves every
 method: it reads each channel into an outcome or a row, and runs the
 rows ``BLOCK_CHANNELS`` at a time through :func:`arpsd.core.in_rows`,
-as the lag-product stages of long Burg channels or as the Levinson
+as the lag-product stages of Burg channels or as the Levinson
 recursion and MLE variance of Yule-Walker and MLE channels.  Each
 channel gets the bits it gets alone.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,24 +67,26 @@ METHOD_BURG = "burg"
 METHOD_MLE = "mle"
 METHODS = (METHOD_YULE_WALKER, METHOD_BURG, METHOD_MLE)
 
-# Burg from lag products pays some tens of microseconds of small-array
-# work per stage (once per call, whatever the number of rows) and saves
-# the lattice's O(n) vector updates; below this length the lattice is
-# faster.  The choice depends on n only, so that an order-p fit is the
-# same whatever order a sweep runs to.
-_LAG_MIN_SAMPLES = 8192
-# A lag-product stage whose scale sum_ij |q(i) q(j) c(|i + j - m|)| (see
-# _burg_lag_rows) exceeds this multiple of its forward-plus-backward
-# energy loses too much of that energy to cancellation; the lattice takes
-# over from there.  Over 20,000 stages of
-# AR(2) resonances (pole radius <= 0.995, p <= 30) the stages that passed
-# this test agreed with the lattice within 2.5e-13 relative on the error
-# profile; at a limit of 1e3 the worst was 1.4e-12.
-_LAG_CANCELLATION_LIMIT = 20.0
-# The lag-product stages gather O(m^2) values per row at stage m, and the
-# gather indices of each stage are kept for reuse; above this order the
-# lattice takes over, as from a failed stage.
-_LAG_MAX_ORDER = 48
+# Burg from lag products costs p + 1 dot products per channel and O(m)
+# small-array work per stage, shared by the rows of a block; the lattice
+# costs O(n) vector updates per stage.  In blocks of 18 and 32 rows at
+# p = 10 and 30, the lag products were faster from 128-192 samples on, and
+# by at least a third from this length (see README).  The choice depends
+# on n only, so that an order-p fit is the same whatever order a sweep
+# runs to.
+_LAG_MIN_SAMPLES = 256
+# A lag-product stage m bounds the magnitudes that its forms add by
+# ||q||^2 (c(0) + 2 sum_{l=1..m} |c(l)|) (see _burg_lag_rows).  Where
+# that bound exceeds this multiple of its forward-plus-backward energy
+# times 1 - k^2, the recursion has lost too much to cancellation, and the
+# lattice takes over from that stage.  Over 90,000 stages (3,000 signals
+# of 40 to 9,000 samples at p = 30: AR(2) resonances up to pole radius
+# 0.999, white noise, sines and simulated burst channels, each
+# differenced 0-2 times) the stages that passed this test agreed with the
+# lattice within 2.2e-13 (k absolute, errors and coefficients relative);
+# at a limit of 1e3 the worst was 2.0e-12.  Simulated EEG channels of
+# 2,560 samples differenced once reach at most 50 over all 30 stages.
+_LAG_CANCELLATION_LIMIT = 100.0
 # An MLE variance whose closed form q' C q (see _mle_sigma2) has a scale
 # sum_st |q(s) q(t) c(|s - t|)| above this multiple of its value takes the
 # trapezoid instead.  Over 25,560 orders (p <= 30, 2,560 samples, G = 512)
@@ -289,99 +291,16 @@ def _burg_lattice(samples: np.ndarray, p: int):
 
 
 def _lag_row(samples: np.ndarray, p: int) -> np.ndarray:
-    """All that the lag-product stages to order p read of the samples.
-
-    With P = min(p, ``_LAG_MAX_ORDER``), the row holds the lag products
-    c(0..P), a zero, the first P samples and the last P samples:
-    ``[c(0..P), 0, x(0..P-1), x(N-P..N-1)]``.
-    """
+    """All that the lag-product stages to order p read of the samples:
+    ``[c(0..p), x(0..p-1), x(N-1), x(N-2), ..., x(N-p)]``, the lag
+    products followed by the first p samples and the last p in reverse."""
     n = samples.size
-    p = min(p, _LAG_MAX_ORDER)
-    row = np.empty(3 * p + 2)
+    row = np.empty(3 * p + 1)
     for lag in range(p + 1):
         row[lag] = np.dot(samples[: n - lag], samples[lag:])
-    row[p + 1] = 0.0
-    row[p + 2 : 2 * p + 2] = samples[:p]
-    row[2 * p + 2 :] = samples[n - p :]
+    row[p + 1 : 2 * p + 1] = samples[:p]
+    row[2 * p + 1 :] = samples[: n - p - 1 : -1]
     return row
-
-
-def _interleaved(rows: np.ndarray, p: int) -> np.ndarray:
-    """Lag rows for order p, laid out for :func:`_stage_windows`: a zero,
-    then for k = 0, 1, ...: -c(k), x(k), x(N-1-k) and |c(k)|.  Where a
-    value sits depends on k alone, not on p."""
-    lags = rows[:, : p + 1]
-    out = np.zeros((rows.shape[0], 4 * p + 5))
-    out[:, 1::4] = -lags
-    out[:, 2 : 4 * p : 4] = rows[:, p + 2 : 2 * p + 2]
-    out[:, 3 : 4 * p : 4] = rows[:, 3 * p + 1 : 2 * p + 1 : -1]
-    out[:, 4::4] = np.abs(lags)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _stage_windows(m: int):
-    """Gather indices of lag-product stage m, with the polynomial q(0..m).
-
-    They index rows of :func:`_interleaved`.  Returns ``(windows, spread,
-    left, right)``.  Column w of ``windows`` picks the m + 1 values whose
-    products with q(0..m) add up to V(w):
-
-    * V(0..m+1) is -T q with T(i, j) = c(|i - j|).  q'Tq is the energy of
-      f = x * q and of g = x * reverse(q); their lag-one cross product is
-      sum_ij q(i) q(j) c(|m + 1 - i - j|) = sum_i q(i) (Tq)(m + 1 - i);
-    * the next 4m + 2 are the terms that the zero padding adds to those
-      forms: f(0..m), g(N-1-m..N-1), g(0..m-1) and f(N..N+m-1);
-    * the last is a zero.
-
-    Column i of ``spread`` picks |c(|i + j - m|)|, j = 0..m, whose
-    products with |q(j)| add up to S(i).  Both are laid out tap by tap, so
-    that the m + 1 products of each sum are added one tap at a time.
-    ``left`` and ``right`` index [V, q, |q|, S], and the products of each
-    of their rows add up to one quantity of the stage: row 0 to minus the
-    denominator, 2 q'Tq less the energy of the padding terms; row 1 to
-    minus the cross term, less the padding's share; row 2 to the scale
-    sum_ij |q(i) q(j) c(|i + j - m|)|.  Rows 1 and 2 are padded with the
-    zero.
-    """
-    def lag(k):
-        return 1 + 4 * k
-
-    def head(k):  # x(k)
-        return 2 + 4 * k
-
-    def tail(k):  # x(N - 1 - k)
-        return 3 + 4 * k
-
-    tap = np.arange(m + 1)
-    t = tap[:, np.newaxis]
-    u = t[:m]
-    windows = np.concatenate((
-        lag(np.abs(np.arange(m + 2)[:, np.newaxis] - tap)),
-        np.where(tap <= t, head(t - tap), 0),
-        np.where(t + tap <= m, tail(m - t - tap), 0),
-        np.where(tap >= m - u, head(u + tap - m), 0),
-        np.where(tap > u, tail(tap - u - 1), 0),
-        np.zeros((1, m + 1), dtype=int),
-    ))
-    terms = np.arange(m + 2, 5 * m + 4)
-    f_head, g_tail, g_head, f_tail = np.split(terms, [m + 1, 2 * m + 2, 3 * m + 2])
-    q_at, mag_at, s_at = (5 * m + 5 + block * (m + 1) + tap for block in range(3))
-    pairs = (
-        ((q_at, q_at, terms), (tap, tap, terms)),
-        ((q_at, f_head[1:], f_tail), (m + 1 - tap, g_head, g_tail[:m])),
-        ((mag_at,), (s_at,)),
-    )
-    width = 6 * m + 4
-    pad = np.full(width, 5 * m + 4)
-    left, right = (
-        np.stack([np.concatenate(pair[side] + (pad,))[:width] for pair in pairs]) for side in (0, 1)
-    )
-    spread = 4 + 4 * np.abs(t + tap - m)
-    indices = (np.ascontiguousarray(windows.T), np.ascontiguousarray(spread.T), left, right)
-    for array in indices:  # shared by every caller
-        array.setflags(write=False)
-    return indices
 
 
 def _burg_lag_rows(rows: np.ndarray, n, p: int):
@@ -389,81 +308,96 @@ def _burg_lag_rows(rows: np.ndarray, n, p: int):
 
     ``rows`` stacks :func:`_lag_row` of channels of n samples each, n a
     number or a column of one length per row.  With the polynomial
-    q = [1, a(1..m)], the zero-padded forward and backward error
-    sequences are the full convolutions f = x * q and g = x * reverse(q).  Their energies are Toeplitz quadratic forms
-    q' T q with T(i, j) = c(|i - j|), and their lag-one cross product is
-    the Hankel form sum_ij q(i) q(j) c(|m + 1 - i - j|).  The lattice sums
-    run over n = m+1..N-1 only, so the O(m) head and tail terms that the
-    padding adds are subtracted from each form.  No length-N vector is
-    touched after the p + 1 dot products (Vos, "A fast implementation of
-    Burg's method", 2013).
+    q = [1, a(1..m)], stage m + 1 sums the forward errors
+    f(t) = sum_i q(i) x(t - i) and the backward errors
+    b(t - 1) = sum_i q(i) x(t - 1 - m + i) over t = m+1..N-1.  The forward
+    energy is q' F q, with F(i, j) = sum_t x(t - i) x(t - j): the Toeplitz
+    matrix of the lag products c(|i - j|) less the products of the first
+    and last samples that the window leaves out.  The backward energy is
+    the same form on the reversed samples, and the cross product sum f b is
+    q against the backward side's C q shifted by one.
 
-    Each stage gathers its windows from the rows (:func:`_stage_windows`),
-    multiplies them by the rows' polynomials and adds the products of
-    each window one tap at a time, then adds the pair products along
-    contiguous rows.  No step mixes rows, so a row's arithmetic is the
-    same however many rows share the call.  It depends on the stage m
-    only, so a sweep to p is a prefix of a sweep to any larger order.
+    Each side keeps the first row of its matrix and the vector C q.  From
+    one stage to the next the window loses x(m) (on the backward side, its
+    reversed x(N-1-m)), so the first row loses x(m) x(m-1-j), C q loses
+    the order-m prediction error at x(m) times x(m-j), and C q gains entry
+    m + 1 from the other side's first row: O(m) products per stage.  The
+    energies and the cross product are then dot products with q, and as
+    the lattice steps q up to q + k reverse(q), each side's C q steps up to
+    C q + k reverse(C q of the other side) (Vos, "A fast implementation
+    of Burg's method", 2013; the silk codec's ``burg_modified``).  No
+    length-N vector is touched after the p + 1 dot products.
 
-    The subtractions cancel when the scale sum_ij |q(i) q(j) c(|i + j - m|)|
-    is large against the stage's forward-plus-backward energy, so a row
-    stops at the first stage whose scale exceeds
-    ``_LAG_CANCELLATION_LIMIT`` times that energy, whose energy is not
-    positive, whose sums are not finite, or whose |k| exceeds 1; the
-    other rows go on without it.
-    No row runs past order ``_LAG_MAX_ORDER``.  Returns the lattice's
-    triple ``(coeffs_by_order, ks, errs)`` of each row for the stages that
-    passed; fewer than p coefficient vectors means stage
-    ``len(coeffs_by_order) + 1`` failed or lies above that order, and
-    ``ks`` and ``errs`` hold no stage above it.
+    No step mixes rows, so a row's arithmetic is the same however many
+    rows share the call, and it depends on the stage only, so a sweep to
+    p is a prefix of a sweep to any larger order.
+
+    C q carries the rounding of every earlier stage, and the forms cancel
+    where q predicts well.  The magnitudes that a stage's forms add are at
+    most ||q||^2 times the largest row sum c(0) + 2 sum_{l=1..m} |c(l)| of
+    the Toeplitz matrix of |c|, and the error power takes an error in k
+    2 |k| / (1 - k^2) times over.  A row stops at the first stage whose
+    energy is not positive or not finite, or where that bound exceeds
+    ``_LAG_CANCELLATION_LIMIT`` times its energy times 1 - k^2 (which also
+    stops |k| >= 1 and a k that is not a number); the other rows go on
+    without it.
+    Returns the lattice's triple ``(coeffs_by_order, ks, errs)`` of each
+    row for the stages that passed; fewer than p coefficient vectors means
+    stage ``len(coeffs_by_order) + 1`` failed, and ``ks`` and ``errs``
+    hold no stage above it.
     """
     count = rows.shape[0]
-    stages = min(p, _LAG_MAX_ORDER)
-    ext = _interleaved(rows, stages)
-    # q(0..m) of order m of row r is polys[r, m, :m+1]; k(m) is polys[r, m, m].
-    polys = np.zeros((count, stages + 1, stages + 1))
-    polys[:, :, 0] = 1.0
-    done = np.full(count, stages)
+    lags = rows[:, : p + 1]
+    # edges[r]: the samples x(0..p-1) and the reversed x(N-1..N-p), which
+    # leave the windows one per stage, then the first rows of the backward
+    # and forward correlation matrices (the backward side is the forward
+    # one on the reversed samples) without their diagonals.
+    edges = np.empty((count, 4, p))
+    edges[:, :2] = rows[:, p + 1 :].reshape(count, 2, p)
+    edges[:, 2:] = lags[:, np.newaxis, 1:]
+    # forms[r]: C q of the forward side, q = [1, a(1..m)], and C q of the
+    # backward side.  Reversing both axes turns each side's vector into the
+    # other's and q into reverse(q), so one step-up serves all three.
+    forms = np.zeros((count, 3, p + 2))
+    forms[:, ::2, 0] = lags[:, :1]
+    forms[:, 1, 0] = 1.0
+    # a(1..m) of order m of row r is polys[r, m, 1:m+1]; k(m) is polys[r, m, m].
+    polys = np.zeros((count, p + 1, p + 1))
+    done = np.full(count, p)
     alive = np.arange(count)
     live = slice(None)  # the rows still running: all of them, or alive
-    poly = polys[:, 0, :1]
-    for m in range(stages):
-        windows, spread, left, right = _stage_windows(m)
-        mag = np.abs(poly)
-        terms = np.concatenate((
-            (ext.take(windows, axis=1) * poly[:, :, np.newaxis]).sum(axis=1),
-            poly,
-            mag,
-            (ext.take(spread, axis=1) * mag[:, :, np.newaxis]).sum(axis=1),
-        ), axis=1)
-        # -den, -cross and the scale; den > 0 is neg_den < 0, and the
-        # limit L den is -L neg_den.  An overflowed energy passes both
-        # tests as -inf, so non-finite sums stop the row too.
-        sums = (terms.take(left, axis=1) * terms.take(right, axis=1)).sum(axis=-1).T
-        neg_den, neg_cross, scale = sums
-        keep = (
-            np.isfinite(sums).all(axis=0)
-            & (neg_den < 0.0)
-            & (scale <= neg_den * -_LAG_CANCELLATION_LIMIT)
-        )
-        if not keep.all():
-            done[alive[~keep]] = m
-            alive, ext, poly, neg_cross, neg_den = (
-                a[keep] for a in (alive, ext, poly, neg_cross, neg_den)
-            )
-            live = alive
-        k = -2.0 * neg_cross / neg_den
-        keep = np.abs(k) <= 1.0
-        if not keep.all():
-            done[alive[~keep]] = m
-            alive, ext, poly, k = (a[keep] for a in (alive, ext, poly, k))
-            live = alive
-        if not alive.size:
-            break
-        k = k[:, np.newaxis]
-        polys[live, m + 1, 1 : m + 1] = poly[:, 1:] + k * poly[:, m:0:-1]
-        polys[live, m + 1, m + 1 : m + 2] = k
-        poly = polys[live, m + 1, : m + 2]
+    # A row whose sums overflow or cancel to nothing fails the checks
+    # below, and the lattice, under the caller's error state, takes over.
+    with np.errstate(all="ignore"):
+        # c(0) + 2 sum_{l=1..m} |c(l)| at stage m, over the limit.
+        bound = np.cumsum(np.abs(lags[:, :p]) * np.r_[1.0, np.full(p - 1, 2.0)], axis=1)
+        bound /= _LAG_CANCELLATION_LIMIT
+        for m in range(p):
+            poly = forms[:, np.newaxis, 1, : m + 1]
+            if m:
+                # x(m) x(m-1-j) leaves entry j of each side's first row.
+                edges[:, 2:, :m] -= edges[:, 1::-1, m : m + 1] * edges[:, 1::-1, m - 1 :: -1]
+            # Each side's prediction error at the sample that leaves, and
+            # the entry m + 1 of C q, from the other side's first row.
+            ends = (edges[:, :, m::-1] * poly).sum(axis=-1)
+            forms[:, ::2, : m + 1] -= ends[:, :2, np.newaxis] * edges[:, :2, m::-1]
+            forms[:, ::2, m + 1] = ends[:, 2:]
+            # Forward energy, |q|^2 and backward energy; the cross product.
+            energy, norm, energy_b = (forms[:, :, : m + 1] * poly).sum(axis=-1).T
+            cross = (forms[:, 2, m + 1 : 0 : -1] * poly[:, 0]).sum(axis=-1)
+            den = energy + energy_b
+            k = -2.0 * cross / den
+            keep = (den > 0.0) & (den < np.inf) & (norm * bound[:, m] <= (1.0 - k * k) * den)
+            if not keep.all():
+                done[alive[~keep]] = m
+                alive, edges, forms, bound, k = (
+                    values[keep] for values in (alive, edges, forms, bound, k)
+                )
+                live = alive
+                if not alive.size:
+                    break
+            forms[:, :, : m + 2] += k[:, np.newaxis, np.newaxis] * forms[:, ::-1, m + 1 :: -1]
+            polys[live, m + 1, : m + 2] = forms[:, 1, : m + 2]
     ks = np.diagonal(polys[:, 1:, 1:], axis1=1, axis2=2).copy()
     # E(m + 1) = E(m) (1 - k^2) from E(0) = c(0) / N, one product at a time.
     errs = np.cumprod(np.concatenate((rows[:, :1] / n, 1.0 - ks * ks), axis=1), axis=1)
@@ -507,7 +441,7 @@ def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]) -> list:
     outcomes = []
     for index, (coeffs_by_order, ks, errs) in zip(indices, lags):
         # Each sweep serves the orders from its first on; the lattice
-        # takes the orders from a failed check, or the order cap, on.
+        # takes the orders from a failed check on.
         done = len(coeffs_by_order)
         stages = [(1, coeffs_by_order, ks[:done], errs[: done + 1])] if done else []
         try:

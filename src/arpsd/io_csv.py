@@ -113,11 +113,16 @@ def _table(path, comment: Callable[[int, str], None] | None = None):
     raise ValueError("no header row found")
 
 
-def _write(path, names: Iterable[str], comments: Iterable[str], header: str, rows: Iterable[str]) -> None:
+def _write(path, names: Iterable[str], comments: Sequence[str], header: str, rows: Iterable[str]) -> None:
     """Write ``comments``, ``header`` and ``rows`` as the lines of a UTF-8
     file, after refusing, before anything is written, a channel name in
-    ``names`` that the readers could not read back."""
+    ``names`` that the readers could not read back, and a comment that
+    holds a line break, whose second line the readers would take for
+    data."""
     _check_names(names, "cannot write to CSV")
+    for line in comments:
+        if _has_break(line):
+            raise ValueError(f"cannot write to CSV: comment {line!r} contains a line break")
     out = io.StringIO()
     for line in itertools.chain(comments, (header,), rows):
         out.write(line + "\n")

@@ -178,14 +178,14 @@ def test_detect_recording_captures_per_channel_failures():
     assert [d.derivation for d in report.per_channel] == ["good-1", "good-2"]
 
 
-def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None, hits_b=None):
+def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None, hits_b=None, n=400):
     """Make the estimation kernel ``kernel`` raise ``fault`` on the calls
-    that fit channel b of three, and check that only b errs, and that a
-    and c get the decisions they get alone.  ``hits_b(args, b)`` tells
-    such a call by its arguments and channel b; by default it is the
-    kernel's second call."""
+    that fit channel b of three, of n samples each, and check that only b
+    errs, and that a and c get the decisions they get alone.
+    ``hits_b(args, b)`` tells such a call by its arguments and channel b;
+    by default it is the kernel's second call."""
     rng = np.random.default_rng(10)
-    channels = {name: TimeSeries(rng.standard_normal(400), 128.0) for name in ("a", "b", "c")}
+    channels = {name: TimeSeries(rng.standard_normal(n), 128.0) for name in ("a", "b", "c")}
     real_kernel = getattr(estimation, kernel)
     calls = []
 
@@ -205,7 +205,23 @@ def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None, hi
 
 @pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
 def test_detect_recording_isolates_arithmetic_faults(monkeypatch, fault):
-    _assert_fault_lands_on_channel_b(monkeypatch, "_burg_lattice", fault)
+    # Channels this short are fitted by the lattice, one call each.
+    _assert_fault_lands_on_channel_b(monkeypatch, "_burg_lattice", fault,
+                                     n=estimation._LAG_MIN_SAMPLES - 1)
+
+
+@pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
+def test_detect_recording_isolates_lag_row_faults(monkeypatch, fault):
+    # The lag-product stages run a, b and c together, so the fault stops
+    # the whole block, which then runs each row alone.
+    config = RunConfig()
+
+    def hits_b(args, b):
+        x = demean(difference(b, config.diff_order)).samples
+        b_row = estimation._lag_row(x - x.mean(), config.order)
+        return any(np.array_equal(row, b_row) for row in args[0])
+
+    _assert_fault_lands_on_channel_b(monkeypatch, "_burg_lag_rows", fault, config, hits_b)
 
 
 @pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
@@ -272,10 +288,10 @@ def _stages_outcome(x, name, config):
 
 
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
-@pytest.mark.parametrize("n", [2559, estimation._LAG_MIN_SAMPLES + 100])
+@pytest.mark.parametrize("n", [2559, 8292])
 @pytest.mark.parametrize("order", [10, "auto"])
 def test_long_channels_get_the_bits_of_the_public_stages_composed(order, n, method):
-    # The channels are fitted as rows over more than one block: Burg's long
+    # The channels are fitted as rows over more than one block: Burg's
     # channels from lag products, and every Yule-Walker and MLE channel.
     # Among them a sine stops a lag-product stage and takes the lattice,
     # a constant on each side of the block edge ends in the method's
@@ -318,7 +334,7 @@ def test_long_channels_get_the_bits_of_the_public_stages_composed(order, n, meth
     assert all(alone[name] == {name: errors[name]} for name in errors)
 
 
-@pytest.mark.parametrize("n", [2559, estimation._LAG_MIN_SAMPLES + 100])
+@pytest.mark.parametrize("n", [estimation._LAG_MIN_SAMPLES - 1, 2559, 8292])
 @pytest.mark.parametrize("order", [10, "auto"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_channel_whose_energy_overflows_lands_in_errors(order, n):
@@ -391,10 +407,11 @@ def test_the_shared_buffer_carries_nothing_from_one_channel_to_the_next(
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
 @pytest.mark.parametrize("order", [10, "auto"])
 def test_a_channel_fit_holds_no_view_of_the_work_buffer(method, order):
-    # Long Burg channels are fitted from lag rows; the sine's stages stop
-    # short, so it is prepared again for the lattice after the others.
+    # Burg channels from _LAG_MIN_SAMPLES on are fitted from lag rows; the
+    # sine's stages stop short, so it is prepared again for the lattice
+    # after the others.
     config = RunConfig(method=method, order=order)
-    for n in (2560, estimation._LAG_MIN_SAMPLES + 100):
+    for n in (estimation._LAG_MIN_SAMPLES - 1, 2560, 8292):
         bursts = [BurstSpec("F8-T4", 5.0, 0.95)]
         recording, _ = simulate_recording(("F8-T4", "Fp2-F8"), n, 128.0, 1.0, bursts, 10.0, seed=2)
         noise = 1e-9 * np.random.default_rng(2).standard_normal(n)

@@ -295,6 +295,23 @@ def test_psd_csv_format(tmp_path):
     assert float(kept) in (0.0, float(psd))
 
 
+def test_writers_refuse_comments_with_line_breaks(tmp_path):
+    # Written as is, "seed=1" became a line of its own, which the reader
+    # took for the header.
+    rng = np.random.default_rng(0)
+    path = tmp_path / "rec.csv"
+    with pytest.raises(ValueError, match=r"comment '# note\\nseed=1' contains a line break"):
+        write_recording_csv(path, _recording(rng), extra_comments=["note\nseed=1"])
+    assert not path.exists()
+    masked = threshold_psd(ar_psd(ArModel(1, [-0.5], 1.0), 8, 128.0), 1.0)
+    for channel in ("F8-T4\rx", "F8-T4\u2028x"):
+        with pytest.raises(ValueError, match="contains a line break"):
+            write_psd_csv(path, masked, {"channel": channel})
+        assert not path.exists()
+    write_recording_csv(path, _recording(rng), extra_comments=["note seed=1"])
+    assert "# note seed=1" in path.read_text().splitlines()
+
+
 def test_recording_annotation_and_psd_files_keep_their_bytes(tmp_path):
     head = f"# arpsd {{}} v{arpsd.__version__}\n"
     recording = Recording({"Fp1-F7": TimeSeries(np.array([0.1, -2.0, 1e-300]), 256.0),
