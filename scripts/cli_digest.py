@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of every file the CLI writes on a fixed set of runs.
 
-    PYTHONPATH=src python3 scripts/cli_digest.py
+    PYTHONPATH=src python3 scripts/cli_digest.py [--expect SHA256]
 
 Runs ``arpsd.cli.main`` in process, in a temporary working directory:
 ``simulate`` (with a burst-spec file), then ``detect``, ``psd --all`` and
@@ -14,13 +14,16 @@ status and printed lines, and each written file's name and bytes, in run
 order, and the ``OPENBLAS_NUM_THREADS`` it ran under (``unset`` when
 unset), since long dot products may round differently at another BLAS
 thread count.  A change that keeps the CSV formats byte for byte keeps the
-digest.
+digest.  With ``--expect SHA256`` it exits with status 1 when the digest
+is another one.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -55,7 +58,11 @@ def runs() -> list[list[str]]:
     ]
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="SHA256",
+                        help="exit with status 1 when the digest is not this one")
+    expect = parser.parse_args(argv).expect
     digest = hashlib.sha256()
     written: list[Path] = []
     start = Path.cwd()
@@ -82,7 +89,11 @@ def main() -> None:
             os.chdir(start)
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     print(f"{len(written)} files, sha256 {digest.hexdigest()}, OPENBLAS_NUM_THREADS={threads}")
+    if expect is not None and digest.hexdigest() != expect.lower():
+        print(f"digest differs from the expected {expect}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

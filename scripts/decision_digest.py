@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of detect_recording's decisions and errors over a fixed grid.
 
-    PYTHONPATH=src python3 scripts/decision_digest.py
+    PYTHONPATH=src python3 scripts/decision_digest.py [--expect SHA256]
 
 Each recording holds the 18-channel montage with bursts on F8-T4, T3-T5
 and Cz-Pz, then a 6 Hz sine in 1e-9 noise, a constant, a channel of noise
@@ -19,11 +19,15 @@ Prints the number of configs, the sha256 of the repr of every
 ``OPENBLAS_NUM_THREADS`` it ran under (``unset`` when unset), since long
 dot products may round differently at another BLAS thread count.  A
 change that keeps every decision and error bit for bit keeps the digest.
+With ``--expect SHA256`` it exits with status 1 when the digest is another
+one.
 """
 
+import argparse
 import hashlib
 import itertools
 import os
+import sys
 
 import numpy as np
 
@@ -55,7 +59,11 @@ def recording(seed: int, n: int) -> Recording:
     return Recording(channels)
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="SHA256",
+                        help="exit with status 1 when the digest is not this one")
+    expect = parser.parse_args(argv).expect
     digest = hashlib.sha256()
     count = 0
     for seed, n in itertools.product(SEEDS, LENGTHS):
@@ -71,7 +79,11 @@ def main() -> None:
             count += 1
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     print(f"{count} configs, sha256 {digest.hexdigest()}, OPENBLAS_NUM_THREADS={threads}")
+    if expect is not None and digest.hexdigest() != expect.lower():
+        print(f"digest differs from the expected {expect}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

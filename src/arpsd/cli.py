@@ -14,7 +14,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig
 from .core import Recording, default_montage
-from .detection import channel_psd, detect_recording, fit_channel, score_channels
+from .detection import channel_psds, detect_recording, fit_channel, score_channels
 from .io_csv import (
     read_annotations,
     read_burst_specs,
@@ -148,14 +148,16 @@ def _cmd_psd(args) -> int:
         if target in targets:
             raise ValueError(f"channels {targets[target]!r} and {name!r} would both write {target}")
         targets[target] = name
-    # Every spectrum first, so that a failing channel leaves no file behind.
-    spectra = {
-        target: channel_psd(_channel(recording, name), config) for target, name in targets.items()
-    }
+    # Every spectrum first, in one block pass, so that a failing channel
+    # leaves no file behind; the first failing channel's error is raised.
+    spectra = channel_psds([_channel(recording, name) for name in targets.values()], config)
+    for spectrum in spectra:
+        if isinstance(spectrum, Exception):
+            raise spectrum
     out_dir.mkdir(parents=True, exist_ok=True)
     parameters = {**config.summary(), "fs": recording.sample_rate_hz}
-    for target, name in targets.items():
-        write_psd_csv(target, spectra[target], {"channel": name, **parameters})
+    for (target, name), spectrum in zip(targets.items(), spectra):
+        write_psd_csv(target, spectrum, {"channel": name, **parameters})
         print(f"wrote {target}")
     return 0
 

@@ -133,6 +133,15 @@ class TimeSeries(ArrayFields):
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
 
+    @staticmethod
+    def row_faults(samples: np.ndarray) -> list[str | None]:
+        """The constructor's finiteness check, for each row of a 2-D array:
+        entry r is the message it raises on row r, or None."""
+        return [
+            None if ok else "samples contains non-finite values"
+            for ok in np.isfinite(samples).all(axis=1).tolist()
+        ]
+
 
 @dataclass(frozen=True)
 class Recording:
@@ -222,15 +231,28 @@ class AutocovarianceSeq(ArrayFields):
 
     def __post_init__(self):
         values = _frozen_array(self.values, name="values")
-        r0 = values[0]
+        (fault,) = self.row_faults(values[np.newaxis])
+        if fault is not None:
+            raise ValueError(fault)
+        object.__setattr__(self, "values", values)
+
+    @staticmethod
+    def row_faults(values: np.ndarray) -> list[str | None]:
+        """The constructor's checks, for each row of a 2-D array: entry r
+        is the message it raises when given row r as ``values``, or None."""
+        finite = np.isfinite(values).all(axis=1)
+        r0 = values[:, :1]
         # A valid (biased-estimator) sequence satisfies |r(l)| <= r(0);
         # allow a relative tolerance for round-off from large inputs.
-        if r0 < 0.0:
-            raise ValueError("r(0) must be nonnegative")
-        limit = r0 * (1.0 + 1e-9) + 1e-300
-        if np.any(np.abs(values[1:]) > limit):
-            raise ValueError("|r(l)| must not exceed r(0)")
-        object.__setattr__(self, "values", values)
+        negative = (r0[:, 0] < 0.0).tolist()
+        beyond = (np.abs(values[:, 1:]) > r0 * (1.0 + 1e-9) + 1e-300).any(axis=1).tolist()
+        return [
+            "values contains non-finite values" if not ok
+            else "r(0) must be nonnegative" if neg
+            else "|r(l)| must not exceed r(0)" if out
+            else None
+            for ok, neg, out in zip(finite.tolist(), negative, beyond)
+        ]
 
     @property
     def max_lag(self) -> int:

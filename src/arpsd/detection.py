@@ -8,10 +8,13 @@ fit into a masked spectrum, and :func:`classify_channel` flags it.
 ``detect_recording`` runs the same formulas over blocks of
 ``BLOCK_CHANNELS`` channels, fitting and screening each block in one
 pass: every method's fits go through
-:func:`arpsd.estimation.fit_sweeps`, the automatic order of a block of
-sweeps comes from one :func:`arpsd.order_selection.sweep_orders` call,
-and the block's fitted models are screened at once through
-:func:`arpsd.core.in_rows`.  A channel alone is the one-row case.
+:func:`arpsd.estimation.fit_sweeps`, which prepares and reads a block's
+channels of up to 10,000 samples as rows of one matrix, the automatic
+order of a block of sweeps comes from one
+:func:`arpsd.order_selection.sweep_orders` call, and the block's fitted
+models are screened at once through :func:`arpsd.core.in_rows`.
+:func:`channel_psds` takes the same pass and keeps the masked spectra.
+A channel alone is the one-row case.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,7 +38,6 @@ from .core import (
 )
 from .estimation import FitResult, FitSweep, ar_psd_rows, fit_sweeps
 from .order_selection import OrderScanResult, check_scan, scan_sweep, sweep_orders
-from .preprocess import prepare_into
 from .spectral import MaskedSpectrum, band_power_rows, threshold_rows, undifference_rows
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "DetectionReport",
     "MetricsReport",
     "channel_psd",
+    "channel_psds",
     "classify_channel",
     "confusion_from_flags",
     "detect_recording",
@@ -200,41 +203,38 @@ def fit_channel(x: TimeSeries, config: RunConfig) -> ChannelFit:
     This is the one-channel case of :func:`_fit_channels`, the fit phase
     of :func:`detect_recording`.
     """
-    [[(_, outcome)]] = _fit_channels([x], config, np.empty(len(x)))
+    [[(_, outcome)]] = _fit_channels([x], config)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig, work: np.ndarray):
+def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig):
     """Yield one list per block of ``BLOCK_CHANNELS`` channels: ``(index,
-    outcome)`` of each, its fit as :func:`fit_channel` gives it, or the
-    ValueError or ArithmeticError it raises.
+    outcome)`` of each, in channel order, its fit as :func:`fit_channel`
+    gives it, or the ValueError or ArithmeticError it raises.
 
-    Each channel is prepared in ``work``, which must hold the longest,
-    and swept by :func:`arpsd.estimation.fit_sweeps` to ``config.p_max``
-    under ``order="auto"`` or to the fixed order; Burg may prepare a
-    channel again.  The sweeps are taken in blocks as they come, and under
-    ``order="auto"`` each block's orders are selected by one
+    :func:`arpsd.estimation.fit_sweeps` prepares the raw channels, a block
+    at a time as rows of one matrix, checks each prepared length against
+    the order scan under ``order="auto"``, and sweeps them to
+    ``config.p_max`` or to the fixed order; Burg may prepare a channel
+    again.  Under ``order="auto"`` each block's orders are selected by one
     :func:`arpsd.order_selection.sweep_orders` call.  No caller need hold
     every channel's fit at once.
     """
     auto = config.order == "auto"
-    sizes = {}  # prepared samples of each channel, for its order scan
-
-    def prepared(index: int) -> TimeSeries:
-        series = prepare_into(channels[index], config.diff_order, work)
-        if auto:
-            check_scan(len(series), config.p_max, config.method, config.criterion)
-        sizes[index] = len(series)
-        return series
-
+    check = None
+    if auto:
+        check = partial(check_scan, p_max=config.p_max, method=config.method,
+                        criterion=config.criterion)
     p = config.p_max if auto else config.order
-    outcomes = fit_sweeps(prepared, len(channels), p, config.method, config.grid_size)
+    outcomes = fit_sweeps(channels.__getitem__, len(channels), p, config.method,
+                          config.grid_size, config.diff_order, check)
     while block := list(islice(outcomes, BLOCK_CHANNELS)):
         swept = {index: sweep for index, sweep in block if isinstance(sweep, FitSweep)}
+        sizes = {index: len(channels[index]) - config.diff_order for index in swept}
         if auto and swept:
-            orders = sweep_orders(list(swept.values()), [sizes[i] for i in swept], config.criterion)
+            orders = sweep_orders(list(swept.values()), list(sizes.values()), config.criterion)
         else:
             orders = [config.order] * len(swept)
         order_of = dict(zip(swept, orders))
@@ -287,16 +287,51 @@ def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
     Fits the channel by :func:`fit_channel`, evaluates the model PSD on
     ``config.grid_size`` points, divides out the differencing response
     when ``config.undifference_correction`` is set, and zeroes the power
-    below ``config.k`` times the grid mean.  This is the one-row case of
-    the screen of :func:`detect_recording`.
+    below ``config.k`` times the grid mean.  This is the one-channel case
+    of :func:`channel_psds`.
     """
-    fit = fit_channel(x, config).fit
-    freqs, values, (mean_power, masked, survivors), (fault,) = _masked_rows([fit.model], config)
-    if fault is not None:
-        raise ValueError(fault)
-    spectrum = SpectrumEstimate(freqs, values[0], x.sample_rate_hz)
-    return MaskedSpectrum(spectrum, float(config.k), float(mean_power[0]), masked[0],
-                          float(survivors[0]))
+    (outcome,) = channel_psds([x], config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def channel_psds(channels: Sequence[TimeSeries], config: RunConfig) -> list:
+    """:func:`channel_psd` of each raw channel, or the ValueError or
+    ArithmeticError it raises, in channel order.
+
+    The channels are fitted and their spectra masked a block at a time,
+    by the block pass of :func:`detect_recording` (:func:`_fit_channels`
+    and the row forms of the screen's spectral stages), so each channel
+    gets the bits it gets alone.
+    """
+    outcomes = []
+    for block in _fit_channels(channels, config):
+        fits = dict(block)
+        fitted = [index for index, fit in fits.items() if isinstance(fit, ChannelFit)]
+        if fitted:
+            items = [(fits[index].fit.model, channels[index].sample_rate_hz) for index in fitted]
+            fits.update(zip(fitted, in_rows(items, partial(_masked_spectra, config=config))))
+        outcomes.extend(fits.values())
+    return outcomes
+
+
+def _masked_spectra(items: Sequence[tuple[ArModel, float]], config: RunConfig) -> list:
+    """The masked spectrum of each ``(model, sample rate)``, or the
+    ValueError that it raises, by :func:`_masked_rows`."""
+    models, rates = zip(*items)
+    freqs, values, (mean_power, masked, survivors), faults = _masked_rows(models, config)
+    rows = iter(range(len(values)))  # ``values`` holds the rows without a fault
+    outcomes = []
+    for fault, rate in zip(faults, rates):
+        if fault is not None:
+            outcomes.append(ValueError(fault))
+            continue
+        row = next(rows)
+        spectrum = SpectrumEstimate(freqs, values[row], rate)
+        outcomes.append(MaskedSpectrum(spectrum, float(config.k), float(mean_power[row]),
+                                       masked[row], float(survivors[row])))
+    return outcomes
 
 
 def _screen_rows(fitted: Sequence[tuple[str, ArModel]], config: RunConfig, sample_rate_hz: float):
@@ -330,8 +365,8 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
 
     Channels are fitted and screened in one pass per block of
     ``BLOCK_CHANNELS``: each block is fitted as by :func:`fit_channel`
-    (see :func:`_fit_channels`), every channel prepared in one shared
-    buffer, and its fitted models are screened at once by the row-wise
+    (see :func:`_fit_channels`), its channels prepared as rows of one
+    reused matrix, and its fitted models are screened at once by the row-wise
     forms of :func:`channel_psd`'s and :func:`classify_channel`'s stages,
     through :func:`arpsd.core.in_rows`.  Each channel gets the bits it
     gets alone.  ``errors`` keeps the recording's channel order, and
@@ -342,13 +377,8 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
         config = RunConfig()
     names = recording.names
     outcomes = {}
-    # Every channel is prepared in this one buffer.  Fresh channel-length
-    # arrays, freed at the end of each channel, let the allocator hand
-    # their pages back to the system, and the next channel fault them in
-    # again.
-    work = np.empty(recording.n_samples)
     screen = partial(_screen_rows, config=config, sample_rate_hz=recording.sample_rate_hz)
-    for block in _fit_channels([recording[name] for name in names], config, work):
+    for block in _fit_channels([recording[name] for name in names], config):
         outcomes.update((names[index], fit) for index, fit in block)
         fitted = [(names[i], fit.fit.model) for i, fit in block if isinstance(fit, ChannelFit)]
         if fitted:

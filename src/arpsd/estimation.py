@@ -21,15 +21,19 @@ coefficients, and the prediction-error power at every order up to p.
 ``fit_sweep`` fits every order up to p_max at once, and each fitter is
 its order-p fit.  ``fit_sweeps`` sweeps many channels with one method,
 and ``fit_sweep`` is its one-channel case.  One loop serves every
-method: it reads each channel into an outcome or a row, and runs the
-rows ``BLOCK_CHANNELS`` at a time through :func:`arpsd.core.in_rows`,
-as the lag-product stages of Burg channels or as the Levinson
-recursion and MLE variance of Yule-Walker and MLE channels.  Each
-channel gets the bits it gets alone.
+method, ``BLOCK_CHANNELS`` channels at a time.  It reads a block's
+channels of at most ``_ROW_SAMPLES`` samples as rows of one matrix and
+each longer one alone, through the same row forms of the preparation,
+the centring, the lag products and the periodogram
+(:mod:`arpsd.preprocess`), each one call over the rows.  The rows then
+run through :func:`arpsd.core.in_rows` as the lag-product stages of Burg
+channels or as the Levinson recursion and MLE variance of Yule-Walker
+and MLE channels.  Each channel gets the bits it gets alone.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +47,7 @@ from .core import (
     TimeSeries,
     in_rows,
 )
-from .preprocess import biased_autocov, periodogram
+from .preprocess import autocov_rows, demean_rows, lag_products, periodogram_rows, prepare_rows
 
 __all__ = [
     "METHODS",
@@ -290,17 +294,22 @@ def _burg_lattice(samples: np.ndarray, p: int):
     return coeffs_by_order, ks, errs
 
 
+def _lag_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """All that the lag-product stages to order p read of each row x of N
+    samples: ``[c(0..p), x(0..p-1), x(N-1), x(N-2), ..., x(N-p)]``, the
+    lag products followed by the first p samples and the last p in
+    reverse."""
+    count, n = rows.shape
+    out = np.empty((count, 3 * p + 1))
+    out[:, : p + 1] = lag_products(rows, p)
+    out[:, p + 1 : 2 * p + 1] = rows[:, :p]
+    out[:, 2 * p + 1 :] = rows[:, : n - p - 1 : -1]
+    return out
+
+
 def _lag_row(samples: np.ndarray, p: int) -> np.ndarray:
-    """All that the lag-product stages to order p read of the samples:
-    ``[c(0..p), x(0..p-1), x(N-1), x(N-2), ..., x(N-p)]``, the lag
-    products followed by the first p samples and the last p in reverse."""
-    n = samples.size
-    row = np.empty(3 * p + 1)
-    for lag in range(p + 1):
-        row[lag] = np.dot(samples[: n - lag], samples[lag:])
-    row[p + 1 : 2 * p + 1] = samples[:p]
-    row[2 * p + 1 :] = samples[: n - p - 1 : -1]
-    return row
+    """The one-row case of :func:`_lag_rows`."""
+    return _lag_rows(samples[np.newaxis], p)[0]
 
 
 def _burg_lag_rows(rows: np.ndarray, n, p: int):
@@ -416,25 +425,28 @@ def _check_burg(n: int, p: int) -> None:
         raise ValueError("need more samples than the model order")
 
 
-def _centred(x: TimeSeries) -> np.ndarray:
-    return x.samples - x.samples.mean()
-
-
-def _read_burg(x: np.ndarray, p: int):
-    """The lattice's sweep of a short array, or ``(n, lag row)`` of a long
-    one.  Nothing holds ``x`` afterwards, so each array is freed before
-    the next channel is read."""
-    _check_burg(x.size, p)
-    if x.size >= _LAG_MIN_SAMPLES:
-        return x.size, _lag_row(x, p)
-    return _sweep(METHOD_BURG, [(1, *_burg_lattice(x, p))])
+def _read_burg(centred: np.ndarray, p: int) -> list:
+    """The lattice's sweep of each row of ``centred``, or ``(n, lag row)``
+    of each when its n samples take the lag-product stages, or the error
+    the row ends in.  A fault of every row is raised as ValueError."""
+    n = centred.shape[1]
+    _check_burg(n, p)
+    if n >= _LAG_MIN_SAMPLES:
+        return [(n, row) for row in _lag_rows(centred, p)]
+    outcomes = []
+    for samples in centred:
+        try:
+            outcomes.append(_sweep(METHOD_BURG, [(1, *_burg_lattice(samples, p))]))
+        except (ValueError, ArithmeticError) as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]) -> list:
     """The outcome of each long channel in ``block``, ``(index, n, lag
     row)`` each, from one :func:`_burg_lag_rows` call.  A row that stops
-    short of p has its array ``samples(index)`` read again, and the
-    lattice, run from the start, serves the orders from the stage that
+    short of p has its centred samples ``samples(index)`` read again, and
+    the lattice, run from the start, serves the orders from the stage that
     failed."""
     indices, sizes, rows = zip(*block)
     lags = _burg_lag_rows(np.array(rows), np.array(sizes)[:, np.newaxis], p)
@@ -451,12 +463,6 @@ def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]) -> list:
         except (ValueError, ArithmeticError) as exc:
             outcomes.append(exc)
     return outcomes
-
-
-def _burg_route(samples: Callable[[int], np.ndarray], p: int):
-    """Burg's reader and block kernel for :func:`_block_sweeps`, over the
-    arrays ``samples(index)`` as given."""
-    return (lambda index: _read_burg(samples(index), p)), (lambda block: _lag_block(block, p, samples))
 
 
 def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
@@ -481,8 +487,14 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
         (identically zero residuals), "non-finite prediction-error
         energy" when it overflows.
     """
-    samples = _centred(x) if demean else x.samples
-    return _only(_block_sweeps(1, *_burg_route(lambda _: samples, p))).fit(p)
+    if demean:
+        return fit_sweep(x, p, METHOD_BURG).fit(p)
+    (outcome,) = _read_burg(x.samples[np.newaxis], p)
+    if isinstance(outcome, tuple):
+        (outcome,) = _lag_block([(0, *outcome)], p, lambda _: x.samples)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome.fit(p)
 
 
 def _mle_sigma2(coeffs: np.ndarray, autocovs: np.ndarray, pgrams: np.ndarray) -> np.ndarray:
@@ -643,84 +655,237 @@ def _only(outcomes):
 
 def fit_sweeps(
     channel: Callable[[int], TimeSeries], count: int, p: int, method: str = METHOD_BURG,
-    grid_size: int = 512,
+    grid_size: int = 512, diff_order: int | None = None, check: Callable[[int], None] | None = None,
 ):
     """Sweeps to order p of ``channel(0)``, ..., ``channel(count - 1)``.
 
-    Yields ``(index, outcome)`` once for each index, as soon as the
-    outcome is known: the sweep that ``fit_sweep(channel(index), p,
-    method, grid_size)`` returns, bit for bit, or the ValueError or
-    ArithmeticError that it, or ``channel(index)`` itself, raises.
-    ``channel(index)`` may return a view that the next call overwrites;
-    no sweep holds a view of it.
+    Yields ``(index, outcome)`` once for each index, in index order, a
+    block of ``BLOCK_CHANNELS`` at a time: the sweep that
+    ``fit_sweep(channel(index), p, method, grid_size)`` returns, bit for
+    bit, or the ValueError or ArithmeticError that it, or
+    ``channel(index)`` itself, raises.  ``channel(index)`` may return a
+    view that the next call overwrites; no sweep holds a view of it.
 
-    Every method runs one loop (:func:`_block_sweeps`).  A short Burg
-    channel is fitted by the lattice as soon as it is read; of a long one
-    only its lag products are kept (:func:`_read_burg`), and of a
-    Yule-Walker or MLE channel its autocovariances and, for MLE, its
-    periodogram (:func:`_read_levinson`).  These rows run
-    ``BLOCK_CHANNELS`` at a time, by :func:`_lag_block` or
-    :func:`_levinson_block`.
+    With ``diff_order`` set, each channel is first prepared as
+    ``demean(difference(channel(index), diff_order))``
+    (:func:`arpsd.preprocess.prepare_rows`), and a channel whose
+    preparation raises ends in that error.  ``check(n)``, when given, is
+    called with each channel's prepared length before it is fitted, and
+    a channel for which it raises ValueError ends in that error.
+
+    Each block's channels of at most ``_ROW_SAMPLES`` samples are read as
+    rows of one matrix, one group of rows per length, and each stage is
+    one call over the rows: the preparation, the fitters' centring, the
+    lag products (:func:`arpsd.preprocess.lag_products`) and, for MLE,
+    the periodogram and its circular autocovariance.  A longer channel is
+    read alone, through the same stages with one row.  A short Burg
+    channel is then fitted by the lattice; of a long one only its lag
+    products are kept (:func:`_read_burg`), and of a Yule-Walker or MLE
+    channel its autocovariances and, for MLE, its periodogram
+    (:func:`_read_levinson`).  These rows run a block at a time, by
+    :func:`_lag_block` or :func:`_levinson_block`.  No stage mixes rows,
+    and under ``np.seterr(..., "raise")`` a block whose stage faults is
+    read again a channel at a time (:func:`arpsd.core.in_rows`), so each
+    channel gets the outcome it gets alone.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
+
+    def centred_again(index: int) -> np.ndarray:
+        # Burg's lattice reads a channel whose lag stages stopped again.
+        ((_, rows),) = _centred_groups(channel, [index], diff_order, (), _Space(1))
+        if isinstance(rows, Exception):
+            raise rows
+        return rows[0]
+
+    checks = [] if check is None else [check]
     if method == METHOD_BURG:
-        return _block_sweeps(count, *_burg_route(lambda index: _centred(channel(index)), p))
-    return _block_sweeps(
-        count,
-        lambda index: _read_levinson(channel(index), p, method, grid_size),
-        lambda block: _levinson_block(block, p, method),
-    )
+        read = partial(_read_burg, p=p)
+        kernel = partial(_lag_block, p=p, samples=centred_again)
+    else:
+        checks.append(partial(_check_levinson, p=p, method=method, grid_size=grid_size))
+        read = partial(_read_levinson, p=p, method=method, grid_size=grid_size)
+        kernel = partial(_levinson_block, p=p, method=method)
+    space = _Space(min(count, BLOCK_CHANNELS))
+
+    def read_block(indices: list) -> list:
+        outcomes = {}
+        for members, rows in _centred_groups(channel, indices, diff_order, checks, space):
+            if not isinstance(rows, Exception):
+                try:
+                    rows = read(rows)
+                except ValueError as exc:
+                    rows = exc
+            outcomes.update(zip(members, rows if isinstance(rows, list) else [rows] * len(members)))
+        return [outcomes[index] for index in indices]
+
+    return _block_sweeps(count, read_block, kernel)
 
 
 def _block_sweeps(count: int, read: Callable, kernel: Callable):
-    """Yield ``(index, outcome)`` for index 0..count-1 as each is known.
+    """Yield ``(index, outcome)`` for index 0..count-1, ``BLOCK_CHANNELS``
+    at a time.  ``read(indices)`` gives each channel of a block its sweep,
+    its row (a tuple) or the error it ends in, and ``kernel`` turns the
+    block's ``(index, *row)`` into one outcome each, both through
+    :func:`arpsd.core.in_rows`."""
+    for start in range(0, count, BLOCK_CHANNELS):
+        indices = list(range(start, min(start + BLOCK_CHANNELS, count)))
+        outcomes = dict(zip(indices, in_rows(indices, read)))
+        waiting = [(index, *row) for index, row in outcomes.items() if isinstance(row, tuple)]
+        if waiting:
+            outcomes.update(zip([item[0] for item in waiting], in_rows(waiting, kernel)))
+        yield from outcomes.items()
 
-    ``read(index)`` returns the channel's sweep or its row (a tuple), or
-    raises the error it ends in.  Every ``BLOCK_CHANNELS`` rows, and after
-    the last channel, ``kernel`` turns the waiting ``(index, *row)`` into
-    one outcome each, through :func:`arpsd.core.in_rows`.
+
+# Channels of at most this many samples are read as rows of one matrix per
+# block (32 x 10,000 float64 is 2.6 MB, and the rows they are prepared into
+# as much again).  Up to here the stacked lag products were faster than one
+# np.dot per row and lag, and at 20,000 samples slower (32 rows at p = 30:
+# 3.6 against 4.5 ms at 10,000, 8.8 against 6.8 ms at 20,000; see README).
+# OpenBLAS also splits a dot product across threads only above 10,000
+# elements.
+_ROW_SAMPLES = 10_000
+
+
+class _Space:
+    """The arrays that channels are read into, reused from block to block:
+    the samples of each channel of at most ``_ROW_SAMPLES`` samples as
+    read, one row each, and the rows they are prepared and centred into,
+    both as wide as the longest so far; and one row that a longer channel
+    is prepared and centred into."""
+
+    def __init__(self, height: int):
+        self.raw = self.rows = np.empty((height, 0))
+        self.long = np.empty((1, 0))
+
+    def row(self, position: int, n: int) -> np.ndarray:
+        if self.raw.shape[1] < n:
+            wider = np.empty((self.raw.shape[0], n))
+            wider[:, : self.raw.shape[1]] = self.raw
+            self.raw, self.rows = wider, np.empty(wider.shape)
+        return self.raw[position, :n]
+
+    def alone(self, n: int) -> np.ndarray:
+        if self.long.shape[1] < n:
+            self.long = np.empty((1, n))
+        return self.long[:, :n]
+
+
+def _pick(rows: np.ndarray, keep: list) -> np.ndarray:
+    """``rows`` itself when ``keep`` names every row, else those rows."""
+    return rows if len(keep) == rows.shape[0] else rows[keep]
+
+
+def _centred_groups(channel, indices: list, diff_order, checks, space: _Space):
+    """Yield ``(members, rows)``: ``rows`` holds the centred samples of the
+    channels ``members`` (indices in order), one row each, or is the
+    exception that every member ends in.
+
+    Channels of at most ``_ROW_SAMPLES`` samples are copied into rows of
+    ``space`` and yielded as one group per length once every index is
+    read; a longer channel is yielded on its own as soon as it is read.
+    A group's rows are valid until the next group is yielded.
     """
-    block = []
-    for index in range(count):
+    lengths = {}  # length -> positions in ``space.raw``
+    for position, index in enumerate(indices):
         try:
-            outcome = read(index)
+            samples = channel(index).samples
         except (ValueError, ArithmeticError) as exc:
-            outcome = exc
-        if isinstance(outcome, tuple):
-            block.append((index, *outcome))
+            yield [index], exc
+            continue
+        if samples.size > _ROW_SAMPLES:
+            target = space.alone(samples.size)
+            yield from _centred([index], samples[np.newaxis], target, diff_order, checks)
         else:
-            yield index, outcome
-        if len(block) == BLOCK_CHANNELS or (block and index == count - 1):
-            yield from zip([item[0] for item in block], in_rows(block, kernel))
-            block = []
+            space.row(position, samples.size)[:] = samples
+            lengths.setdefault(samples.size, []).append(position)
+    for n, positions in lengths.items():
+        raw = _pick(space.raw[: len(indices), :n], positions)
+        yield from _centred([indices[i] for i in positions], raw, space.rows[: len(positions), :n],
+                            diff_order, checks)
 
 
-def _read_levinson(x: TimeSeries, p: int, method: str, grid_size: int):
-    """``(r(0..p), spectrum)`` of one channel, with the checks of its sweep.
+def _centred(members: list, rows: np.ndarray, out: np.ndarray, diff_order, checks):
+    """The groups of :func:`_centred_groups` that equal-length ``rows``
+    end in, centred into ``out``, which does not overlap ``rows``:
+    prepared first when ``diff_order`` is set, and checked by each of
+    ``checks``."""
+    n = rows.shape[1]
+    if diff_order is not None:
+        try:
+            faults = prepare_rows(rows, diff_order, out)
+        except ValueError as exc:
+            yield members, exc
+            return
+        keep = [row for row, fault in enumerate(faults) if fault is None]
+        for index, fault in zip(members, faults):
+            if fault is not None:
+                yield [index], ValueError(fault)
+        if not keep:
+            return
+        n -= diff_order
+        members = [members[row] for row in keep]
+        rows = out = _pick(out[:, :n], keep)
+    try:
+        for check in checks:
+            check(n)
+    except ValueError as exc:
+        yield members, exc
+        return
+    yield members, demean_rows(rows, out)
 
-    For MLE ``spectrum`` is ``(c(0..p), I)``: the periodogram of the
-    demeaned signal and its circular autocovariance c = irfft(I, M),
-    M = 2 (grid_size - 1).  If the periodogram raises, ``spectrum`` is
-    that error, which the channel ends in unless its recursion fails
-    first.  For Yule-Walker it is None.
-    """
+
+def _check_levinson(n: int, p: int, method: str, grid_size: int) -> None:
     if method == METHOD_MLE and grid_size < 2 * p:
         raise ValueError("grid too coarse for order")
     if p < 1:
         raise ValueError("order must be at least 1")
-    if len(x) < p + 1:
+    if n < p + 1:
         raise ValueError("need more samples than the model order")
-    r = biased_autocov(x, p)
-    if r[0] == 0.0:
-        raise ValueError("zero-variance signal")
-    if method == METHOD_YULE_WALKER:
-        return r.values, None
-    try:
-        values = periodogram(TimeSeries.adopt(_centred(x), x.sample_rate_hz), grid_size).values
-    except (ValueError, ArithmeticError) as exc:
-        return r.values, exc
-    return r.values, (np.fft.irfft(values, 2 * (grid_size - 1))[: p + 1], values)
+
+
+def _read_levinson(centred: np.ndarray, p: int, method: str, grid_size: int) -> list:
+    """``(r(0..p), spectrum)`` of each row of ``centred``, or the error the
+    row ends in, with the checks of its sweep.
+
+    ``r`` is the row's :func:`arpsd.preprocess.biased_autocov`.  For MLE
+    ``spectrum`` is ``(c(0..p), I)``: the periodogram of the same centred
+    row and its circular autocovariance c = irfft(I, M), M = 2 (grid_size
+    - 1).  If the periodogram raises, ``spectrum`` is that error, which
+    the channel ends in unless its recursion fails first.  For
+    Yule-Walker it is None.
+    """
+    r = autocov_rows(centred, p)
+    faults = [
+        fault or ("zero-variance signal" if r0 == 0.0 else None)
+        for fault, r0 in zip(AutocovarianceSeq.row_faults(r), r[:, 0].tolist())
+    ]
+    keep = [row for row, fault in enumerate(faults) if fault is None]
+    outcomes = [ValueError(fault) if fault else (r[row], None) for row, fault in enumerate(faults)]
+    if method == METHOD_YULE_WALKER or not keep:
+        return outcomes
+    rows = _pick(centred, keep)
+
+    def spectra(items):
+        values, faults = periodogram_rows(_pick(rows, items), grid_size)
+        return [ValueError(fault) if fault else row for row, fault in zip(values, faults)]
+
+    pgrams = in_rows(list(range(len(keep))), spectra)
+    ok = [item for item, pgram in enumerate(pgrams) if not isinstance(pgram, Exception)]
+
+    def circular(items):
+        values = np.array([pgrams[item] for item in items])
+        return list(np.fft.irfft(values, 2 * (grid_size - 1), axis=-1)[:, : p + 1])
+
+    autocovs = dict(zip(ok, in_rows(ok, circular) if ok else []))
+    for item, (row, pgram) in enumerate(zip(keep, pgrams)):
+        autocov = autocovs.get(item)
+        outcomes[row] = (
+            (r[row], pgram) if autocov is None
+            else autocov if isinstance(autocov, Exception)
+            else (r[row], (autocov, pgram))
+        )
+    return outcomes
 
 
 def _levinson_block(block, p: int, method: str) -> list:

@@ -1,5 +1,14 @@
 """Per-channel conditioning: differencing, demeaning, autocovariance,
-the raw periodogram, and a residual-normality screen."""
+the raw periodogram, and a residual-normality screen.
+
+Each step but the screen has a row form over a matrix of equally long
+channels, one per row (:func:`prepare_rows`, :func:`demean_rows`,
+:func:`lag_products`, :func:`autocov_rows`, :func:`periodogram_rows`),
+which runs in one NumPy call per step and gives every row the bits of
+its one-row call; the per-channel functions are that one-row case, so
+each formula is written once.  The fitters read short channels through
+these forms a block at a time (:func:`arpsd.estimation.fit_sweeps`).
+"""
 
 import numpy as np
 
@@ -9,8 +18,13 @@ __all__ = [
     "difference",
     "demean",
     "prepare_into",
+    "prepare_rows",
+    "demean_rows",
+    "lag_products",
+    "autocov_rows",
     "biased_autocov",
     "periodogram",
+    "periodogram_rows",
     "normality_check",
 ]
 
@@ -24,7 +38,8 @@ def difference(x: TimeSeries, d: int = 1) -> TimeSeries:
 
     Differencing removes slow nonstationary trends before model fitting.
     The sample rate is unchanged; the output is ``d`` samples shorter.
-    This is the fresh-array case of :func:`prepare_into`'s first step.
+    This is the fresh-array, one-row case of :func:`prepare_rows`'s first
+    step.
 
     Parameters
     ----------
@@ -38,15 +53,16 @@ def difference(x: TimeSeries, d: int = 1) -> TimeSeries:
     -------
     TimeSeries
     """
-    return _difference(x, d, None)
+    samples = _difference_rows(x.samples[np.newaxis], d, None)
+    return x if d == 0 else TimeSeries.adopt(samples[0], x.sample_rate_hz)
 
 
 def demean(x: TimeSeries) -> TimeSeries:
     """Subtract the sample mean.
 
-    This is the fresh-array case of :func:`prepare_into`'s second step.
+    This is the fresh-array, one-row case of :func:`demean_rows`.
     """
-    return _demean(x, None)
+    return TimeSeries.adopt(demean_rows(x.samples[np.newaxis])[0], x.sample_rate_hz)
 
 
 def prepare_into(x: TimeSeries, d: int, out: np.ndarray) -> TimeSeries:
@@ -55,35 +71,129 @@ def prepare_into(x: TimeSeries, d: int, out: np.ndarray) -> TimeSeries:
     The ``len(x) - d`` prepared samples are written to the start of
     ``out``, a writable contiguous float64 array of at least ``len(x)``
     entries, and the result wraps that view of ``out``.  The checks and
-    messages are :func:`difference`'s and :func:`demean`'s.  No float
-    array is allocated for ``d <= 1``, so one buffer can serve every
-    channel of a recording in turn.  The result is valid only until
+    messages are :func:`difference`'s and :func:`demean`'s.  This is the
+    one-row case of :func:`prepare_rows`.  The result is valid only until
     ``out`` is written again: whatever outlives that must hold its own
     copy.
     """
-    return _demean(_difference(x, d, out), out)
+    (fault,) = prepare_rows(x.samples[np.newaxis], d, out[np.newaxis])
+    if fault is not None:
+        raise ValueError(fault)
+    return TimeSeries.adopt(out[: len(x) - d], x.sample_rate_hz)
 
 
-def _difference(x: TimeSeries, d: int, out: np.ndarray | None) -> TimeSeries:
+def prepare_rows(rows: np.ndarray, d: int, out: np.ndarray) -> list[str | None]:
+    """``demean(difference(x, d))`` of each row x of ``rows``, into ``out``.
+
+    ``rows`` holds one channel of n samples per row, and the n - d
+    prepared samples of row r are written to ``out[r, :n - d]``, which
+    must not overlap ``rows``.  Returns one entry per row: None, or the
+    message of the ValueError that :func:`difference` or :func:`demean`
+    raises on that row alone, whose ``out`` row then holds no prepared
+    samples.  A fault of every row (``d < 0``, n <= d) is raised as
+    ValueError.  Each step is one call over the rows, and no step mixes
+    rows, so every row gets the bits of its one-row call.
+
+    The rows are first prepared without the finiteness checks, with
+    every floating-point fault raised that the error state would report,
+    and overflow and invalid operations raised always.  If nothing is
+    raised, and each row's first prepared sample is finite, every
+    prepared sample is finite: a sample that is not makes its row's mean,
+    and so every sample of the row less that mean, not finite, and finite
+    operands give a non-finite result only by overflow or an invalid
+    operation.  Otherwise the rows are prepared again from ``rows`` step
+    by step, each step checked, under the caller's error state.
+    """
+    n = rows.shape[1] - d
+    try:
+        with _raising("over", "invalid"):
+            prepared = demean_rows(_difference_rows(rows, d, out), out[: rows.shape[0], :n])
+        if np.isfinite(prepared[:, 0]).all():
+            return [None] * rows.shape[0]
+    except FloatingPointError:
+        pass
+    differenced = _difference_rows(rows, d, out)
+    faults = TimeSeries.row_faults(differenced)
+    ok = [row for row, fault in enumerate(faults) if fault is None]
+    if len(ok) == len(faults):
+        prepared = demean_rows(differenced, out[: len(ok), :n])
+    elif ok:
+        # Only the rows that passed are demeaned, as each would be alone.
+        prepared = out[ok, :n] = demean_rows(differenced[ok])
+    else:
+        return faults
+    for row, fault in zip(ok, TimeSeries.row_faults(prepared)):
+        faults[row] = fault
+    return faults
+
+
+def _raising(*kinds: str):
+    """An ``np.errstate`` that raises every floating-point fault that the
+    current error state would report, and those of ``kinds`` as well."""
+    return np.errstate(**{
+        kind: "raise" if kind in kinds or mode != "ignore" else "ignore"
+        for kind, mode in np.geterr().items()
+    })
+
+
+def _difference_rows(rows: np.ndarray, d: int, out: np.ndarray | None) -> np.ndarray:
     if d < 0:
         raise ValueError("differencing order must be nonnegative")
-    if len(x) <= d:
+    if rows.shape[1] <= d:
         raise ValueError("insufficient samples for differencing order")
-    if d == 0:
-        return x
     # np.diff's passes, each into a fresh array or into the start of out
     # (where a pass may overlap its input; ufuncs then act as on a copy).
-    samples = x.samples
     for _ in range(d):
-        target = None if out is None else out[: samples.size - 1]
-        samples = np.subtract(samples[1:], samples[:-1], out=target)
-    return TimeSeries.adopt(samples, x.sample_rate_hz)
+        target = None if out is None else out[: rows.shape[0], : rows.shape[1] - 1]
+        rows = np.subtract(rows[:, 1:], rows[:, :-1], out=target)
+    return rows
 
 
-def _demean(x: TimeSeries, out: np.ndarray | None) -> TimeSeries:
-    samples = x.samples
-    target = None if out is None else out[: samples.size]
-    return TimeSeries.adopt(np.subtract(samples, samples.mean(), out=target), x.sample_rate_hz)
+def demean_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row of ``rows`` less its mean, into ``out`` (which may be
+    ``rows`` itself) or a fresh array.
+
+    The row means come from one ``mean(axis=1)`` call, which sums each
+    row as the 1-D ``mean`` does, so every row gets the bits of its
+    one-row call.  This is the centring of :func:`demean`, of
+    :func:`biased_autocov` and of every fitter.
+    """
+    return np.subtract(rows, rows.mean(axis=1, keepdims=True), out=out)
+
+
+def lag_products(rows: np.ndarray, max_lag: int) -> np.ndarray:
+    """c(l) = sum_{n=0}^{N-1-l} x(n) x(n+l), l = 0..max_lag, of each row x.
+
+    One stacked ``np.matmul`` per lag serves every row: a 1 x (N - l) by
+    (N - l) x 1 product runs through the dot loop of ``np.dot``, so each
+    row gets the bits of ``np.dot(x[:N - l], x[l:])``.  A single row, and
+    rows whose products the error state would report a floating-point
+    fault of, take ``np.dot`` itself row by row: the call costs less for
+    one row, and a warning or error is then ``np.dot``'s own, as it is for
+    a row alone.
+    """
+    count, n = rows.shape
+    products = np.empty((count, max_lag + 1))
+    if count > 1:
+        try:
+            with _raising():
+                for lag in range(max_lag + 1):
+                    products[:, lag] = np.matmul(
+                        rows[:, np.newaxis, : n - lag], rows[:, lag:, np.newaxis]
+                    )[:, 0, 0]
+            return products
+        except FloatingPointError:
+            pass
+    for row, values in zip(rows, products):
+        for lag in range(max_lag + 1):
+            values[lag] = np.dot(row[: n - lag], row[lag:])
+    return products
+
+
+def autocov_rows(centred: np.ndarray, max_lag: int) -> np.ndarray:
+    """r(0..max_lag) of :func:`biased_autocov` for each row of ``centred``,
+    rows that are already demeaned; the row form of its formula."""
+    return lag_products(centred, max_lag) / centred.shape[1]
 
 
 def biased_autocov(x: TimeSeries, max_lag: int) -> AutocovarianceSeq:
@@ -93,7 +203,8 @@ def biased_autocov(x: TimeSeries, max_lag: int) -> AutocovarianceSeq:
 
     The 1/N normalization (rather than 1/(N-l)) keeps the implied
     autocovariance matrix positive semidefinite, which in turn keeps the
-    Levinson-Durbin recursion well posed.
+    Levinson-Durbin recursion well posed.  This is the one-row case of
+    :func:`demean_rows` followed by :func:`autocov_rows`.
 
     Parameters
     ----------
@@ -111,11 +222,7 @@ def biased_autocov(x: TimeSeries, max_lag: int) -> AutocovarianceSeq:
         raise ValueError("max_lag must be nonnegative")
     if max_lag > n - 1:
         raise ValueError("max_lag must not exceed len(x) - 1")
-    centered = x.samples - x.samples.mean()
-    r = np.empty(max_lag + 1)
-    for lag in range(max_lag + 1):
-        r[lag] = np.dot(centered[: n - lag], centered[lag:]) / n
-    return AutocovarianceSeq(r)
+    return AutocovarianceSeq(autocov_rows(demean_rows(x.samples[np.newaxis]), max_lag)[0])
 
 
 def periodogram(x: TimeSeries, grid_size: int = 512) -> SpectrumEstimate:
@@ -125,7 +232,8 @@ def periodogram(x: TimeSeries, grid_size: int = 512) -> SpectrumEstimate:
     [0, 0.5].  The grid points are f_j = j / (2 (G-1)), which are Fourier
     frequencies of period M = 2 (G-1); the transform is computed exactly
     for any signal length by time-aliasing the signal modulo M and taking
-    one FFT, since exp(-2j pi f_j n) has period M in n.
+    one FFT, since exp(-2j pi f_j n) has period M in n.  This is the
+    one-row case of :func:`periodogram_rows`.
 
     No demeaning is applied: I(0) carries the squared sample sum.
 
@@ -146,23 +254,39 @@ def periodogram(x: TimeSeries, grid_size: int = 512) -> SpectrumEstimate:
         "periodogram values must be finite and nonnegative" when a value
         overflows.
     """
+    values, (fault,) = periodogram_rows(x.samples[np.newaxis], grid_size)
+    if fault is not None:
+        raise ValueError(fault)
+    return SpectrumEstimate(np.linspace(0.0, 0.5, grid_size), values[0], x.sample_rate_hz)
+
+
+def periodogram_rows(rows: np.ndarray, grid_size: int = 512):
+    """:func:`periodogram` values of each row of ``rows``.
+
+    Returns ``(values, faults)``: row r of ``values`` holds I(f_0..f_{G-1})
+    of row r, and ``faults[r]`` is None or the message that
+    :func:`periodogram` raises on that row.  The fold is one sum over a
+    (rows, wraps, M) array and the transform one ``rfft`` over the rows,
+    each of which gives every row the bits of its one-row call.
+    """
     if grid_size < 1:
         raise ValueError("grid_size must be at least 1")
-    n = len(x)
-    samples = x.samples
+    count, n = rows.shape
     if grid_size == 1:
-        values = np.array([abs(samples.sum()) ** 2 / n])
+        values = np.abs(rows.sum(axis=1, keepdims=True)) ** 2 / n
     else:
         m = 2 * (grid_size - 1)
         wraps = -(-n // m)  # ceil(n / m)
-        padded = np.zeros(wraps * m)
-        padded[:n] = samples
-        folded = padded.reshape(wraps, m).sum(axis=0)
-        spectrum = np.fft.rfft(folded)
+        padded = np.zeros((count, wraps * m))
+        padded[:, :n] = rows
+        folded = padded.reshape(count, wraps, m).sum(axis=1)
+        spectrum = np.fft.rfft(folded, axis=-1)
         values = (spectrum.real**2 + spectrum.imag**2) / n
-    if not np.isfinite(values).all():
-        raise ValueError("periodogram values must be finite and nonnegative")
-    return SpectrumEstimate(np.linspace(0.0, 0.5, grid_size), values, x.sample_rate_hz)
+    faults = [
+        None if ok else "periodogram values must be finite and nonnegative"
+        for ok in np.isfinite(values).all(axis=1).tolist()
+    ]
+    return values, faults
 
 
 def normality_check(x: TimeSeries) -> tuple[float, bool]:
@@ -180,7 +304,7 @@ def normality_check(x: TimeSeries) -> tuple[float, bool]:
     n = len(x)
     if n < 8:
         raise ValueError("too few samples")
-    centered = x.samples - x.samples.mean()
+    centered = demean_rows(x.samples[np.newaxis])[0]
     m2 = np.mean(centered**2)
     if m2 == 0.0:
         raise ValueError("zero-variance signal")

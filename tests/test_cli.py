@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import arpsd
@@ -225,6 +226,44 @@ def test_psd_all_writes_nothing_when_a_channel_fails(tmp_path, capsys):
     assert "degenerate signal" in captured.err
     assert "wrote" not in captured.out
     assert list(out_dir.glob("*")) == []
+
+
+@pytest.mark.parametrize("method", ["burg", "yw", "mle"])
+def test_psd_all_writes_the_bytes_of_each_channel_alone(burst_workspace, capsys, method):
+    # psd --all fits its channels in blocks; each file keeps the bytes
+    # that psd --channel writes for that channel alone.
+    tmp_path, rec, _ = burst_workspace
+    flags = ["--method", method, "--order", "auto"]
+    assert main(["psd", str(rec), "--all", "--out", str(tmp_path / "all"), *flags]) == 0
+    names = read_recording_csv(rec).names
+    for name in names:
+        out_dir = tmp_path / f"one-{name}"
+        assert main(["psd", str(rec), "--channel", name, "--out", str(out_dir), *flags]) == 0
+        written = (tmp_path / "all" / f"{name}.csv").read_bytes()
+        assert written == (out_dir / f"{name}.csv").read_bytes()
+    assert len(list((tmp_path / "all").glob("*.csv"))) == len(names)
+
+
+@pytest.mark.parametrize("order", [("A", "B", "C"), ("A", "C", "B")])
+def test_psd_all_raises_the_first_failing_channels_error(tmp_path, capsys, order):
+    # B is constant ("degenerate signal") and C's differences overflow;
+    # whichever comes first in the file is the error reported.
+    columns = {
+        "A": [f"{i % 7 - 3.0}" for i in range(200)],
+        "B": ["2.5"] * 200,
+        "C": [repr(1.5e308 * (-1.0) ** i) for i in range(200)],
+    }
+    rec = tmp_path / "rec.csv"
+    rows = "\n".join(",".join(columns[name][i] for name in order) for i in range(200))
+    rec.write_text("# fs=128\n" + ",".join(order) + "\n" + rows + "\n")
+    out_dir = tmp_path / "psd"
+    with np.errstate(over="ignore"):
+        assert main(["psd", str(rec), "--all", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    first = "degenerate signal" if order[1] == "B" else "samples contains non-finite values"
+    assert captured.err == f"error: {first}\n"
+    assert "wrote" not in captured.out
+    assert not out_dir.exists()
 
 
 def test_report_headers_give_the_recordings_sample_rate(tmp_path, capsys):

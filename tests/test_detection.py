@@ -406,26 +406,42 @@ def test_the_shared_buffer_carries_nothing_from_one_channel_to_the_next(
 
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
 @pytest.mark.parametrize("order", [10, "auto"])
-def test_a_channel_fit_holds_no_view_of_the_work_buffer(method, order):
+def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, order):
     # Burg channels from _LAG_MIN_SAMPLES on are fitted from lag rows; the
     # sine's stages stop short, so it is prepared again for the lattice
-    # after the others.
+    # after the others.  Channels up to _ROW_SAMPLES are read into rows of
+    # reused matrices, a longer one into one reused row.
+    buffers = {}
+
+    class Recorded(estimation._Space):
+        def row(self, position, n):
+            out = super().row(position, n)
+            buffers.update({id(self.raw): self.raw, id(self.rows): self.rows})
+            return out
+
+        def alone(self, n):
+            out = super().alone(n)
+            buffers[id(self.long)] = self.long
+            return out
+
+    monkeypatch.setattr(estimation, "_Space", Recorded)
     config = RunConfig(method=method, order=order)
-    for n in (estimation._LAG_MIN_SAMPLES - 1, 2560, 8292):
+    for n in (estimation._LAG_MIN_SAMPLES - 1, 2560, 8292, estimation._ROW_SAMPLES + 2):
         bursts = [BurstSpec("F8-T4", 5.0, 0.95)]
         recording, _ = simulate_recording(("F8-T4", "Fp2-F8"), n, 128.0, 1.0, bursts, 10.0, seed=2)
         noise = 1e-9 * np.random.default_rng(2).standard_normal(n)
         sine = TimeSeries(np.sin(2.0 * np.pi * 6.0 * np.arange(n) / 128.0) + noise, 128.0)
         channels = [recording["F8-T4"], sine, recording["Fp2-F8"]]
-        work = np.empty(n)
-        outcomes = dict(pair for block in detection._fit_channels(channels, config, work)
+        buffers.clear()
+        outcomes = dict(pair for block in detection._fit_channels(channels, config)
                         for pair in block)
+        assert buffers
         for index, x in enumerate(channels):
             fitted = outcomes[index]
             for fit in [fitted.fit] + ([fitted.scan.fit] if fitted.scan else []):
                 for values in (fit.model.coeffs, fit.reflection_coeffs,
                                fit.prediction_error_by_order):
-                    assert not np.shares_memory(values, work)
+                    assert not any(np.shares_memory(values, work) for work in buffers.values())
             assert fitted == fit_channel(x, config)
 
 
@@ -459,7 +475,7 @@ def _detect_models(models, config, fs=128.0):
     recording = Recording({name: TimeSeries(np.arange(4.0), fs) for name in names})
     by_series = {id(recording[name]): model for name, model in zip(names, models)}
 
-    def fit(channels, config, work):
+    def fit(channels, config):
         outcomes = []
         for index, x in enumerate(channels):
             model = by_series[id(x)]

@@ -42,11 +42,15 @@ from arpsd import (
 from arpsd import estimation
 from arpsd.estimation import (
     _LAG_MIN_SAMPLES,
+    _ROW_SAMPLES,
     _burg_lag_rows,
     _burg_lattice,
+    _lag_block,
     _lag_row,
+    _levinson_block,
     _levinson_rows,
     _mle_sigma2,
+    _sweep,
     _transfer_mag2,
     fit_sweeps,
 )
@@ -608,3 +612,180 @@ def test_levinson_matches_the_dense_toeplitz_solve(spectrum, p):
         assert abs(fit.prediction_error_by_order[order] - error) <= 1e-12 * error
     assert np.max(np.abs(fit.model.coeffs - direct)) <= 1e-11 * max(1.0, np.max(np.abs(direct)))
     assert abs(fit.model.sigma2 - error) <= 1e-12 * error
+
+
+# --- channels as rows of one matrix ----------------------------------------
+
+
+@pytest.mark.parametrize("n", [300, 2559, 9999, 10_000, 10_001, 20_000])
+def test_numpy_row_calls_keep_the_bits_of_one_dimensional_calls(n):
+    # The row forms of the fit's reads rest on these NumPy behaviours; a
+    # NumPy that breaks one fails here before any digest moves.  The rows
+    # are views of a wider matrix, as the fit's reused rows are.
+    rng = np.random.default_rng(n)
+    wide = np.zeros((7, n + 13))
+    rows = wide[:, :n]
+    rows[:] = rng.standard_normal((7, n)) * rng.uniform(1e-3, 1e3, (7, 1)) + rng.normal(0, 5, (7, 1))
+    means = rows.mean(axis=1)
+    grid_size = 512
+    period = 2 * (grid_size - 1)
+    wraps = -(-n // period)
+    padded = np.zeros((7, wraps * period))
+    padded[:, :n] = rows
+    folded = padded.reshape(7, wraps, period).sum(axis=1)
+    spectra = np.fft.rfft(folded, axis=-1)
+    pgrams = (spectra.real**2 + spectra.imag**2) / n
+    circular = np.fft.irfft(pgrams, period, axis=-1)
+    for lag in (0, 1, 2, 17, 30):
+        stacked = np.matmul(rows[:, np.newaxis, : n - lag], rows[:, lag:, np.newaxis])[:, 0, 0]
+        for row, x in enumerate(rows):
+            assert stacked[row].tobytes() == np.dot(x[: n - lag], x[lag:]).tobytes()
+    for row, x in enumerate(rows):
+        x = x.copy()
+        assert means[row].tobytes() == x.mean().tobytes()
+        alone = np.zeros(wraps * period)
+        alone[:n] = x
+        alone = alone.reshape(wraps, period).sum(axis=0)
+        assert folded[row].tobytes() == alone.tobytes()
+        assert spectra[row].tobytes() == np.fft.rfft(alone).tobytes()
+        assert circular[row].tobytes() == np.fft.irfft(pgrams[row], period).tobytes()
+
+
+def _raw_channel(kind, seed, n):
+    """A raw channel of n samples: a noisy resonance with an offset, a
+    noise-free resonance or a sine (whose Burg stages stop short and whose
+    MLE variance takes the trapezoid), a constant, samples of +-1.5e308
+    (whose differences overflow), or noise scaled by 1e160 (whose lag
+    products overflow)."""
+    rng = np.random.default_rng(seed)
+    if kind in ("resonance", "sharp", "sine"):
+        x = _row_signal(kind, seed, n)
+        return x + rng.uniform(-3.0, 3.0) if kind == "resonance" else x
+    if kind == "constant":
+        return np.full(n, 2.5)
+    if kind == "overflow":
+        return 1.5e308 * (-1.0) ** np.arange(n)
+    return 1e160 * rng.standard_normal(n)
+
+
+def _same_bits(ours, ref):
+    """The same error, or sweeps whose every array has the same bytes."""
+    if isinstance(ref, Exception) or isinstance(ours, Exception):
+        return type(ours) is type(ref) and str(ours) == str(ref)
+    if ours.method != ref.method or len(ours.stages) != len(ref.stages):
+        return False
+    if ours.sigma2_by_order.tobytes() != ref.sigma2_by_order.tobytes():
+        return False
+    for (first, coeffs, ks, errs), (ref_first, ref_coeffs, ref_ks, ref_errs) in zip(
+        ours.stages, ref.stages
+    ):
+        if first != ref_first or len(coeffs) != len(ref_coeffs):
+            return False
+        if any(a.tobytes() != b.tobytes() for a, b in zip(coeffs, ref_coeffs)):
+            return False
+        if ks.tobytes() != ref_ks.tobytes() or errs.tobytes() != ref_errs.tobytes():
+            return False
+    return True
+
+
+def _per_channel_sweep(x, p, method, grid_size, diff_order):
+    """The sweep of one good channel from the per-channel arithmetic: 1-D
+    np.subtract and mean, one np.dot per lag, the 1-D fold, rfft and irfft,
+    fed to the block kernels with one row.  Also checks that the one-row
+    functions ``_lag_row``, ``biased_autocov`` and ``periodogram`` give
+    that arithmetic's bits."""
+    samples = x
+    if diff_order is not None:
+        for _ in range(diff_order):
+            samples = np.subtract(samples[1:], samples[:-1])
+        samples = samples - samples.mean()
+    centred = samples - samples.mean()
+    n = centred.size
+    lags = np.array([np.dot(centred[: n - lag], centred[lag:]) for lag in range(p + 1)])
+    if method == "burg":
+        lag_row = np.concatenate((lags, centred[:p], centred[: n - p - 1 : -1]))
+        assert _lag_row(centred, p).tobytes() == lag_row.tobytes()
+        if n < _LAG_MIN_SAMPLES:
+            return _sweep("burg", [(1, *_burg_lattice(centred, p))])
+        return _lag_block([(0, n, lag_row)], p, lambda _: centred)[0]
+    r = lags / n
+    assert biased_autocov(TimeSeries(samples, FS), p).values.tobytes() == r.tobytes()
+    spectrum = None
+    if method == "mle":
+        period = 2 * (grid_size - 1)
+        wraps = -(-n // period)
+        padded = np.zeros(wraps * period)
+        padded[:n] = centred
+        transform = np.fft.rfft(padded.reshape(wraps, period).sum(axis=0))
+        pgram = (transform.real**2 + transform.imag**2) / n
+        assert periodogram(TimeSeries(centred, FS), grid_size).values.tobytes() == pgram.tobytes()
+        spectrum = (np.fft.irfft(pgram, period)[: p + 1], pgram)
+    return _levinson_block([(0, r, spectrum)], p, method)[0]
+
+
+_LENGTHS = st.one_of(
+    st.integers(0, 600), st.integers(2400, 2700), st.integers(_ROW_SAMPLES - 10, _ROW_SAMPLES + 10),
+    st.just(12_000),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    channels=st.lists(
+        st.tuples(
+            st.sampled_from(["resonance", "resonance", "sharp", "sine", "constant", "overflow",
+                             "huge", "short"]),
+            st.integers(0, 2**32 - 1),
+            _LENGTHS,
+        ),
+        min_size=1,
+        max_size=7,
+    ),
+    method=st.sampled_from(["burg", "yule_walker", "mle"]),
+    p=st.integers(1, 30),
+    diff_order=st.sampled_from([None, 0, 1, 2]),
+    errstate=st.sampled_from(["raise", "ignore"]),
+)
+def test_each_channel_of_a_block_gets_its_one_channel_outcome(channels, method, p, diff_order,
+                                                              errstate):
+    # Mixed lengths in one call, on both sides of _ROW_SAMPLES, with
+    # channels that fail in every stage between good ones.
+    d = diff_order or 0
+    grid_size = 128
+    series = []
+    for kind, seed, n in channels:
+        n = max(1, n % (p + 1 + d)) if kind == "short" else max(n, p + 2 + d)
+        series.append(TimeSeries(_raw_channel(kind, seed, n), FS))
+    # Every channel is read into one buffer, which the next read overwrites.
+    work = np.empty(max(len(x) for x in series))
+
+    def channel(index):
+        work[: len(series[index])] = series[index].samples
+        return TimeSeries.adopt(work[: len(series[index])], FS)
+
+    with np.errstate(all=errstate):
+        outcomes = list(fit_sweeps(channel, len(series), p, method, grid_size, diff_order))
+        assert [index for index, _ in outcomes] == list(range(len(series)))
+        for (index, outcome), (kind, _, _), x in zip(outcomes, channels, series):
+            ((_, alone),) = fit_sweeps(lambda _, x=x: x, 1, p, method, grid_size, diff_order)
+            assert _same_bits(outcome, alone)
+            if kind in ("resonance", "sharp", "sine"):
+                expected = _per_channel_sweep(x.samples, p, method, grid_size, diff_order)
+                assert _same_bits(outcome, expected)
+                if diff_order is None:
+                    assert _same_bits(outcome, fit_sweep(x, p, method, grid_size))
+                for _, coeffs_by_order, ks, errs in outcome.stages:
+                    for values in (*coeffs_by_order, ks, errs, outcome.sigma2_by_order):
+                        assert not np.shares_memory(values, work)
+            elif kind == "constant" and diff_order is not None:
+                flat = "degenerate signal" if method == "burg" else "zero-variance signal"
+                assert isinstance(outcome, ValueError) and str(outcome) == flat
+            elif kind == "overflow" and diff_order:
+                assert isinstance(outcome, FloatingPointError if errstate == "raise" else ValueError)
+                if errstate == "ignore":
+                    assert str(outcome) == "samples contains non-finite values"
+            elif kind == "huge" and errstate == "raise":
+                assert isinstance(outcome, FloatingPointError)
+                assert str(outcome) == "overflow encountered in dot"
+            elif kind == "short":
+                assert isinstance(outcome, ValueError)

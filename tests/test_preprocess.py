@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arpsd import (
@@ -16,7 +16,7 @@ from arpsd import (
     normality_check,
     periodogram,
 )
-from arpsd.preprocess import prepare_into
+from arpsd.preprocess import prepare_into, prepare_rows
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -114,6 +114,63 @@ def test_prepare_into_equals_demean_of_difference_bit_for_bit(values, d, spare, 
     assert np.shares_memory(out.samples, work)
     assert not out.samples.flags.writeable
     assert work.flags.writeable
+
+
+def _prepared_step_by_step(row, d):
+    """The prepared samples of one row, or the fault message, each step
+    checked as :func:`difference` and :func:`demean` check it."""
+    for _ in range(d):
+        row = np.subtract(row[1:], row[:-1])
+    if not np.isfinite(row).all():
+        return "samples contains non-finite values"
+    row = row - row.mean()
+    return row if np.isfinite(row).all() else "samples contains non-finite values"
+
+
+@PROPERTY
+@given(
+    rows=st.lists(
+        st.one_of(
+            st.lists(st.floats(-1e6, 1e6), min_size=12, max_size=12),
+            st.lists(st.floats(-1.7e308, 1.7e308), min_size=12, max_size=12),
+            st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=12, max_size=12),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    d=st.integers(0, 2),
+)
+# Only the third sample less the (finite) row mean overflows.
+@example(rows=[[0.0, 1.7e308, -1.7e308, 1.7e308] + [0.0] * 8, [1.0] * 12], d=0)
+def test_prepare_rows_gives_each_row_its_one_row_outcome(rows, d):
+    # Rows whose steps overflow, and inputs that are not finite (which no
+    # TimeSeries holds), fail the unchecked pass and are prepared again,
+    # step by step; every other row keeps the unchecked pass's bits.
+    rows = np.array(rows)
+    out = np.full((len(rows), 12), 7.0)
+    with np.errstate(all="ignore"):
+        faults = prepare_rows(rows, d, out)
+        for row, fault, prepared in zip(rows, faults, out):
+            expected = _prepared_step_by_step(row, d)
+            if isinstance(expected, str):
+                assert fault == expected
+            else:
+                assert fault is None
+                assert prepared[: 12 - d].tobytes() == expected.tobytes()
+    for row in rows:
+        with np.errstate(all="raise"):
+            try:
+                expected = _prepared_step_by_step(row, d)
+            except FloatingPointError as exc:
+                expected = exc
+            try:
+                (fault,) = prepare_rows(row[np.newaxis], d, np.empty((1, 12)))
+            except FloatingPointError as exc:
+                fault = exc
+        if isinstance(expected, Exception):
+            assert type(fault) is type(expected) and str(fault) == str(expected)
+        else:
+            assert fault == (expected if isinstance(expected, str) else None)
 
 
 def test_prepare_into_refuses_what_difference_refuses():
