@@ -10,6 +10,15 @@ from .order_selection import CRITERIA
 __all__ = ["RunConfig"]
 
 
+def _count(value, least: int) -> int | None:
+    """``value`` as an ``int`` when it is an integer of at least ``least``
+    (of any integral type but bool), else None."""
+    # bool is an Integral, but True is no count.
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        return None
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parameters of one screening run.
@@ -17,9 +26,10 @@ class RunConfig:
     Defaults reproduce the reference pipeline: first differencing, Burg
     fits at order 10, threshold multiplier 2 on the PSD grid mean, and a
     channel flagged when at least half of the surviving power sits in
-    delta or theta.  ``order`` is a positive integer (any integral type
-    but bool, stored as ``int``) or the string "auto" to select the order
-    per channel by ``criterion`` over 1..p_max.
+    delta or theta.  ``order`` is a positive integer or the string "auto"
+    to select the order per channel by ``criterion`` over 1..p_max.  The
+    integers ``order``, ``p_max``, ``diff_order`` and ``grid_size`` may be
+    of any integral type but bool, and are stored as ``int``.
     """
 
     method: str = "burg"
@@ -39,20 +49,21 @@ class RunConfig:
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion: {self.criterion!r}")
         if not (isinstance(self.order, str) and self.order == "auto"):
-            # bool is an Integral, but True is no model order.
-            if isinstance(self.order, bool) or not isinstance(self.order, Integral) or self.order < 1:
+            order = _count(self.order, 1)
+            if order is None:
                 raise ValueError('order must be a positive integer or "auto"')
-            object.__setattr__(self, "order", int(self.order))
-        if self.p_max < 1:
-            raise ValueError("p_max must be at least 1")
-        if self.diff_order < 0:
-            raise ValueError("diff_order must be nonnegative")
+            object.__setattr__(self, "order", order)
+        for name, least, rule in (("p_max", 1, "an integer of at least 1"),
+                                  ("diff_order", 0, "a nonnegative integer"),
+                                  ("grid_size", 2, "an integer of at least 2")):
+            value = _count(getattr(self, name), least)
+            if value is None:
+                raise ValueError(f"{name} must be {rule}")
+            object.__setattr__(self, name, value)
         if not self.k >= 0.0:
             raise ValueError("k must be nonnegative")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
         check_bands(self.bands)
 
     def summary(self) -> dict[str, object]:

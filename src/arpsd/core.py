@@ -110,10 +110,9 @@ class TimeSeries(ArrayFields):
         The checks are the constructor's, including its one pass over the
         samples for finiteness; only the copy is skipped.  The array is made
         read-only in place, so the caller must own it outright: a fresh
-        result such as the output of ``np.diff``, or a view of a work buffer
-        that nothing writes while the series is in use
-        (:func:`arpsd.preprocess.prepare_into`); never a view of samples
-        that something else may still write.
+        result such as the output of ``np.diff`` or a column the CSV reader
+        has just parsed; never a view of samples that something else may
+        still write.
         """
         series = cls.__new__(cls)
         series._freeze(_frozen_array(samples, name="samples", copy=False), sample_rate_hz)

@@ -228,8 +228,7 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig):
         check = partial(check_scan, p_max=config.p_max, method=config.method,
                         criterion=config.criterion)
     p = config.p_max if auto else config.order
-    outcomes = fit_sweeps(channels.__getitem__, len(channels), p, config.method,
-                          config.grid_size, config.diff_order, check)
+    outcomes = fit_sweeps(channels, p, config.method, config.grid_size, config.diff_order, check)
     while block := list(islice(outcomes, BLOCK_CHANNELS)):
         swept = {index: sweep for index, sweep in block if isinstance(sweep, FitSweep)}
         sizes = {index: len(channels[index]) - config.diff_order for index in swept}

@@ -6,10 +6,10 @@ Three fitting routes share one coefficient convention (see
 * ``yule_walker_fit`` solves the autocovariance normal equations with the
   Levinson-Durbin recursion.
 * ``burg_fit`` runs the Burg recursion on the raw samples, minimizing the
-  summed forward plus backward prediction error at each stage.  Inputs
-  of ``_LAG_MIN_SAMPLES`` samples or more are evaluated from their lag
-  products in O(m) work per stage; a stage that fails its conditioning
-  test, and every stage after it, comes from the lattice instead.
+  summed forward plus backward prediction error at each stage, evaluated
+  from the lag products in O(m) work per stage; a stage that fails its
+  conditioning test, and every stage after it, comes from the lattice
+  instead.
 * ``mle_fit`` reuses the Yule-Walker coefficients (the likelihood is
   maximized by the same normal equations) and estimates the innovation
   variance by integrating |A(f)|^2 I(f) against the periodogram, in
@@ -28,7 +28,9 @@ the centring, the lag products and the periodogram
 (:mod:`arpsd.preprocess`), each one call over the rows.  The rows then
 run through :func:`arpsd.core.in_rows` as the lag-product stages of Burg
 channels or as the Levinson recursion and MLE variance of Yule-Walker
-and MLE channels.  Each channel gets the bits it gets alone.
+and MLE channels.  Each channel gets the bits it gets alone.  A sweep's
+coefficients are one p x p array per recursion, whose row m - 1 holds
+a(1..m) and whose diagonal holds k(1..p).
 """
 
 import math
@@ -71,14 +73,6 @@ METHOD_BURG = "burg"
 METHOD_MLE = "mle"
 METHODS = (METHOD_YULE_WALKER, METHOD_BURG, METHOD_MLE)
 
-# Burg from lag products costs p + 1 dot products per channel and O(m)
-# small-array work per stage, shared by the rows of a block; the lattice
-# costs O(n) vector updates per stage.  In blocks of 18 and 32 rows at
-# p = 10 and 30, the lag products were faster from 128-192 samples on, and
-# by at least a third from this length (see README).  The choice depends
-# on n only, so that an order-p fit is the same whatever order a sweep
-# runs to.
-_LAG_MIN_SAMPLES = 256
 # A lag-product stage m bounds the magnitudes that its forms add by
 # ||q||^2 (c(0) + 2 sum_{l=1..m} |c(l)|) (see _burg_lag_rows).  Where
 # that bound exceeds this multiple of its forward-plus-backward energy
@@ -188,14 +182,6 @@ def _levinson_rows(r: np.ndarray, p: int):
     return coeffs, errs, faults
 
 
-def _stage(coeffs: np.ndarray, errs: np.ndarray):
-    """The ``(1, coeffs_by_order, ks, errs)`` stage of one row of
-    :func:`_levinson_rows`, in arrays of its own, so that no sweep keeps
-    its block's arrays alive."""
-    coeffs = coeffs.copy()
-    return 1, [coeffs[m, : m + 1] for m in range(errs.size - 1)], np.diagonal(coeffs), errs.copy()
-
-
 def levinson_durbin(r: AutocovarianceSeq, p: int) -> FitResult:
     """Fit AR(p) coefficients from an autocovariance sequence.
 
@@ -229,8 +215,7 @@ def levinson_durbin(r: AutocovarianceSeq, p: int) -> FitResult:
     coeffs, errs, faults = _levinson_rows(r.values[np.newaxis, : p + 1], p)
     if faults[0] is not None:
         raise ValueError(faults[0])
-    _, coeffs_by_order, ks, errs = _stage(coeffs[0], errs[0])
-    return FitResult(ArModel(p, coeffs_by_order[-1], errs[p]), METHOD_YULE_WALKER, ks, errs)
+    return _sweep(METHOD_YULE_WALKER, [(1, coeffs[0], errs[0])]).fit(p)
 
 
 def yule_walker_fit(x: TimeSeries, p: int) -> FitResult:
@@ -249,10 +234,13 @@ def yule_walker_fit(x: TimeSeries, p: int) -> FitResult:
 
 
 def _burg_lattice(samples: np.ndarray, p: int):
-    """Burg lattice sweep returning per-order coefficients, k's and errors.
+    """Burg lattice sweep to order p, returning ``(coeffs, errs)``.
 
-    At stage m the reflection coefficient minimizes the summed forward
-    and backward prediction-error energy,
+    Row m - 1 of the p x p array ``coeffs`` holds a(1..m) of order m
+    (zeros follow it), so its diagonal holds k(1..p); ``errs`` holds the
+    prediction-error powers E(0..p).  At stage m the reflection
+    coefficient minimizes the summed forward and backward prediction-error
+    energy,
 
         k_m = -2 sum f(n) b(n-1) / sum [f(n)^2 + b(n-1)^2],
 
@@ -263,8 +251,7 @@ def _burg_lattice(samples: np.ndarray, p: int):
     n = samples.size
     f = samples.astype(np.float64, copy=True)
     b = samples.astype(np.float64, copy=True)
-    coeffs_by_order: list[np.ndarray] = []
-    ks = np.empty(p)
+    coeffs = np.zeros((p, p))
     errs = np.empty(p + 1)
     errs[0] = np.dot(samples, samples) / n
     a = np.empty(0)
@@ -279,19 +266,16 @@ def _burg_lattice(samples: np.ndarray, p: int):
         k = -2.0 * np.dot(fv, bv) / den
         # Cauchy-Schwarz bounds |k| by 1 exactly; clamp 1-ulp spill.
         k = min(1.0, max(-1.0, k))
-        new = np.empty(m)
-        new[: m - 1] = a + k * a[::-1]
-        new[m - 1] = k
-        a = new
+        coeffs[m - 1, : m - 1] = a + k * a[::-1]
+        coeffs[m - 1, m - 1] = k
+        a = coeffs[m - 1, :m]
         # fv and bv alias f and b; materialize both updates before writing.
         new_f = fv + k * bv
         new_b = bv + k * fv
         f[m:] = new_f
         b[m:] = new_b
-        ks[m - 1] = k
         errs[m] = errs[m - 1] * (1.0 - k * k)
-        coeffs_by_order.append(a)
-    return coeffs_by_order, ks, errs
+    return coeffs, errs
 
 
 def _lag_rows(rows: np.ndarray, p: int) -> np.ndarray:
@@ -350,10 +334,9 @@ def _burg_lag_rows(rows: np.ndarray, n, p: int):
     ``_LAG_CANCELLATION_LIMIT`` times its energy times 1 - k^2 (which also
     stops |k| >= 1 and a k that is not a number); the other rows go on
     without it.
-    Returns the lattice's triple ``(coeffs_by_order, ks, errs)`` of each
-    row for the stages that passed; fewer than p coefficient vectors means
-    stage ``len(coeffs_by_order) + 1`` failed, and ``ks`` and ``errs``
-    hold no stage above it.
+    Returns ``(coeffs, errs, passed)``: ``coeffs[r]`` and ``errs[r]`` are
+    the lattice's pair of row r (see :func:`_burg_lattice`) up to stage
+    ``passed[r]``, the last that passed; above it they hold no fit.
     """
     count = rows.shape[0]
     lags = rows[:, : p + 1]
@@ -370,8 +353,7 @@ def _burg_lag_rows(rows: np.ndarray, n, p: int):
     forms = np.zeros((count, 3, p + 2))
     forms[:, ::2, 0] = lags[:, :1]
     forms[:, 1, 0] = 1.0
-    # a(1..m) of order m of row r is polys[r, m, 1:m+1]; k(m) is polys[r, m, m].
-    polys = np.zeros((count, p + 1, p + 1))
+    coeffs = np.zeros((count, p, p))
     done = np.full(count, p)
     alive = np.arange(count)
     live = slice(None)  # the rows still running: all of them, or alive
@@ -406,56 +388,42 @@ def _burg_lag_rows(rows: np.ndarray, n, p: int):
                 if not alive.size:
                     break
             forms[:, :, : m + 2] += k[:, np.newaxis, np.newaxis] * forms[:, ::-1, m + 1 :: -1]
-            polys[live, m + 1, : m + 2] = forms[:, 1, : m + 2]
-    ks = np.diagonal(polys[:, 1:, 1:], axis1=1, axis2=2).copy()
+            coeffs[live, m, : m + 1] = forms[:, 1, 1 : m + 2]
+    ks = np.diagonal(coeffs, axis1=1, axis2=2)
     # E(m + 1) = E(m) (1 - k^2) from E(0) = c(0) / N, one product at a time.
     errs = np.cumprod(np.concatenate((rows[:, :1] / n, 1.0 - ks * ks), axis=1), axis=1)
-    return [
-        ([polys[row, m, 1 : m + 1] for m in range(1, passed + 1)], ks[row], errs[row])
-        for row, passed in enumerate(done.tolist())
-    ]
+    return coeffs, errs, done
 
 
-def _check_burg(n: int, p: int) -> None:
+def _read_burg(centred: np.ndarray, p: int) -> list:
+    """``(n, lag row)`` of each row of ``centred``, n samples each.  A
+    fault of every row is raised as ValueError."""
+    n = centred.shape[1]
     if p < 1:
         raise ValueError("order must be at least 1")
     # n = p + 1 leaves exactly one term in the stage-p sums, which the
     # tiny hand-check cases rely on; anything shorter has none.
     if n < p + 1:
         raise ValueError("need more samples than the model order")
-
-
-def _read_burg(centred: np.ndarray, p: int) -> list:
-    """The lattice's sweep of each row of ``centred``, or ``(n, lag row)``
-    of each when its n samples take the lag-product stages, or the error
-    the row ends in.  A fault of every row is raised as ValueError."""
-    n = centred.shape[1]
-    _check_burg(n, p)
-    if n >= _LAG_MIN_SAMPLES:
-        return [(n, row) for row in _lag_rows(centred, p)]
-    outcomes = []
-    for samples in centred:
-        try:
-            outcomes.append(_sweep(METHOD_BURG, [(1, *_burg_lattice(samples, p))]))
-        except (ValueError, ArithmeticError) as exc:
-            outcomes.append(exc)
-    return outcomes
+    return [(n, row) for row in _lag_rows(centred, p)]
 
 
 def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]) -> list:
-    """The outcome of each long channel in ``block``, ``(index, n, lag
-    row)`` each, from one :func:`_burg_lag_rows` call.  A row that stops
-    short of p has its centred samples ``samples(index)`` read again, and
-    the lattice, run from the start, serves the orders from the stage that
-    failed."""
+    """The outcome of each channel in ``block``, ``(index, n, lag row)``
+    each, from one :func:`_burg_lag_rows` call.  A row that stops short of
+    p has its centred samples ``samples(index)`` read again, and the
+    lattice, run from the start, serves the orders from the stage that
+    failed.  Each sweep holds arrays of its own, so that none keeps the
+    block's arrays alive."""
     indices, sizes, rows = zip(*block)
-    lags = _burg_lag_rows(np.array(rows), np.array(sizes)[:, np.newaxis], p)
+    coeffs, errs, passed = _burg_lag_rows(np.array(rows), np.array(sizes)[:, np.newaxis], p)
     outcomes = []
-    for index, (coeffs_by_order, ks, errs) in zip(indices, lags):
+    for row, (index, done) in enumerate(zip(indices, passed.tolist())):
         # Each sweep serves the orders from its first on; the lattice
         # takes the orders from a failed check on.
-        done = len(coeffs_by_order)
-        stages = [(1, coeffs_by_order, ks[:done], errs[: done + 1])] if done else []
+        stages = []
+        if done:
+            stages.append((1, coeffs[row, :done, :done].copy(), errs[row, : done + 1].copy()))
         try:
             if done < p:
                 stages.append((done + 1, *_burg_lattice(samples(index), p)))
@@ -476,9 +444,9 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
         Model order, at least 1.
     demean : bool
         Subtract the sample mean first (the default, matching the
-        zero-mean process model).  Pass False to run the lattice on the
-        raw samples, e.g. when checking the recursion arithmetic on tiny
-        hand-built inputs whose mean carries the signal.
+        zero-mean process model).  Pass False to fit the raw samples,
+        e.g. when checking the recursion arithmetic on tiny hand-built
+        inputs whose mean carries the signal.
 
     Raises
     ------
@@ -489,9 +457,8 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
     """
     if demean:
         return fit_sweep(x, p, METHOD_BURG).fit(p)
-    (outcome,) = _read_burg(x.samples[np.newaxis], p)
-    if isinstance(outcome, tuple):
-        (outcome,) = _lag_block([(0, *outcome)], p, lambda _: x.samples)
+    (row,) = _read_burg(x.samples[np.newaxis], p)
+    (outcome,) = _lag_block([(0, *row)], p, lambda _: x.samples)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome.fit(p)
@@ -587,10 +554,13 @@ class FitSweep(ArrayFields):
     sigma2_by_order : np.ndarray
         Innovation variance of the fits of order 1..p_max.
     stages : tuple
-        ``(first_order, coeffs_by_order, ks, errs)`` recursions, each
-        serving the orders from its first order on.  A Burg sweep has a
-        second one when a lag-product stage fails its conditioning test
-        and the lattice takes over.
+        ``(first_order, coeffs, errs)`` recursions, each serving the
+        orders from its first order on.  Row m - 1 of the square array
+        ``coeffs`` holds a(1..m) of order m, so its diagonal holds the
+        reflection coefficients, and ``errs`` holds the prediction-error
+        powers from order 0 to the recursion's last order.  A Burg sweep
+        has a second recursion when a lag-product stage fails its
+        conditioning test and the lattice takes over.
     """
 
     method: str
@@ -605,16 +575,16 @@ class FitSweep(ArrayFields):
         """The order-p fit of the sweep, 1 <= p <= p_max."""
         if not 1 <= p <= self.p_max:
             raise ValueError(f"order {p} outside the sweep's 1..{self.p_max}")
-        _, coeffs_by_order, ks, errs = next(s for s in reversed(self.stages) if s[0] <= p)
-        model = ArModel(p, coeffs_by_order[p - 1], self.sigma2_by_order[p - 1])
-        return FitResult(model, self.method, ks[:p], errs[: p + 1])
+        _, coeffs, errs = next(s for s in reversed(self.stages) if s[0] <= p)
+        model = ArModel(p, coeffs[p - 1, :p], self.sigma2_by_order[p - 1])
+        return FitResult(model, self.method, np.diagonal(coeffs)[:p], errs[: p + 1])
 
 
 def _sweep(method: str, stages, sigma2_by_order=None) -> FitSweep:
     if sigma2_by_order is None:
         # Prediction-error power; a later stage overrides from its first order on.
-        sigma2_by_order = np.empty(stages[-1][2].size)
-        for first, _, _, errs in stages:
+        sigma2_by_order = np.empty(stages[-1][2].size - 1)
+        for first, _, errs in stages:
             sigma2_by_order[first - 1 : errs.size - 1] = errs[first:]
     return FitSweep(method, sigma2_by_order, tuple(stages))
 
@@ -642,7 +612,7 @@ def fit_sweep(
     ValueError
         As the method's fitter does at order p_max.
     """
-    return _only(fit_sweeps(lambda _: x, 1, p_max, method, grid_size))
+    return _only(fit_sweeps([x], p_max, method, grid_size))
 
 
 def _only(outcomes):
@@ -654,20 +624,19 @@ def _only(outcomes):
 
 
 def fit_sweeps(
-    channel: Callable[[int], TimeSeries], count: int, p: int, method: str = METHOD_BURG,
-    grid_size: int = 512, diff_order: int | None = None, check: Callable[[int], None] | None = None,
+    channels: Sequence[TimeSeries], p: int, method: str = METHOD_BURG, grid_size: int = 512,
+    diff_order: int | None = None, check: Callable[[int], None] | None = None,
 ):
-    """Sweeps to order p of ``channel(0)``, ..., ``channel(count - 1)``.
+    """Sweeps to order p of each of ``channels``.
 
     Yields ``(index, outcome)`` once for each index, in index order, a
     block of ``BLOCK_CHANNELS`` at a time: the sweep that
-    ``fit_sweep(channel(index), p, method, grid_size)`` returns, bit for
-    bit, or the ValueError or ArithmeticError that it, or
-    ``channel(index)`` itself, raises.  ``channel(index)`` may return a
-    view that the next call overwrites; no sweep holds a view of it.
+    ``fit_sweep(channels[index], p, method, grid_size)`` returns, bit for
+    bit, or the ValueError or ArithmeticError that it raises.  No sweep
+    holds a view of a channel's samples.
 
     With ``diff_order`` set, each channel is first prepared as
-    ``demean(difference(channel(index), diff_order))``
+    ``demean(difference(channels[index], diff_order))``
     (:func:`arpsd.preprocess.prepare_rows`), and a channel whose
     preparation raises ends in that error.  ``check(n)``, when given, is
     called with each channel's prepared length before it is fitted, and
@@ -678,22 +647,23 @@ def fit_sweeps(
     one call over the rows: the preparation, the fitters' centring, the
     lag products (:func:`arpsd.preprocess.lag_products`) and, for MLE,
     the periodogram and its circular autocovariance.  A longer channel is
-    read alone, through the same stages with one row.  A short Burg
-    channel is then fitted by the lattice; of a long one only its lag
-    products are kept (:func:`_read_burg`), and of a Yule-Walker or MLE
-    channel its autocovariances and, for MLE, its periodogram
-    (:func:`_read_levinson`).  These rows run a block at a time, by
-    :func:`_lag_block` or :func:`_levinson_block`.  No stage mixes rows,
-    and under ``np.seterr(..., "raise")`` a block whose stage faults is
-    read again a channel at a time (:func:`arpsd.core.in_rows`), so each
-    channel gets the outcome it gets alone.
+    read alone, through the same stages with one row.  Of a Burg channel
+    only its lag products are kept (:func:`_read_burg`), and of a
+    Yule-Walker or MLE channel its autocovariances and, for MLE, its
+    periodogram (:func:`_read_levinson`).  These rows run a block at a
+    time, by :func:`_lag_block` or :func:`_levinson_block`; a Burg channel
+    whose lag stages stop short is prepared again for the lattice.  No
+    stage mixes rows, and under ``np.seterr(..., "raise")`` a block whose
+    stage faults is read again a channel at a time
+    (:func:`arpsd.core.in_rows`), so each channel gets the outcome it gets
+    alone.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
 
     def centred_again(index: int) -> np.ndarray:
         # Burg's lattice reads a channel whose lag stages stopped again.
-        ((_, rows),) = _centred_groups(channel, [index], diff_order, (), _Space(1))
+        ((_, rows),) = _centred_groups(channels, [index], diff_order, (), _Space(1))
         if isinstance(rows, Exception):
             raise rows
         return rows[0]
@@ -706,11 +676,11 @@ def fit_sweeps(
         checks.append(partial(_check_levinson, p=p, method=method, grid_size=grid_size))
         read = partial(_read_levinson, p=p, method=method, grid_size=grid_size)
         kernel = partial(_levinson_block, p=p, method=method)
-    space = _Space(min(count, BLOCK_CHANNELS))
+    space = _Space(min(len(channels), BLOCK_CHANNELS))
 
     def read_block(indices: list) -> list:
         outcomes = {}
-        for members, rows in _centred_groups(channel, indices, diff_order, checks, space):
+        for members, rows in _centred_groups(channels, indices, diff_order, checks, space):
             if not isinstance(rows, Exception):
                 try:
                     rows = read(rows)
@@ -719,7 +689,7 @@ def fit_sweeps(
             outcomes.update(zip(members, rows if isinstance(rows, list) else [rows] * len(members)))
         return [outcomes[index] for index in indices]
 
-    return _block_sweeps(count, read_block, kernel)
+    return _block_sweeps(len(channels), read_block, kernel)
 
 
 def _block_sweeps(count: int, read: Callable, kernel: Callable):
@@ -776,7 +746,7 @@ def _pick(rows: np.ndarray, keep: list) -> np.ndarray:
     return rows if len(keep) == rows.shape[0] else rows[keep]
 
 
-def _centred_groups(channel, indices: list, diff_order, checks, space: _Space):
+def _centred_groups(channels, indices: list, diff_order, checks, space: _Space):
     """Yield ``(members, rows)``: ``rows`` holds the centred samples of the
     channels ``members`` (indices in order), one row each, or is the
     exception that every member ends in.
@@ -788,11 +758,7 @@ def _centred_groups(channel, indices: list, diff_order, checks, space: _Space):
     """
     lengths = {}  # length -> positions in ``space.raw``
     for position, index in enumerate(indices):
-        try:
-            samples = channel(index).samples
-        except (ValueError, ArithmeticError) as exc:
-            yield [index], exc
-            continue
+        samples = channels[index].samples
         if samples.size > _ROW_SAMPLES:
             target = space.alone(samples.size)
             yield from _centred([index], samples[np.newaxis], target, diff_order, checks)
@@ -892,7 +858,8 @@ def _levinson_block(block, p: int, method: str) -> list:
     """The outcome of each channel in ``block``, ``(index, r, spectrum)``
     each (see :func:`_read_levinson`), from one :func:`_levinson_rows`
     call and, for MLE, one :func:`_mle_sigma2` call over the rows whose
-    recursion and periodogram succeeded."""
+    recursion and periodogram succeeded.  Each sweep holds arrays of its
+    own, so that none keeps the block's arrays alive."""
     _, rows, spectra = zip(*block)
     coeffs, errs, faults = _levinson_rows(np.array(rows), p)
     variances = {}
@@ -906,7 +873,7 @@ def _levinson_block(block, p: int, method: str) -> list:
     return [
         ValueError(fault) if fault is not None
         else spectrum if isinstance(spectrum, Exception)
-        else _sweep(method, [_stage(coeffs[row], errs[row])], variances.get(row))
+        else _sweep(method, [(1, coeffs[row].copy(), errs[row].copy())], variances.get(row))
         for row, (fault, spectrum) in enumerate(zip(faults, spectra))
     ]
 

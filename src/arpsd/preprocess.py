@@ -17,7 +17,6 @@ from .core import AutocovarianceSeq, SpectrumEstimate, TimeSeries
 __all__ = [
     "difference",
     "demean",
-    "prepare_into",
     "prepare_rows",
     "demean_rows",
     "lag_products",
@@ -63,23 +62,6 @@ def demean(x: TimeSeries) -> TimeSeries:
     This is the fresh-array, one-row case of :func:`demean_rows`.
     """
     return TimeSeries.adopt(demean_rows(x.samples[np.newaxis])[0], x.sample_rate_hz)
-
-
-def prepare_into(x: TimeSeries, d: int, out: np.ndarray) -> TimeSeries:
-    """``demean(difference(x, d))``, written into ``out`` bit for bit.
-
-    The ``len(x) - d`` prepared samples are written to the start of
-    ``out``, a writable contiguous float64 array of at least ``len(x)``
-    entries, and the result wraps that view of ``out``.  The checks and
-    messages are :func:`difference`'s and :func:`demean`'s.  This is the
-    one-row case of :func:`prepare_rows`.  The result is valid only until
-    ``out`` is written again: whatever outlives that must hold its own
-    copy.
-    """
-    (fault,) = prepare_rows(x.samples[np.newaxis], d, out[np.newaxis])
-    if fault is not None:
-        raise ValueError(fault)
-    return TimeSeries.adopt(out[: len(x) - d], x.sample_rate_hz)
 
 
 def prepare_rows(rows: np.ndarray, d: int, out: np.ndarray) -> list[str | None]:

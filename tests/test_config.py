@@ -37,3 +37,31 @@ def test_bad_band_sets_are_refused_at_construction(bands, message):
     # Accepted, every channel of a run would land in errors with this message.
     with pytest.raises(ValueError, match=message):
         RunConfig(bands=bands)
+
+
+@pytest.mark.parametrize("field", ["p_max", "diff_order", "grid_size"])
+def test_integral_counts_are_accepted_and_stored_as_int(field):
+    config = RunConfig(order="auto", **{field: np.int64(3)})
+    assert getattr(config, field) == 3
+    assert type(getattr(config, field)) is int
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("p_max", 2.5, "p_max must be an integer of at least 1"),
+        ("p_max", True, "p_max must be an integer of at least 1"),
+        ("p_max", 0, "p_max must be an integer of at least 1"),
+        ("diff_order", 1.0, "diff_order must be a nonnegative integer"),
+        ("diff_order", True, "diff_order must be a nonnegative integer"),
+        ("diff_order", -1, "diff_order must be a nonnegative integer"),
+        ("grid_size", 512.0, "grid_size must be an integer of at least 2"),
+        ("grid_size", False, "grid_size must be an integer of at least 2"),
+        ("grid_size", 1, "grid_size must be an integer of at least 2"),
+    ],
+)
+def test_non_counts_are_rejected(field, value, message):
+    # A float here was accepted, and detect_recording then raised TypeError;
+    # True was accepted and written to report headers as d=True.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RunConfig(order="auto", **{field: value})

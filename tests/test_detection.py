@@ -178,14 +178,17 @@ def test_detect_recording_captures_per_channel_failures():
     assert [d.derivation for d in report.per_channel] == ["good-1", "good-2"]
 
 
-def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None, hits_b=None, n=400):
+def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None, hits_b=None,
+                                     signal=None):
     """Make the estimation kernel ``kernel`` raise ``fault`` on the calls
-    that fit channel b of three, of n samples each, and check that only b
-    errs, and that a and c get the decisions they get alone.
-    ``hits_b(args, b)`` tells such a call by its arguments and channel b;
-    by default it is the kernel's second call."""
+    that fit channel b of three, each ``signal(rng)`` (by default 400
+    samples of white noise), and check that only b errs, and that a and c
+    get the decisions they get alone.  ``hits_b(args, b)`` tells such a
+    call by its arguments and channel b; by default it is the kernel's
+    second call."""
     rng = np.random.default_rng(10)
-    channels = {name: TimeSeries(rng.standard_normal(n), 128.0) for name in ("a", "b", "c")}
+    signal = signal or (lambda rng: rng.standard_normal(400))
+    channels = {name: TimeSeries(signal(rng), 128.0) for name in ("a", "b", "c")}
     real_kernel = getattr(estimation, kernel)
     calls = []
 
@@ -205,9 +208,13 @@ def _assert_fault_lands_on_channel_b(monkeypatch, kernel, fault, config=None, hi
 
 @pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
 def test_detect_recording_isolates_arithmetic_faults(monkeypatch, fault):
-    # Channels this short are fitted by the lattice, one call each.
-    _assert_fault_lands_on_channel_b(monkeypatch, "_burg_lattice", fault,
-                                     n=estimation._LAG_MIN_SAMPLES - 1)
+    # A sine stops the lag-product stages short, so each channel takes the
+    # lattice, one call each, in channel order.
+    def sine(rng):
+        t = np.arange(255) / 128.0
+        return np.sin(2.0 * np.pi * rng.uniform(4.0, 7.0) * t) + 1e-9 * rng.standard_normal(255)
+
+    _assert_fault_lands_on_channel_b(monkeypatch, "_burg_lattice", fault, signal=sine)
 
 
 @pytest.mark.parametrize("fault", [FloatingPointError, ZeroDivisionError, OverflowError])
@@ -311,7 +318,7 @@ def test_long_channels_get_the_bits_of_the_public_stages_composed(order, n, meth
     channels["ch09"] = TimeSeries(np.sqrt(1.2e308 / (2 * n)) * rng.standard_normal(n), 128.0)
     recording = Recording(channels)
     config = RunConfig(method=method, order=order)
-    if method == "burg" and n >= estimation._LAG_MIN_SAMPLES:
+    if method == "burg":
         # The sine's sweep holds the lattice's stages from the one that stopped.
         assert len(fit_sweep(demean(difference(channels["ch03"], 1)), 10).stages) == 2
     with np.errstate(all="raise"):
@@ -334,7 +341,7 @@ def test_long_channels_get_the_bits_of_the_public_stages_composed(order, n, meth
     assert all(alone[name] == {name: errors[name]} for name in errors)
 
 
-@pytest.mark.parametrize("n", [estimation._LAG_MIN_SAMPLES - 1, 2559, 8292])
+@pytest.mark.parametrize("n", [255, 2559, 8292])
 @pytest.mark.parametrize("order", [10, "auto"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_channel_whose_energy_overflows_lands_in_errors(order, n):
@@ -407,9 +414,8 @@ def test_the_shared_buffer_carries_nothing_from_one_channel_to_the_next(
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
 @pytest.mark.parametrize("order", [10, "auto"])
 def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, order):
-    # Burg channels from _LAG_MIN_SAMPLES on are fitted from lag rows; the
-    # sine's stages stop short, so it is prepared again for the lattice
-    # after the others.  Channels up to _ROW_SAMPLES are read into rows of
+    # Burg channels are fitted from lag rows; the sine's stages stop short,
+    # so it is prepared again for the lattice after the others.  Channels up to _ROW_SAMPLES are read into rows of
     # reused matrices, a longer one into one reused row.
     buffers = {}
 
@@ -426,7 +432,7 @@ def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, ord
 
     monkeypatch.setattr(estimation, "_Space", Recorded)
     config = RunConfig(method=method, order=order)
-    for n in (estimation._LAG_MIN_SAMPLES - 1, 2560, 8292, estimation._ROW_SAMPLES + 2):
+    for n in (255, 2560, 8292, estimation._ROW_SAMPLES + 2):
         bursts = [BurstSpec("F8-T4", 5.0, 0.95)]
         recording, _ = simulate_recording(("F8-T4", "Fp2-F8"), n, 128.0, 1.0, bursts, 10.0, seed=2)
         noise = 1e-9 * np.random.default_rng(2).standard_normal(n)

@@ -41,7 +41,6 @@ from arpsd import (
 )
 from arpsd import estimation
 from arpsd.estimation import (
-    _LAG_MIN_SAMPLES,
     _ROW_SAMPLES,
     _burg_lag_rows,
     _burg_lattice,
@@ -50,7 +49,6 @@ from arpsd.estimation import (
     _levinson_block,
     _levinson_rows,
     _mle_sigma2,
-    _sweep,
     _transfer_mag2,
     fit_sweeps,
 )
@@ -82,15 +80,30 @@ def _sine(n, hz=5.0, noise=0.0, seed=0):
 
 
 def _lag_stages(x, p):
-    """The lag-product Burg stages of one signal to order p: the one-row
-    case of ``_burg_lag_rows``."""
-    return _burg_lag_rows(_lag_row(x, p)[np.newaxis], x.size, p)[0]
+    """The lag-product Burg stages of one signal to order p, ``(coeffs,
+    errs, passed)``: the one-row case of ``_burg_lag_rows``."""
+    coeffs, errs, passed = _burg_lag_rows(_lag_row(x, p)[np.newaxis], x.size, p)
+    return coeffs[0], errs[0], int(passed[0])
+
+
+def _assert_stages_match_the_lattice(x, p):
+    """Every lag-product stage of x that passed the conditioning test
+    agrees with the lattice; returns how many passed."""
+    lag_coeffs, lag_errs, done = _lag_stages(x, p)
+    ref_coeffs, ref_errs = _burg_lattice(x, p)
+    lag_ks, ref_ks = np.diagonal(lag_coeffs), np.diagonal(ref_coeffs)
+    assert np.all(np.abs(lag_ks[:done] - ref_ks[:done]) <= 1e-12)
+    assert np.all(np.abs(lag_errs[: done + 1] - ref_errs[: done + 1]) <= 1e-12 * ref_errs[: done + 1])
+    for m in range(done):
+        ours, ref = lag_coeffs[m, : m + 1], ref_coeffs[m, : m + 1]
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+    return done
 
 
 signals = st.builds(
     _resonance,
     seed=st.integers(0, 2**32 - 1),
-    n=st.one_of(st.integers(40, _LAG_MIN_SAMPLES), st.integers(_LAG_MIN_SAMPLES, 12_000)),
+    n=st.one_of(st.integers(40, 256), st.integers(256, 12_000)),
     radius=st.floats(0.0, 0.995),
     center=st.floats(0.01, 0.49),
     noise=st.sampled_from([0.0, 0.1, 1.0]),
@@ -102,12 +115,12 @@ signals = st.builds(
 def test_burg_reflections_bounded_and_error_non_increasing(x, p):
     p = min(p, x.size - 1)
     fit = burg_fit(TimeSeries(x, FS), p)
-    lag_coeffs, lag_ks, lag_errs = _lag_stages(x, p)
-    done = len(lag_coeffs)
+    lag_coeffs, lag_errs, done = _lag_stages(x, p)
+    ref_coeffs, ref_errs = _burg_lattice(x, p)
     for ks, errs in (
         (fit.reflection_coeffs, fit.prediction_error_by_order),
-        (lag_ks[:done], lag_errs[: done + 1]),
-        _burg_lattice(x, p)[1:],
+        (np.diagonal(lag_coeffs)[:done], lag_errs[: done + 1]),
+        (np.diagonal(ref_coeffs), ref_errs),
     ):
         assert np.all(np.abs(ks) <= 1.0)
         assert np.all(np.diff(errs) <= 0.0)
@@ -118,14 +131,7 @@ def test_burg_reflections_bounded_and_error_non_increasing(x, p):
 @given(x=signals, p=st.integers(1, 30))
 def test_lag_product_stages_match_the_lattice(x, p):
     p = min(p, x.size - 2)
-    lag_coeffs, lag_ks, lag_errs = _lag_stages(x, p)
-    ref_coeffs, ref_ks, ref_errs = _burg_lattice(x, p)
-    done = len(lag_coeffs)
-    # Every stage that passed the conditioning test agrees with the lattice.
-    assert np.all(np.abs(lag_ks[:done] - ref_ks[:done]) <= 1e-12)
-    assert np.all(np.abs(lag_errs[: done + 1] - ref_errs[: done + 1]) <= 1e-12 * ref_errs[: done + 1])
-    for ours, ref in zip(lag_coeffs, ref_coeffs):
-        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+    _assert_stages_match_the_lattice(x, p)
 
 
 @pytest.mark.parametrize("n", [300, 2559, 9000])
@@ -140,15 +146,7 @@ def test_lag_product_stages_match_the_lattice_on_sines(n):
                                           (0.0, 1e-9, 1e-3)):
         x = np.diff(_sine(n + d, hz, noise), d)
         x = x - x.mean()
-        lag_coeffs, lag_ks, lag_errs = _lag_stages(x, 30)
-        ref_coeffs, ref_ks, ref_errs = _burg_lattice(x, 30)
-        done = len(lag_coeffs)
-        assert done < 30
-        assert np.all(np.abs(lag_ks[:done] - ref_ks[:done]) <= 1e-12)
-        assert np.all(np.abs(lag_errs[: done + 1] - ref_errs[: done + 1])
-                      <= 1e-12 * ref_errs[: done + 1])
-        for ours, ref in zip(lag_coeffs, ref_coeffs):
-            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert _assert_stages_match_the_lattice(x, 30) < 30
 
 
 def test_lag_products_serve_long_well_conditioned_inputs():
@@ -156,11 +154,11 @@ def test_lag_products_serve_long_well_conditioned_inputs():
     x = np.diff(_resonance(3, 20_000, 0.95, 5.0 / FS))
     # No order cap: every stage up to 64 comes from the lag products.
     for p in (30, 64):
-        coeffs_by_order = _lag_stages(x - x.mean(), p)[0]
-        assert len(coeffs_by_order) == p
-        ((_, sweep),) = fit_sweeps(lambda _: TimeSeries(x, FS), 1, p)
+        lag_coeffs, _, done = _lag_stages(x - x.mean(), p)
+        assert done == p
+        ((_, sweep),) = fit_sweeps([TimeSeries(x, FS)], p)
         assert len(sweep.stages) == 1
-        assert sweep.fit(p).model.coeffs.tobytes() == coeffs_by_order[-1].tobytes()
+        assert sweep.fit(p).model.coeffs.tobytes() == lag_coeffs[-1].tobytes()
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-9])
@@ -170,11 +168,11 @@ def test_fallback_reproduces_the_lattice_bits_on_a_sine(noise):
         x = _sine(n, noise=noise)
         x = x - x.mean()
         # A sine is AR(2): a later stage cancels, so the lattice runs instead.
-        assert len(_lag_stages(x, 10)[0]) < 10
+        assert _lag_stages(x, 10)[2] < 10
         fit = burg_fit(TimeSeries(x, FS), 10, demean=False)
-        coeffs_by_order, ks, errs = _burg_lattice(x, 10)
-        assert np.array_equal(fit.model.coeffs, coeffs_by_order[-1])
-        assert np.array_equal(fit.reflection_coeffs, ks)
+        coeffs, errs = _burg_lattice(x, 10)
+        assert np.array_equal(fit.model.coeffs, coeffs[-1])
+        assert np.array_equal(fit.reflection_coeffs, np.diagonal(coeffs))
         assert np.array_equal(fit.prediction_error_by_order, errs)
 
 
@@ -208,13 +206,15 @@ def _row_signal(kind, seed, n):
     return x - x.mean()
 
 
-def _assert_same_stages(ours, ref, stages):
-    (coeffs, ks, errs), (ref_coeffs, ref_ks, ref_errs) = ours, ref
-    assert len(coeffs) >= stages and len(ref_coeffs) >= stages
-    for a, b in zip(coeffs[:stages], ref_coeffs[:stages]):
-        assert a.tobytes() == b.tobytes()
-    assert ks[:stages].tobytes() == ref_ks[:stages].tobytes()
-    assert errs[: stages + 1].tobytes() == ref_errs[: stages + 1].tobytes()
+def _assert_same_stages(ours, row, ref, ref_row, stages):
+    """Row ``row`` of the ``_burg_lag_rows`` result ``ours`` and row
+    ``ref_row`` of ``ref`` have the same bits in their first ``stages``
+    stages, which both passed."""
+    (coeffs, errs, passed), (ref_coeffs, ref_errs, ref_passed) = ours, ref
+    assert passed[row] >= stages and ref_passed[ref_row] >= stages
+    assert (coeffs[row, :stages, :stages].tobytes()
+            == ref_coeffs[ref_row, :stages, :stages].tobytes())
+    assert errs[row, : stages + 1].tobytes() == ref_errs[ref_row, : stages + 1].tobytes()
 
 
 def _same_outcome(ours, ref):
@@ -248,30 +248,23 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
         together = _burg_lag_rows(lag_rows, n, p)
         prefixes = _burg_lag_rows(short_rows, n, shorter)
         for row, (kind, _) in enumerate(rows):
-            alone = _burg_lag_rows(lag_rows[row : row + 1], n, p)[0]
-            done = len(alone[0])
-            assert len(together[row][0]) == done
-            _assert_same_stages(together[row], alone, done)
+            alone = _burg_lag_rows(lag_rows[row : row + 1], n, p)
+            done = int(alone[2][0])
+            assert together[2][row] == done
+            _assert_same_stages(together, row, alone, 0, done)
             # The sweep to the lower order is a prefix of this one.
-            assert len(prefixes[row][0]) == min(done, shorter)
-            _assert_same_stages(prefixes[row], alone, min(done, shorter))
+            assert prefixes[2][row] == min(done, shorter)
+            _assert_same_stages(prefixes, row, alone, 0, min(done, shorter))
             assert done <= {"resonance": p, "sharp": 2, "sine": 2, "constant": 0}[kind]
     # The public form, with the lattice taking over from a failed stage;
     # an overflowing row raises for the whole block, which then runs each
-    # row alone.  Every channel is read into one buffer, which the next
-    # read overwrites, so a row that stops short must be read again.
-    work = np.empty(n)
-
-    def channel(index):
-        work[:] = series[index].samples
-        return TimeSeries.adopt(work[:], FS)
-
+    # row alone.
     with np.errstate(all="raise"):
-        outcomes = list(fit_sweeps(channel, len(series), p))
+        outcomes = list(fit_sweeps(series, p))
         assert sorted(index for index, _ in outcomes) == list(range(len(series)))
         for row, outcome in outcomes:
             kind, x = rows[row][0], series[row]
-            ((_, alone),) = fit_sweeps(lambda _, x=x: x, 1, p)
+            ((_, alone),) = fit_sweeps([x], p)
             assert _same_outcome(outcome, alone)
             if kind == "overflow":
                 assert isinstance(alone, FloatingPointError)
@@ -283,58 +276,50 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
             assert _same_outcome(alone, expected)
             assert not isinstance(alone, Exception) or kind == "constant"
             if not isinstance(outcome, Exception):
-                for _, coeffs_by_order, ks, errs in outcome.stages:
-                    for values in (*coeffs_by_order, ks, errs):
-                        assert not np.shares_memory(values, work)
+                for _, coeffs, errs in outcome.stages:
+                    for values in (coeffs, errs):
+                        assert values.base is None
 
 
 def test_burg_sweeps_length_rule_and_lattice_rereads():
-    short = _resonance(0, _LAG_MIN_SAMPLES - 1, 0.9, 0.1)
-    long = _resonance(1, _LAG_MIN_SAMPLES, 0.9, 0.1)
-    sine = _sine(_LAG_MIN_SAMPLES + 100)
-    signals = [short, long, sine]
+    # Every length takes the lag-product stages; the sine's stop short,
+    # so the lattice reads it again.
+    short = _resonance(0, 255, 0.9, 0.1)
+    long = _resonance(1, 256, 0.9, 0.1)
+    sine = _sine(356)
     reads = []
 
-    def channel(index):
-        reads.append(index)
-        return TimeSeries(signals[index], FS)
+    class Channels(list):
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
 
-    outcomes = dict(fit_sweeps(channel, len(signals), 10))
-    # The sine's stages stop short, so the lattice reads it again.
+    outcomes = dict(fit_sweeps(Channels(TimeSeries(x, FS) for x in (short, long, sine)), 10))
     assert sorted(reads) == [0, 1, 2, 2]
-    centred = [x - x.mean() for x in signals]
-    lattice_coeffs, lattice_ks, _ = _burg_lattice(centred[0], 10)
-    assert len(outcomes[0].stages) == 1
-    assert outcomes[0].fit(10).model.coeffs.tobytes() == lattice_coeffs[-1].tobytes()
-    assert outcomes[0].fit(10).reflection_coeffs.tobytes() == lattice_ks.tobytes()
-    lag_coeffs = _lag_stages(centred[1], 10)[0]
-    assert len(lag_coeffs) == 10 and len(outcomes[1].stages) == 1
-    assert outcomes[1].fit(10).model.coeffs.tobytes() == lag_coeffs[-1].tobytes()
+    for index, x in enumerate((short, long)):
+        lag_coeffs, _, done = _lag_stages(x - x.mean(), 10)
+        assert done == 10 and len(outcomes[index].stages) == 1
+        assert outcomes[index].fit(10).model.coeffs.tobytes() == lag_coeffs[-1].tobytes()
+        assert (outcomes[index].fit(10).reflection_coeffs.tobytes()
+                == np.diagonal(lag_coeffs).tobytes())
     assert len(outcomes[2].stages) == 2
-    assert _lag_row(centred[1], 10).shape == (31,)
+    assert _lag_row(long - long.mean(), 10).shape == (31,)
 
 
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
 def test_fit_sweeps_yield_each_channels_error(method):
-    signals = [np.arange(5.0), None, np.arange(5.0) ** 2, np.full(5, 3.0)]
-
-    def channel(index):
-        if signals[index] is None:
-            raise ValueError("unreadable channel")
-        return TimeSeries(signals[index], FS)
-
-    outcomes = dict(fit_sweeps(channel, len(signals), 2, method, grid_size=8))
-    assert sorted(outcomes) == [0, 1, 2, 3]
-    assert str(outcomes[1]) == "unreadable channel"
-    for index in (0, 2):
-        assert outcomes[index] == fit_sweep(channel(index), 2, method, grid_size=8)
+    signals = [TimeSeries(x, FS) for x in (np.arange(5.0), np.arange(5.0) ** 2, np.full(5, 3.0))]
+    outcomes = dict(fit_sweeps(signals, 2, method, grid_size=8))
+    assert sorted(outcomes) == [0, 1, 2]
+    for index in (0, 1):
+        assert outcomes[index] == fit_sweep(signals[index], 2, method, grid_size=8)
     flat = "degenerate signal" if method == "burg" else "zero-variance signal"
-    assert isinstance(outcomes[3], ValueError) and str(outcomes[3]) == flat
+    assert isinstance(outcomes[2], ValueError) and str(outcomes[2]) == flat
     cases = [(0, 512, "order must be at least 1"), (5, 512, "need more samples than the model order")]
     if method == "mle":
         cases.append((3, 5, "grid too coarse for order"))
     for p, grid_size, message in cases:
-        ((_, outcome),) = fit_sweeps(lambda _: TimeSeries(np.arange(5.0), FS), 1, p, method, grid_size)
+        ((_, outcome),) = fit_sweeps([TimeSeries(np.arange(5.0), FS)], p, method, grid_size)
         assert isinstance(outcome, ValueError) and str(outcome) == message
 
 
@@ -408,16 +393,9 @@ def test_levinson_and_mle_rows_give_every_row_the_bits_of_its_one_row_call(rows,
     if len(ok) > 1:
         flipped = _mle_sigma2(coeffs[ok[::-1]], autocovs[ok[::-1]], pgrams[ok[::-1]])
         assert flipped[::-1].tobytes() == sigma2.tobytes()
-    # The public form: every channel read into one buffer, which the next
-    # read overwrites.
-    work = np.empty(n)
-
-    def channel(index):
-        work[:] = series[index].samples
-        return TimeSeries.adopt(work[:], FS)
-
+    # The public form.
     for method in ("yule_walker", "mle"):
-        outcomes = dict(fit_sweeps(channel, len(series), p, method, 128))
+        outcomes = dict(fit_sweeps(series, p, method, 128))
         assert sorted(outcomes) == list(range(len(series)))
         for row, x in enumerate(series):
             try:
@@ -427,8 +405,8 @@ def test_levinson_and_mle_rows_give_every_row_the_bits_of_its_one_row_call(rows,
             assert _same_outcome(outcomes[row], expected)
             if not isinstance(expected, Exception):
                 assert outcomes[row].sigma2_by_order.tobytes() == expected.sigma2_by_order.tobytes()
-                for values in (*outcomes[row].stages[0][1], outcomes[row].sigma2_by_order):
-                    assert not np.shares_memory(values, work)
+                for values in (*outcomes[row].stages[0][1:], outcomes[row].sigma2_by_order):
+                    assert values.base is None
 
 
 def _dot_levinson(r, p):
@@ -480,7 +458,7 @@ def test_levinson_and_mle_rows_agree_with_the_per_channel_arithmetic(seed):
     recording, _ = simulate_recording(default_montage(), n, FS, 1.0, bursts, 10.0, seed)
     sine = TimeSeries(_sine(n, 6.0, noise=1e-9, seed=seed), FS)
     channels = [demean(difference(x, 1)) for x in (*recording.channels.values(), sine)]
-    sweeps = {method: dict(fit_sweeps(lambda index: channels[index], len(channels), p, method))
+    sweeps = {method: dict(fit_sweeps(channels, p, method))
               for method in ("yule_walker", "mle")}
     for index, x in enumerate(channels):
         coeffs_by_order, ks, errs = _dot_levinson(biased_autocov(x, p).values, p)
@@ -579,7 +557,7 @@ def test_sweep_fit_equals_a_refit_bit_for_bit(x, method, p_max, data):
 def test_sweep_switching_to_the_lattice_midway_equals_refits():
     # Two sines are AR(4), so a lag-product stage up to the fifth cancels;
     # orders from there on come from the lattice, lower ones keep lag products.
-    n = _LAG_MIN_SAMPLES + 100
+    n = 356
     x = _sine(n, 5.0, noise=1e-9) + 0.5 * _sine(n, 11.0)
     series = TimeSeries(x, FS)
     sweep = fit_sweep(series, 12, "burg")
@@ -676,14 +654,10 @@ def _same_bits(ours, ref):
         return False
     if ours.sigma2_by_order.tobytes() != ref.sigma2_by_order.tobytes():
         return False
-    for (first, coeffs, ks, errs), (ref_first, ref_coeffs, ref_ks, ref_errs) in zip(
-        ours.stages, ref.stages
-    ):
-        if first != ref_first or len(coeffs) != len(ref_coeffs):
+    for (first, coeffs, errs), (ref_first, ref_coeffs, ref_errs) in zip(ours.stages, ref.stages):
+        if first != ref_first or coeffs.shape != ref_coeffs.shape:
             return False
-        if any(a.tobytes() != b.tobytes() for a, b in zip(coeffs, ref_coeffs)):
-            return False
-        if ks.tobytes() != ref_ks.tobytes() or errs.tobytes() != ref_errs.tobytes():
+        if coeffs.tobytes() != ref_coeffs.tobytes() or errs.tobytes() != ref_errs.tobytes():
             return False
     return True
 
@@ -705,8 +679,6 @@ def _per_channel_sweep(x, p, method, grid_size, diff_order):
     if method == "burg":
         lag_row = np.concatenate((lags, centred[:p], centred[: n - p - 1 : -1]))
         assert _lag_row(centred, p).tobytes() == lag_row.tobytes()
-        if n < _LAG_MIN_SAMPLES:
-            return _sweep("burg", [(1, *_burg_lattice(centred, p))])
         return _lag_block([(0, n, lag_row)], p, lambda _: centred)[0]
     r = lags / n
     assert biased_autocov(TimeSeries(samples, FS), p).values.tobytes() == r.tobytes()
@@ -756,27 +728,20 @@ def test_each_channel_of_a_block_gets_its_one_channel_outcome(channels, method, 
     for kind, seed, n in channels:
         n = max(1, n % (p + 1 + d)) if kind == "short" else max(n, p + 2 + d)
         series.append(TimeSeries(_raw_channel(kind, seed, n), FS))
-    # Every channel is read into one buffer, which the next read overwrites.
-    work = np.empty(max(len(x) for x in series))
-
-    def channel(index):
-        work[: len(series[index])] = series[index].samples
-        return TimeSeries.adopt(work[: len(series[index])], FS)
-
     with np.errstate(all=errstate):
-        outcomes = list(fit_sweeps(channel, len(series), p, method, grid_size, diff_order))
+        outcomes = list(fit_sweeps(series, p, method, grid_size, diff_order))
         assert [index for index, _ in outcomes] == list(range(len(series)))
         for (index, outcome), (kind, _, _), x in zip(outcomes, channels, series):
-            ((_, alone),) = fit_sweeps(lambda _, x=x: x, 1, p, method, grid_size, diff_order)
+            ((_, alone),) = fit_sweeps([x], p, method, grid_size, diff_order)
             assert _same_bits(outcome, alone)
             if kind in ("resonance", "sharp", "sine"):
                 expected = _per_channel_sweep(x.samples, p, method, grid_size, diff_order)
                 assert _same_bits(outcome, expected)
                 if diff_order is None:
                     assert _same_bits(outcome, fit_sweep(x, p, method, grid_size))
-                for _, coeffs_by_order, ks, errs in outcome.stages:
-                    for values in (*coeffs_by_order, ks, errs, outcome.sigma2_by_order):
-                        assert not np.shares_memory(values, work)
+                for _, coeffs, errs in outcome.stages:
+                    for values in (coeffs, errs, outcome.sigma2_by_order):
+                        assert values.base is None
             elif kind == "constant" and diff_order is not None:
                 flat = "degenerate signal" if method == "burg" else "zero-variance signal"
                 assert isinstance(outcome, ValueError) and str(outcome) == flat

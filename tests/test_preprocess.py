@@ -16,7 +16,7 @@ from arpsd import (
     normality_check,
     periodogram,
 )
-from arpsd.preprocess import prepare_into, prepare_rows
+from arpsd.preprocess import prepare_rows
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -97,22 +97,19 @@ def test_difference_and_demean_never_write_or_alias_their_input(values, d):
     stale=st.sampled_from([0.0, 1e300, -7.5, np.nan, np.inf]),
 )
 def test_prepare_into_equals_demean_of_difference_bit_for_bit(values, d, spare, stale):
-    # The buffer holds what an earlier, maybe longer, channel left in it.
+    # One row of prepare_rows, into a buffer that holds what an earlier,
+    # maybe longer, channel left in it.
     x = TimeSeries(values, 128.0)
-    work = np.full(len(x) + spare, stale)
+    work = np.full((1, len(x) + spare), stale)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             expected = demean(difference(x, d))
         except ValueError as exc:
             assert str(exc) == "samples contains non-finite values"
-            with pytest.raises(ValueError, match="^samples contains non-finite values$"):
-                prepare_into(x, d, work)
+            assert prepare_rows(x.samples[np.newaxis], d, work) == [str(exc)]
             return
-        out = prepare_into(x, d, work)
-    assert out.samples.tobytes() == expected.samples.tobytes()
-    assert out.sample_rate_hz == expected.sample_rate_hz
-    assert np.shares_memory(out.samples, work)
-    assert not out.samples.flags.writeable
+        assert prepare_rows(x.samples[np.newaxis], d, work) == [None]
+    assert work[0, : len(x) - d].tobytes() == expected.samples.tobytes()
     assert work.flags.writeable
 
 
@@ -174,16 +171,20 @@ def test_prepare_rows_gives_each_row_its_one_row_outcome(rows, d):
 
 
 def test_prepare_into_refuses_what_difference_refuses():
+    # One row of prepare_rows: a fault of every row is raised, a fault of
+    # one row is its entry.
     x = TimeSeries([1.0, 2.0], 1.0)
-    work = np.empty(2)
+    work = np.empty((1, 2))
     with pytest.raises(ValueError, match="nonnegative"):
-        prepare_into(x, -1, work)
+        prepare_rows(x.samples[np.newaxis], -1, work)
     with pytest.raises(ValueError, match="insufficient samples"):
-        prepare_into(x, 2, work)
+        prepare_rows(x.samples[np.newaxis], 2, work)
     # First differences of alternating +-1.7e308 exceed the float64 range.
     huge = TimeSeries([1.7e308, -1.7e308, 1.7e308], 1.0)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-        prepare_into(huge, 1, np.empty(3))
+    with np.errstate(over="ignore"):
+        assert prepare_rows(huge.samples[np.newaxis], 1, np.empty((1, 3))) == [
+            "samples contains non-finite values"
+        ]
 
 
 @PROPERTY
