@@ -11,11 +11,13 @@ rate and whose constant channel gives the report a ``# error:`` line.
 
 Prints the number of files, the sha256 over each run's arguments, exit
 status and printed lines, and each written file's name and bytes, in run
-order, and the ``OPENBLAS_NUM_THREADS`` it ran under (``unset`` when
-unset), since long dot products may round differently at another BLAS
-thread count.  A change that keeps the CSV formats byte for byte keeps the
-digest.  With ``--expect SHA256`` it exits with status 1 when the digest
-is another one.
+order, and the ``OPENBLAS_NUM_THREADS`` it ran under, since long dot
+products may round differently at another BLAS thread count.  Run as a
+script, it sets that variable to 1 when it is unset, before NumPy is
+imported, so that a bare command reproduces the recorded digest; a value
+set by the caller still holds.  A change that keeps the CSV formats byte
+for byte keeps the digest.  With ``--expect SHA256`` it exits with status
+1 when the digest is another one.
 """
 
 import argparse
@@ -27,7 +29,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from arpsd.cli import main as cli_main
+if __name__ == "__main__":
+    # One BLAS thread unless the caller sets another; OpenBLAS reads this
+    # once, when NumPy is first imported.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from arpsd.cli import main as cli_main  # noqa: E402
 
 BURSTS = "channel,center_hz,pole_radius,gain\nF8-T4,5.0,0.95,2.0\nT3-T5,6.5,0.9,1.0\n"
 LENGTHS = (2560, 76800)

@@ -30,13 +30,14 @@ channels that raised with its ``errors``, in order) by ``==``.  Every
 recording-config runs with the correction off and on.  Besides the
 2560-sample recordings above it runs ``LONG_SEEDS`` 10-minute recordings
 (76,800 samples) per burst shape, which take the lag-product Burg, each at
-every differencing order in ``LONG_DIFF_ORDERS`` (``detect_recording`` prepares
-each channel in a buffer it reuses, and d = 0 and d > 1 take their own
-branches there).  Each has two more channels, a sine and a constant, so
-that the rows of one lag-product Burg call hold a lattice fallback and an
-error.  It also runs ``WIDE_SEEDS`` recordings of ``WIDE_CHANNELS``
-channels per burst shape, which ``detect_recording`` screens in more than
-two blocks.
+every differencing order in ``LONG_DIFF_ORDERS`` (``detect_recording``
+prepares a channel this long alone, into one row that it reuses, through
+``prepare_rows``: at d = 0 no differencing pass runs, and from d = 2 on
+each pass writes over its own input).  Each has two more channels, a sine
+and a constant, so that the rows of one lag-product Burg call hold a
+lattice fallback and an error.  It also runs ``WIDE_SEEDS`` recordings of
+``WIDE_CHANNELS`` channels per burst shape, which ``detect_recording``
+screens in more than two blocks.
 
 Prints one line per pass with the counts, and for the reference
 comparison the largest relative differences in sigma2 and in the PSD of

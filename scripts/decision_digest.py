@@ -16,11 +16,13 @@ raised: 432 configs.
 
 Prints the number of configs, the sha256 of the repr of every
 ``(config, per_channel, sorted errors)`` in grid order, and the
-``OPENBLAS_NUM_THREADS`` it ran under (``unset`` when unset), since long
-dot products may round differently at another BLAS thread count.  A
-change that keeps every decision and error bit for bit keeps the digest.
-With ``--expect SHA256`` it exits with status 1 when the digest is another
-one.
+``OPENBLAS_NUM_THREADS`` it ran under, since long dot products may round
+differently at another BLAS thread count.  Run as a script, it sets that
+variable to 1 when it is unset, before NumPy is imported, so that a bare
+command reproduces the recorded digest; a value set by the caller still
+holds.  A change that keeps every decision and error bit for bit keeps the
+digest.  With ``--expect SHA256`` it exits with status 1 when the digest
+is another one.
 """
 
 import argparse
@@ -29,10 +31,17 @@ import itertools
 import os
 import sys
 
-import numpy as np
+if __name__ == "__main__":
+    # One BLAS thread unless the caller sets another; OpenBLAS reads this
+    # once, when NumPy is first imported.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from arpsd import BurstSpec, Recording, RunConfig, TimeSeries, detect_recording, default_montage
-from arpsd import simulate_recording
+import numpy as np  # noqa: E402
+
+from arpsd import (  # noqa: E402
+    BurstSpec, Recording, RunConfig, TimeSeries, default_montage, detect_recording,
+    simulate_recording,
+)
 
 SEEDS = (0, 1, 2)
 LENGTHS = (2560, 8292)

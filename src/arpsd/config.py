@@ -1,7 +1,9 @@
 """Run configuration shared by the detection pipeline and the CLI."""
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
+
+import numpy as np
 
 from .core import FrequencyBand, check_bands, default_bands
 from .estimation import METHODS
@@ -29,7 +31,10 @@ class RunConfig:
     delta or theta.  ``order`` is a positive integer or the string "auto"
     to select the order per channel by ``criterion`` over 1..p_max.  The
     integers ``order``, ``p_max``, ``diff_order`` and ``grid_size`` may be
-    of any integral type but bool, and are stored as ``int``.
+    of any integral type but bool, and are stored as ``int``; ``k`` and
+    ``rho`` may be of any real type but bool, and are stored as ``float``;
+    ``undifference_correction`` is a Python or NumPy bool, stored as
+    ``bool``.
     """
 
     method: str = "burg"
@@ -60,6 +65,15 @@ class RunConfig:
             if value is None:
                 raise ValueError(f"{name} must be {rule}")
             object.__setattr__(self, name, value)
+        for name in ("k", "rho"):
+            value = getattr(self, name)
+            # bool is a Real, but True is no threshold.
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.undifference_correction, (bool, np.bool_)):
+            raise ValueError("undifference_correction must be a bool")
+        object.__setattr__(self, "undifference_correction", bool(self.undifference_correction))
         if not self.k >= 0.0:
             raise ValueError("k must be nonnegative")
         if not 0.0 <= self.rho <= 1.0:

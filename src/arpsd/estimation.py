@@ -20,8 +20,9 @@ All three return a :class:`FitResult` carrying the model, the reflection
 coefficients, and the prediction-error power at every order up to p.
 ``fit_sweep`` fits every order up to p_max at once, and each fitter is
 its order-p fit.  ``fit_sweeps`` sweeps many channels with one method,
-and ``fit_sweep`` is its one-channel case.  One loop serves every
-method, ``BLOCK_CHANNELS`` channels at a time.  It reads a block's
+and ``fit_sweep`` is its one-channel case.  One loop and one order
+check serve every method, ``BLOCK_CHANNELS`` channels at a time.  The
+loop reads a block's
 channels of at most ``_ROW_SAMPLES`` samples as rows of one matrix and
 each longer one alone, through the same row forms of the preparation,
 the centring, the lag products and the periodogram
@@ -291,15 +292,10 @@ def _lag_rows(rows: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _lag_row(samples: np.ndarray, p: int) -> np.ndarray:
-    """The one-row case of :func:`_lag_rows`."""
-    return _lag_rows(samples[np.newaxis], p)[0]
-
-
 def _burg_lag_rows(rows: np.ndarray, n, p: int):
     """Burg stages evaluated from lag rows, one sweep per row.
 
-    ``rows`` stacks :func:`_lag_row` of channels of n samples each, n a
+    ``rows`` is the :func:`_lag_rows` of channels of n samples each, n a
     number or a column of one length per row.  With the polynomial
     q = [1, a(1..m)], stage m + 1 sums the forward errors
     f(t) = sum_i q(i) x(t - i) and the backward errors
@@ -395,19 +391,6 @@ def _burg_lag_rows(rows: np.ndarray, n, p: int):
     return coeffs, errs, done
 
 
-def _read_burg(centred: np.ndarray, p: int) -> list:
-    """``(n, lag row)`` of each row of ``centred``, n samples each.  A
-    fault of every row is raised as ValueError."""
-    n = centred.shape[1]
-    if p < 1:
-        raise ValueError("order must be at least 1")
-    # n = p + 1 leaves exactly one term in the stage-p sums, which the
-    # tiny hand-check cases rely on; anything shorter has none.
-    if n < p + 1:
-        raise ValueError("need more samples than the model order")
-    return [(n, row) for row in _lag_rows(centred, p)]
-
-
 def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]) -> list:
     """The outcome of each channel in ``block``, ``(index, n, lag row)``
     each, from one :func:`_burg_lag_rows` call.  A row that stops short of
@@ -457,8 +440,10 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
     """
     if demean:
         return fit_sweep(x, p, METHOD_BURG).fit(p)
-    (row,) = _read_burg(x.samples[np.newaxis], p)
-    (outcome,) = _lag_block([(0, *row)], p, lambda _: x.samples)
+    n = x.samples.size
+    _check_order(n, p)
+    (row,) = _lag_rows(x.samples[np.newaxis], p)
+    (outcome,) = _lag_block([(0, n, row)], p, lambda _: x.samples)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome.fit(p)
@@ -546,6 +531,7 @@ class FitSweep(ArrayFields):
     ``fit(p)`` is bit for bit the fit that ``yule_walker_fit``,
     ``burg_fit`` or ``mle_fit`` returns at order p on the same input.
     Equal by value (see :class:`arpsd.core.ArrayFields`); not hashable.
+    Its arrays are its own and read-only.
 
     Attributes
     ----------
@@ -581,11 +567,15 @@ class FitSweep(ArrayFields):
 
 
 def _sweep(method: str, stages, sigma2_by_order=None) -> FitSweep:
+    """The sweep of ``stages``.  It owns their arrays and
+    ``sigma2_by_order``, which are marked read-only here."""
     if sigma2_by_order is None:
         # Prediction-error power; a later stage overrides from its first order on.
         sigma2_by_order = np.empty(stages[-1][2].size - 1)
         for first, _, errs in stages:
             sigma2_by_order[first - 1 : errs.size - 1] = errs[first:]
+    for values in (sigma2_by_order, *(array for _, *arrays in stages for array in arrays)):
+        values.setflags(write=False)
     return FitSweep(method, sigma2_by_order, tuple(stages))
 
 
@@ -612,12 +602,7 @@ def fit_sweep(
     ValueError
         As the method's fitter does at order p_max.
     """
-    return _only(fit_sweeps([x], p_max, method, grid_size))
-
-
-def _only(outcomes):
-    """The sweep of a one-channel :func:`fit_sweeps`, or its error raised."""
-    ((_, outcome),) = outcomes
+    ((_, outcome),) = fit_sweeps([x], p_max, method, grid_size)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -633,14 +618,16 @@ def fit_sweeps(
     block of ``BLOCK_CHANNELS`` at a time: the sweep that
     ``fit_sweep(channels[index], p, method, grid_size)`` returns, bit for
     bit, or the ValueError or ArithmeticError that it raises.  No sweep
-    holds a view of a channel's samples.
+    holds a view of a channel's samples.  An unknown ``method`` raises
+    ValueError when the first outcome is asked for.
 
     With ``diff_order`` set, each channel is first prepared as
     ``demean(difference(channels[index], diff_order))``
     (:func:`arpsd.preprocess.prepare_rows`), and a channel whose
     preparation raises ends in that error.  ``check(n)``, when given, is
-    called with each channel's prepared length before it is fitted, and
-    a channel for which it raises ValueError ends in that error.
+    called with each channel's prepared length before it is fitted, then
+    the method's own order check (:func:`_check_order`), and a channel for
+    which either raises ValueError ends in that error.
 
     Each block's channels of at most ``_ROW_SAMPLES`` samples are read as
     rows of one matrix, one group of rows per length, and each stage is
@@ -648,18 +635,35 @@ def fit_sweeps(
     lag products (:func:`arpsd.preprocess.lag_products`) and, for MLE,
     the periodogram and its circular autocovariance.  A longer channel is
     read alone, through the same stages with one row.  Of a Burg channel
-    only its lag products are kept (:func:`_read_burg`), and of a
+    only its lag row is kept (:func:`_lag_rows`), and of a
     Yule-Walker or MLE channel its autocovariances and, for MLE, its
     periodogram (:func:`_read_levinson`).  These rows run a block at a
     time, by :func:`_lag_block` or :func:`_levinson_block`; a Burg channel
     whose lag stages stop short is prepared again for the lattice.  No
-    stage mixes rows, and under ``np.seterr(..., "raise")`` a block whose
-    stage faults is read again a channel at a time
-    (:func:`arpsd.core.in_rows`), so each channel gets the outcome it gets
-    alone.
+    stage mixes rows, and the read and the fit of a block each run under
+    :func:`arpsd.core.in_rows`: under ``np.seterr(..., "raise")`` a block
+    whose stage faults runs again a channel at a time, so each channel
+    gets the outcome it gets alone.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
+    burg = method == METHOD_BURG
+    checks = [] if check is None else [check]
+    checks.append(partial(_check_order, p=p, grid_size=grid_size if method == METHOD_MLE else None))
+    space = _Space(min(len(channels), BLOCK_CHANNELS))
+
+    def read(indices: list) -> list:
+        # Each channel's row, a tuple, or the error it ends in.
+        outcomes = {}
+        for members, rows in _centred_groups(channels, indices, diff_order, checks, space):
+            if isinstance(rows, Exception):
+                rows = [rows] * len(members)
+            elif burg:
+                rows = [(rows.shape[1], row) for row in _lag_rows(rows, p)]
+            else:
+                rows = _read_levinson(rows, p, method, grid_size)
+            outcomes.update(zip(members, rows))
+        return [outcomes[index] for index in indices]
 
     def centred_again(index: int) -> np.ndarray:
         # Burg's lattice reads a channel whose lag stages stopped again.
@@ -668,42 +672,15 @@ def fit_sweeps(
             raise rows
         return rows[0]
 
-    checks = [] if check is None else [check]
-    if method == METHOD_BURG:
-        read = partial(_read_burg, p=p)
-        kernel = partial(_lag_block, p=p, samples=centred_again)
-    else:
-        checks.append(partial(_check_levinson, p=p, method=method, grid_size=grid_size))
-        read = partial(_read_levinson, p=p, method=method, grid_size=grid_size)
-        kernel = partial(_levinson_block, p=p, method=method)
-    space = _Space(min(len(channels), BLOCK_CHANNELS))
+    def fit(block: list) -> list:
+        return _lag_block(block, p, centred_again) if burg else _levinson_block(block, p, method)
 
-    def read_block(indices: list) -> list:
-        outcomes = {}
-        for members, rows in _centred_groups(channels, indices, diff_order, checks, space):
-            if not isinstance(rows, Exception):
-                try:
-                    rows = read(rows)
-                except ValueError as exc:
-                    rows = exc
-            outcomes.update(zip(members, rows if isinstance(rows, list) else [rows] * len(members)))
-        return [outcomes[index] for index in indices]
-
-    return _block_sweeps(len(channels), read_block, kernel)
-
-
-def _block_sweeps(count: int, read: Callable, kernel: Callable):
-    """Yield ``(index, outcome)`` for index 0..count-1, ``BLOCK_CHANNELS``
-    at a time.  ``read(indices)`` gives each channel of a block its sweep,
-    its row (a tuple) or the error it ends in, and ``kernel`` turns the
-    block's ``(index, *row)`` into one outcome each, both through
-    :func:`arpsd.core.in_rows`."""
-    for start in range(0, count, BLOCK_CHANNELS):
-        indices = list(range(start, min(start + BLOCK_CHANNELS, count)))
+    for start in range(0, len(channels), BLOCK_CHANNELS):
+        indices = list(range(start, min(start + BLOCK_CHANNELS, len(channels))))
         outcomes = dict(zip(indices, in_rows(indices, read)))
-        waiting = [(index, *row) for index, row in outcomes.items() if isinstance(row, tuple)]
-        if waiting:
-            outcomes.update(zip([item[0] for item in waiting], in_rows(waiting, kernel)))
+        block = [(index, *row) for index, row in outcomes.items() if isinstance(row, tuple)]
+        if block:
+            outcomes.update(zip([item[0] for item in block], in_rows(block, fit)))
         yield from outcomes.items()
 
 
@@ -801,25 +778,30 @@ def _centred(members: list, rows: np.ndarray, out: np.ndarray, diff_order, check
     yield members, demean_rows(rows, out)
 
 
-def _check_levinson(n: int, p: int, method: str, grid_size: int) -> None:
-    if method == METHOD_MLE and grid_size < 2 * p:
+def _check_order(n: int, p: int, grid_size: int | None = None) -> None:
+    """Refuse an order below 1, n <= p samples and, when ``grid_size`` is
+    given, an MLE grid of fewer than 2 p points."""
+    if grid_size is not None and grid_size < 2 * p:
         raise ValueError("grid too coarse for order")
     if p < 1:
         raise ValueError("order must be at least 1")
+    # n = p + 1 leaves exactly one term in Burg's stage-p sums, which the
+    # tiny hand-check cases rely on; anything shorter has none.
     if n < p + 1:
         raise ValueError("need more samples than the model order")
 
 
 def _read_levinson(centred: np.ndarray, p: int, method: str, grid_size: int) -> list:
     """``(r(0..p), spectrum)`` of each row of ``centred``, or the error the
-    row ends in, with the checks of its sweep.
+    row ends in.
 
     ``r`` is the row's :func:`arpsd.preprocess.biased_autocov`.  For MLE
     ``spectrum`` is ``(c(0..p), I)``: the periodogram of the same centred
     row and its circular autocovariance c = irfft(I, M), M = 2 (grid_size
-    - 1).  If the periodogram raises, ``spectrum`` is that error, which
-    the channel ends in unless its recursion fails first.  For
-    Yule-Walker it is None.
+    - 1), both from one row function under :func:`arpsd.core.in_rows`.
+    If that raises, or the periodogram is not finite, ``spectrum`` is the
+    error, which the channel ends in unless its recursion fails first.
+    For Yule-Walker it is None.
     """
     r = autocov_rows(centred, p)
     faults = [
@@ -833,24 +815,15 @@ def _read_levinson(centred: np.ndarray, p: int, method: str, grid_size: int) -> 
     rows = _pick(centred, keep)
 
     def spectra(items):
-        values, faults = periodogram_rows(_pick(rows, items), grid_size)
-        return [ValueError(fault) if fault else row for row, fault in zip(values, faults)]
+        pgrams, faults = periodogram_rows(_pick(rows, items), grid_size)
+        finite = [item for item, fault in enumerate(faults) if fault is None]
+        circular = np.fft.irfft(_pick(pgrams, finite), 2 * (grid_size - 1), axis=-1)
+        autocovs = iter(circular[:, : p + 1])
+        return [ValueError(fault) if fault else (next(autocovs), pgram)
+                for pgram, fault in zip(pgrams, faults)]
 
-    pgrams = in_rows(list(range(len(keep))), spectra)
-    ok = [item for item, pgram in enumerate(pgrams) if not isinstance(pgram, Exception)]
-
-    def circular(items):
-        values = np.array([pgrams[item] for item in items])
-        return list(np.fft.irfft(values, 2 * (grid_size - 1), axis=-1)[:, : p + 1])
-
-    autocovs = dict(zip(ok, in_rows(ok, circular) if ok else []))
-    for item, (row, pgram) in enumerate(zip(keep, pgrams)):
-        autocov = autocovs.get(item)
-        outcomes[row] = (
-            (r[row], pgram) if autocov is None
-            else autocov if isinstance(autocov, Exception)
-            else (r[row], (autocov, pgram))
-        )
+    for row, spectrum in zip(keep, in_rows(list(range(len(keep))), spectra)):
+        outcomes[row] = (r[row], spectrum)
     return outcomes
 
 

@@ -58,10 +58,36 @@ def test_integral_counts_are_accepted_and_stored_as_int(field):
         ("grid_size", 512.0, "grid_size must be an integer of at least 2"),
         ("grid_size", False, "grid_size must be an integer of at least 2"),
         ("grid_size", 1, "grid_size must be an integer of at least 2"),
+        ("k", True, "k must be a real number"),
+        ("k", "2", "k must be a real number"),
+        ("k", -1.0, "k must be nonnegative"),
+        ("rho", True, "rho must be a real number"),
+        ("rho", "0.5", "rho must be a real number"),
+        ("rho", 1.5, r"rho must lie in \[0, 1\]"),
+        ("undifference_correction", "off", "undifference_correction must be a bool"),
+        ("undifference_correction", 1, "undifference_correction must be a bool"),
+        ("undifference_correction", None, "undifference_correction must be a bool"),
     ],
 )
 def test_non_counts_are_rejected(field, value, message):
-    # A float here was accepted, and detect_recording then raised TypeError;
-    # True was accepted and written to report headers as d=True.
+    # A float count was accepted, and detect_recording then raised
+    # TypeError; True was accepted and written to report headers as d=True
+    # or k=True; "2" for k raised TypeError; and "off" turned the
+    # correction on.
     with pytest.raises(ValueError, match=f"^{message}$"):
         RunConfig(order="auto", **{field: value})
+
+
+@pytest.mark.parametrize("field", ["k", "rho"])
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(0.5)])
+def test_real_thresholds_are_accepted_and_stored_as_float(field, value):
+    config = RunConfig(**{field: value})
+    assert getattr(config, field) == float(value)
+    assert type(getattr(config, field)) is float
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_bool_corrections_are_accepted_and_stored_as_bool(value):
+    config = RunConfig(undifference_correction=value)
+    assert config.undifference_correction is bool(value)
+

@@ -225,7 +225,7 @@ def test_detect_recording_isolates_lag_row_faults(monkeypatch, fault):
 
     def hits_b(args, b):
         x = demean(difference(b, config.diff_order)).samples
-        b_row = estimation._lag_row(x - x.mean(), config.order)
+        b_row = estimation._lag_rows((x - x.mean())[np.newaxis], config.order)[0]
         return any(np.array_equal(row, b_row) for row in args[0])
 
     _assert_fault_lands_on_channel_b(monkeypatch, "_burg_lag_rows", fault, config, hits_b)
@@ -573,6 +573,32 @@ def test_overflow_raised_in_one_channel_leaves_its_block_screened():
     with np.errstate(over="ignore"):
         _, report = _detect_models(models, config)
     assert report.errors == {"c07": "values contains non-finite values"}
+
+
+@pytest.mark.parametrize("order", [10, "auto"])
+@pytest.mark.parametrize("errstate, error", [
+    ("ignore", "periodogram values must be finite and nonnegative"),
+    ("raise", "overflow encountered in square"),
+])
+def test_an_mle_channel_whose_periodogram_overflows_leaves_its_block_decided(order, errstate,
+                                                                           error):
+    # Differenced, the loud sine's lag products stay finite; only the
+    # square in its periodogram, whose bin 40 it sits on, overflows.  Under
+    # "raise" that stops the block's periodogram rows, which then run
+    # one at a time.
+    rng = np.random.default_rng(3)
+    n = 2560
+    loud = 4e152 * np.sin(2.0 * np.pi * 40.0 * np.arange(n) / 1022.0)
+    channels = {"a": TimeSeries(rng.standard_normal(n), 128.0), "loud": TimeSeries(loud, 128.0),
+                "b": TimeSeries(rng.standard_normal(n), 128.0)}
+    config = RunConfig(method="mle", order=order)
+    with np.errstate(all=errstate):
+        report = detect_recording(Recording(channels), config)
+        alone = [detect_recording(Recording({name: channels[name]}), config).per_channel
+                 for name in ("a", "b")]
+    assert report.errors == {"loud": error}
+    assert report.per_channel == alone[0] + alone[1]
+    assert [decision.derivation for decision in report.per_channel] == ["a", "b"]
 
 
 def test_detect_recording_too_short_for_order_reports_every_channel():

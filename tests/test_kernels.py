@@ -45,7 +45,7 @@ from arpsd.estimation import (
     _burg_lag_rows,
     _burg_lattice,
     _lag_block,
-    _lag_row,
+    _lag_rows,
     _levinson_block,
     _levinson_rows,
     _mle_sigma2,
@@ -77,6 +77,11 @@ def _sine(n, hz=5.0, noise=0.0, seed=0):
     if noise:
         x = x + noise * np.random.default_rng(seed).standard_normal(n)
     return x
+
+
+def _lag_row(x, p):
+    """The lag row of one signal: the one-row case of ``_lag_rows``."""
+    return _lag_rows(x[np.newaxis], p)[0]
 
 
 def _lag_stages(x, p):
@@ -575,6 +580,22 @@ def test_sweep_rejects_orders_outside_its_range():
             sweep.fit(p)
     with pytest.raises(ValueError, match="unknown method"):
         fit_sweep(TimeSeries(_resonance(0, 200, 0.9, 0.1), FS), 5, "welch")
+
+
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+def test_a_sweeps_arrays_cannot_be_written(method):
+    # A write to sigma2_by_order once went through, and fit(5) then raised
+    # "sigma2 must be nonnegative and finite".  The sine's Burg sweep has a
+    # lattice stage besides its lag-product one.
+    noise = np.random.default_rng(0).standard_normal(300)
+    for x, stages in ((noise, 1), (_sine(300), 2 if method == "burg" else 1)):
+        sweep = fit_sweep(TimeSeries(x, FS), 5, method)
+        assert len(sweep.stages) == stages
+        for values in (sweep.sigma2_by_order, *(a for _, *arrays in sweep.stages for a in arrays)):
+            assert values.base is None
+            with pytest.raises(ValueError, match="assignment destination is read-only"):
+                values[-1] = -1.0
+        assert sweep.fit(5) == fit_sweep(TimeSeries(x, FS), 5, method).fit(5)
 
 
 @PROPERTY
