@@ -6,6 +6,12 @@ turns the fitted models into parametric power spectral densities, and
 flags channels whose above-average spectral mass concentrates in the
 low EEG bands (delta and theta).  A small CLI drives the same pipeline
 from CSV files.
+
+``import arpsd`` loads NumPy and the screening modules only.  The
+simulator (``arpsd.simulate``: ``BurstSpec``, ``resonator_model``,
+``simulate_ar`` and ``simulate_recording``) needs SciPy, and it and SciPy
+load at the first use of one of its names; a caller that screens
+recorded CSV files never loads them.
 """
 
 __version__ = "0.1.0"
@@ -62,7 +68,6 @@ from .detection import (
     fit_channel,
     metrics_from_counts,
 )
-from .simulate import BurstSpec, resonator_model, simulate_ar, simulate_recording
 from .config import RunConfig
 
 __all__ = [
@@ -119,3 +124,21 @@ __all__ = [
     "undifference_psd",
     "yule_walker_fit",
 ]
+
+# Served by __getattr__ below, so that only a caller that simulates pays
+# for SciPy's import.
+_SIMULATOR = ("BurstSpec", "resonator_model", "simulate_ar", "simulate_recording")
+
+
+def __getattr__(name):
+    if name == "simulate" or name in _SIMULATOR:
+        from importlib import import_module
+
+        # Not "from . import simulate", which looks the name up here first.
+        simulate = import_module(".simulate", __name__)
+        return simulate if name == "simulate" else getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "simulate", *_SIMULATOR})

@@ -1,24 +1,15 @@
 """Run configuration shared by the detection pipeline and the CLI."""
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .core import FrequencyBand, check_bands, default_bands
+from .core import FrequencyBand, as_count, check_bands, default_bands
 from .estimation import METHODS
 from .order_selection import CRITERIA
 
 __all__ = ["RunConfig"]
-
-
-def _count(value, least: int) -> int | None:
-    """``value`` as an ``int`` when it is an integer of at least ``least``
-    (of any integral type but bool), else None."""
-    # bool is an Integral, but True is no count.
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        return None
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -54,14 +45,14 @@ class RunConfig:
         if self.criterion not in CRITERIA:
             raise ValueError(f"unknown criterion: {self.criterion!r}")
         if not (isinstance(self.order, str) and self.order == "auto"):
-            order = _count(self.order, 1)
+            order = as_count(self.order, 1)
             if order is None:
                 raise ValueError('order must be a positive integer or "auto"')
             object.__setattr__(self, "order", order)
         for name, least, rule in (("p_max", 1, "an integer of at least 1"),
                                   ("diff_order", 0, "a nonnegative integer"),
                                   ("grid_size", 2, "an integer of at least 2")):
-            value = _count(getattr(self, name), least)
+            value = as_count(getattr(self, name), least)
             if value is None:
                 raise ValueError(f"{name} must be {rule}")
             object.__setattr__(self, name, value)

@@ -7,6 +7,7 @@ stages run channels as rows.
 """
 
 from dataclasses import dataclass, fields
+from numbers import Integral
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "band_containing",
     "BLOCK_CHANNELS",
     "in_rows",
+    "as_count",
 ]
 
 # Channels are fitted and screened in blocks of this many rows.  A Burg
@@ -48,6 +50,15 @@ def in_rows(items: Sequence, run: Callable[[Sequence], list]) -> list:
         if len(items) == 1:
             return [exc]
     return [outcome for item in items for outcome in in_rows([item], run)]
+
+
+def as_count(value, least: int) -> int | None:
+    """``value`` as an ``int`` when it is an integer of at least ``least``
+    (of any integral type but bool), else None."""
+    # bool is an Integral, but True is no count.
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        return None
+    return int(value)
 
 
 def _frozen_array(values, *, name: str, min_size: int = 1, copy: bool = True) -> np.ndarray:

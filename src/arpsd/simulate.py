@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .core import ArModel, Recording, TimeSeries
+from .core import ArModel, Recording, TimeSeries, as_count
 from .estimation import is_stable
 
 __all__ = ["BurstSpec", "resonator_model", "simulate_ar", "simulate_recording"]
@@ -37,8 +37,17 @@ class BurstSpec:
             raise ValueError("center_hz must be positive")
         if not 0.0 < self.pole_radius < 1.0:
             raise ValueError("pole_radius must lie in (0, 1)")
-        if not self.gain > 0.0:
-            raise ValueError("gain must be positive")
+        if not 0.0 < self.gain < np.inf:
+            raise ValueError("gain must be positive and finite")
+
+
+def _check_samples(n) -> int:
+    """``n`` as an ``int``: an integer of at least 1, of any integral type
+    but bool."""
+    count = as_count(n, 1)
+    if count is None:
+        raise ValueError("n must be an integer of at least 1")
+    return count
 
 
 def resonator_model(
@@ -76,7 +85,7 @@ def simulate_ar(
     model : ArModel
         Must be stable (all reflection coefficient magnitudes < 1).
     n : int
-        Number of retained samples, at least 1.
+        Number of retained samples, an integer of at least 1.
     seed
         Anything ``numpy.random.default_rng`` accepts.
     burn_in : int, optional
@@ -89,8 +98,7 @@ def simulate_ar(
         "unstable AR model" when the polynomial has a root on or outside
         the unit circle.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _check_samples(n)
     if not is_stable(model):
         raise ValueError("unstable AR model")
     if burn_in is None:
@@ -133,17 +141,19 @@ def simulate_recording(
     ------
     ValueError
         "unknown burst channel" when a burst names a channel outside the
-        montage.
+        montage; "n must be an integer of at least 1"; "noise_sigma must
+        be positive and finite"; "snr must be positive and finite".
     """
     names = list(montage)
     if not names:
         raise ValueError("montage must be non-empty")
     if len(set(names)) != len(names):
         raise ValueError("montage names must be unique")
-    if not noise_sigma > 0.0:
-        raise ValueError("noise_sigma must be positive")
-    if not snr > 0.0:
-        raise ValueError("snr must be positive")
+    n = _check_samples(n)
+    if not 0.0 < noise_sigma < np.inf:
+        raise ValueError("noise_sigma must be positive and finite")
+    if not 0.0 < snr < np.inf:
+        raise ValueError("snr must be positive and finite")
     burst_by_channel: dict[str, BurstSpec] = {}
     for burst in bursts:
         if burst.channel not in names:

@@ -51,6 +51,25 @@ def test_simulate_writes_reproducible_artifacts(burst_workspace, capsys):
     assert recording.sample_rate_hz == 128.0
 
 
+@pytest.mark.parametrize(
+    "args, gain, message",
+    [
+        (["--n", "-5"], "1.0", "n must be an integer of at least 1"),
+        (["--n", "0"], "1.0", "n must be an integer of at least 1"),
+        (["--noise-sigma", "inf"], "1.0", "noise_sigma must be positive and finite"),
+        (["--snr", "inf"], "1.0", "snr must be positive and finite"),
+        ([], "inf", "line 2: gain must be positive and finite"),
+    ],
+)
+def test_simulate_refuses_its_parameters_up_front(tmp_path, capsys, args, gain, message):
+    spec = tmp_path / "bursts.csv"
+    spec.write_text(f"channel,center_hz,pole_radius,gain\nF8-T4,5.0,0.95,{gain}\n")
+    rec = tmp_path / "rec.csv"
+    assert main(["simulate", "--spec", str(spec), "--out", str(rec), *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not rec.exists()
+
+
 def test_detect_and_eval_on_simulated_bursts(burst_workspace, capsys):
     tmp_path, rec, truth = burst_workspace
     report = tmp_path / "report.csv"

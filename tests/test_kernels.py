@@ -71,6 +71,21 @@ def _resonance(seed, n, radius, center, noise=1.0):
     return x - x.mean()
 
 
+def _ringing(seed, n, radius, center):
+    """The same two-pole resonance driven by unit white noise for 200
+    samples and then left to ring down undriven: the n samples after the
+    drive stops, centred."""
+    rng = np.random.default_rng(seed)
+    a1 = -2.0 * radius * math.cos(2.0 * math.pi * center)
+    a2 = radius * radius
+    y = np.zeros(n + 200)
+    y[:200] = rng.standard_normal(200)
+    for i in range(2, n + 200):
+        y[i] -= a1 * y[i - 1] + a2 * y[i - 2]
+    x = y[200:]
+    return x - x.mean()
+
+
 def _sine(n, hz=5.0, noise=0.0, seed=0):
     t = np.arange(n) / FS
     x = np.sin(2.0 * math.pi * hz * t)
@@ -193,15 +208,18 @@ def test_fallback_keeps_a_noisy_sine_screened_as_theta():
 
 
 def _row_signal(kind, seed, n):
-    """A signal whose lag-product stages end in a known way: a noise-free
-    resonance at pole radius 0.995 and a sine stop after one or two, a
-    constant stops at the first, and "overflow" has lag products of inf.
-    A noisy resonance may pass every stage."""
+    """A signal whose lag-product stages end in a known way: a resonance at
+    pole radius 0.995 ringing down undriven ("sharp") and a sine stop
+    after one or two, a constant stops at the first, and "overflow" has
+    lag products of inf.  A driven resonance may pass every stage, even a
+    noise-free one at radius 0.995 (most often near a quarter of the
+    sample rate, where its variance is smallest): its drive keeps each
+    stage's error energy up against the bound on what the forms add."""
     rng = np.random.default_rng(seed)
     if kind == "resonance":
         x = _resonance(seed, n, rng.uniform(0.0, 0.99), rng.uniform(0.01, 0.49), 1.0)
     elif kind == "sharp":
-        x = _resonance(seed, n, 0.995, rng.uniform(0.01, 0.49), noise=0.0)
+        x = _ringing(seed, n, 0.995, rng.uniform(0.01, 0.49))
     elif kind == "sine":
         x = _sine(n, hz=rng.uniform(1.0, 60.0))
     elif kind == "constant":

@@ -182,3 +182,38 @@ def test_simulate_recording_input_guards():
         simulate_recording(("a",), 64, 128.0, 0.0)
     with pytest.raises(ValueError, match="snr"):
         simulate_recording(("a",), 64, 128.0, 1.0, snr=0.0)
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.5, True, "64"])
+def test_simulators_refuse_a_sample_count_that_is_not_a_count(n):
+    message = "^n must be an integer of at least 1$"
+    with pytest.raises(ValueError, match=message):
+        simulate_recording(("a",), n, 128.0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        simulate_ar(ArModel(0, [], 1.0), n)
+
+
+def test_simulators_take_any_integral_sample_count():
+    first, _ = simulate_recording(("a",), np.int64(64), 128.0, 1.0, seed=5)
+    second, _ = simulate_recording(("a",), 64, 128.0, 1.0, seed=5)
+    assert first == second
+    assert simulate_ar(ArModel(0, [], 1.0), np.int32(64), seed=5).samples.size == 64
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, -1.0, np.inf, np.nan])
+def test_simulate_recording_refuses_a_noise_sigma_that_is_not_positive_and_finite(noise_sigma):
+    with pytest.raises(ValueError, match="^noise_sigma must be positive and finite$"):
+        simulate_recording(("a",), 64, 128.0, noise_sigma)
+
+
+@pytest.mark.parametrize("snr", [0.0, -1.0, np.inf, np.nan])
+def test_simulate_recording_refuses_an_snr_that_is_not_positive_and_finite(snr):
+    bursts = [BurstSpec("a", 5.0, 0.9)]
+    with pytest.raises(ValueError, match="^snr must be positive and finite$"):
+        simulate_recording(("a",), 64, 128.0, 1.0, bursts=bursts, snr=snr)
+
+
+@pytest.mark.parametrize("gain", [0.0, -1.0, np.inf, np.nan])
+def test_burst_spec_refuses_a_gain_that_is_not_positive_and_finite(gain):
+    with pytest.raises(ValueError, match="^gain must be positive and finite$"):
+        BurstSpec("a", 5.0, 0.9, gain=gain)
