@@ -102,8 +102,9 @@ def _cmd_fit(args) -> int:
     recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
     channel = _channel(recording, args.channel)
     # Under --order auto each method is shown at the order it selected.
-    fits = [fit_channel(channel, replace(config, method=method)).fit for method in methods]
-    print(f"channel {args.channel}  n={len(channel) - config.diff_order}  d={config.diff_order}")
+    fitted = [fit_channel(channel, replace(config, method=method)) for method in methods]
+    fits = [channel_fit.fit for channel_fit in fitted]
+    print(f"channel {args.channel}  n={fitted[0].n}  d={config.diff_order}")
     width = max(12, *(len(METHOD_TITLES[m]) + 2 for m in methods))
     head = "parameter".ljust(10) + "".join(METHOD_TITLES[m].rjust(width) for m in methods)
     print(head)
@@ -124,7 +125,7 @@ def _cmd_order_scan(args) -> int:
     recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
     channel = _channel(recording, args.channel)
     result = fit_channel(channel, config)
-    print(f"channel {args.channel}  n={len(channel) - config.diff_order}  method={config.method}")
+    print(f"channel {args.channel}  n={result.n}  method={config.method}")
     print(f"{'p':>4}  {'sigma2':>12}  {'AIC':>12}  {'AICc':>12}  {'BIC':>12}")
     for score in result.scan.per_order:
         print(

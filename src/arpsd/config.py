@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError("k must be nonnegative")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
+        # A tuple in the caller's order: band totals add the bands in it.
+        object.__setattr__(self, "bands", tuple(self.bands))
         check_bands(self.bands)
 
     def summary(self) -> dict[str, object]:

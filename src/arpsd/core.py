@@ -213,9 +213,9 @@ class ArModel(ArrayFields):
     sigma2: float
 
     def __post_init__(self):
-        p = int(self.order_p)
-        if p < 0:
-            raise ValueError("order_p must be nonnegative")
+        p = as_count(self.order_p, 0)
+        if p is None:
+            raise ValueError("order_p must be a nonnegative integer")
         coeffs = np.array(self.coeffs, dtype=np.float64, copy=True)
         if coeffs.ndim != 1 or coeffs.size != p:
             raise ValueError("coeffs must hold exactly order_p values")

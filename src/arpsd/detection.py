@@ -5,12 +5,12 @@ Every channel is screened through one path, which ``detect_recording``
 and every CLI subcommand share: :func:`fit_channel` prepares the channel
 and fits it as the run configuration says, :func:`channel_psd` turns the
 fit into a masked spectrum, and :func:`classify_channel` flags it.
-``detect_recording`` runs the same formulas over blocks of
-``BLOCK_CHANNELS`` channels, fitting and screening each block in one
-pass: every method's fits go through
-:func:`arpsd.estimation.fit_sweeps`, which prepares and reads a block's
-channels of up to 10,000 samples as rows of one matrix, the automatic
-order of a block of sweeps comes from one
+``detect_recording`` runs the same formulas over the equal-length
+channels of a recording, in one block pass (:func:`_screen_blocks`),
+fitting and screening each block that
+:func:`arpsd.estimation.fit_sweeps` yields in turn: that call prepares
+and reads a block's channels of up to 10,000 samples as rows of one
+matrix, the automatic order of a block of sweeps comes from one
 :func:`arpsd.order_selection.sweep_orders` call, and the block's fitted
 models are screened at once through :func:`arpsd.core.in_rows`.
 :func:`channel_psds` takes the same pass and keeps the masked spectra.
@@ -19,14 +19,12 @@ A channel alone is the one-row case.
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import islice
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .config import RunConfig
 from .core import (
-    BLOCK_CHANNELS,
     ArModel,
     ConfusionCounts,
     FrequencyBand,
@@ -172,11 +170,11 @@ def classify_channel(
 class ChannelFit:
     """One channel prepared and fitted as a run configuration says.
 
-    Under ``order="auto"``, ``sweep`` is the channel's sweep to p_max over
-    ``n`` prepared samples, and ``scan`` is its order scan by
-    ``criterion``, whose ``fit`` is ``fit``; the scan's per-order scores
-    are built when ``scan`` is first read.  At a fixed order ``sweep`` and
-    ``scan`` are None.
+    ``n`` is the number of prepared samples that ``fit`` was fitted to.
+    Under ``order="auto"``, ``sweep`` is the channel's sweep to p_max, and
+    ``scan`` is its order scan by ``criterion``, whose ``fit`` is ``fit``;
+    the scan's per-order scores are built when ``scan`` is first read.  At
+    a fixed order ``sweep`` and ``scan`` are None.
     """
 
     fit: FitResult
@@ -210,15 +208,17 @@ def fit_channel(x: TimeSeries, config: RunConfig) -> ChannelFit:
 
 
 def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig):
-    """Yield one list per block of ``BLOCK_CHANNELS`` channels: ``(index,
-    outcome)`` of each, in channel order, its fit as :func:`fit_channel`
-    gives it, or the ValueError or ArithmeticError it raises.
+    """Yield one list per block that :func:`arpsd.estimation.fit_sweeps`
+    yields: ``(index, outcome)`` of each channel, in channel order, its
+    fit as :func:`fit_channel` gives it, or the ValueError or
+    ArithmeticError it raises.  The channels must all have the same
+    sample count.
 
-    :func:`arpsd.estimation.fit_sweeps` prepares the raw channels, a block
-    at a time as rows of one matrix, checks each prepared length against
-    the order scan under ``order="auto"``, and sweeps them to
-    ``config.p_max`` or to the fixed order; Burg may prepare a channel
-    again.  Under ``order="auto"`` each block's orders are selected by one
+    ``fit_sweeps`` prepares the raw channels, a block at a time as rows of
+    one matrix, checks the prepared length against the order scan under
+    ``order="auto"``, and sweeps them to ``config.p_max`` or to the fixed
+    order; Burg may prepare a channel again.  Under ``order="auto"`` each
+    block's orders are selected by one
     :func:`arpsd.order_selection.sweep_orders` call.  No caller need hold
     every channel's fit at once.
     """
@@ -228,20 +228,17 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig):
         check = partial(check_scan, p_max=config.p_max, method=config.method,
                         criterion=config.criterion)
     p = config.p_max if auto else config.order
-    outcomes = fit_sweeps(channels, p, config.method, config.grid_size, config.diff_order, check)
-    while block := list(islice(outcomes, BLOCK_CHANNELS)):
-        swept = {index: sweep for index, sweep in block if isinstance(sweep, FitSweep)}
-        sizes = {index: len(channels[index]) - config.diff_order for index in swept}
+    n = len(channels[0]) - config.diff_order if channels else 0
+    for block in fit_sweeps(channels, p, config.method, config.grid_size, config.diff_order,
+                            check):
+        swept = [(index, sweep) for index, sweep in block if isinstance(sweep, FitSweep)]
         if auto and swept:
-            orders = sweep_orders(list(swept.values()), list(sizes.values()), config.criterion)
+            orders = sweep_orders([sweep for _, sweep in swept], [n] * len(swept), config.criterion)
         else:
             orders = [config.order] * len(swept)
-        order_of = dict(zip(swept, orders))
-        yield [
-            (index, _sweep_fit(outcome, order_of[index], sizes[index], config) if index in swept
-             else outcome)
-            for index, outcome in block
-        ]
+        fits = {index: _sweep_fit(sweep, order, n, config)
+                for (index, sweep), order in zip(swept, orders)}
+        yield [(index, fits.get(index, outcome)) for index, outcome in block]
 
 
 def _sweep_fit(sweep: FitSweep, order, n: int, config: RunConfig):
@@ -254,9 +251,23 @@ def _sweep_fit(sweep: FitSweep, order, n: int, config: RunConfig):
         fit = sweep.fit(order)
     except (ValueError, ArithmeticError) as exc:
         return exc
-    if config.order == "auto":
-        return ChannelFit(fit, sweep, n, config.criterion)
-    return ChannelFit(fit)
+    return ChannelFit(fit, sweep if config.order == "auto" else None, n, config.criterion)
+
+
+def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
+                   screen: Callable[[list], list]):
+    """Yield the outcome of each of the equal-length ``channels``, in
+    channel order: the ValueError or ArithmeticError that its fit raises,
+    or what ``screen`` gives its model.  The channels are fitted a
+    block at a time (:func:`_fit_channels`), and ``screen`` takes the
+    ``(index, model)`` of every fitted channel of a block and returns one
+    outcome each, under :func:`arpsd.core.in_rows`."""
+    for block in _fit_channels(channels, config):
+        outcomes = dict(block)
+        fitted = [(index, fit.fit.model) for index, fit in block if isinstance(fit, ChannelFit)]
+        if fitted:
+            outcomes.update(zip([index for index, _ in fitted], in_rows(fitted, screen)))
+        yield from outcomes.values()
 
 
 def _masked_rows(models: Sequence[ArModel], config: RunConfig):
@@ -297,53 +308,52 @@ def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
 
 def channel_psds(channels: Sequence[TimeSeries], config: RunConfig) -> list:
     """:func:`channel_psd` of each raw channel, or the ValueError or
-    ArithmeticError it raises, in channel order.
+    ArithmeticError it raises, in channel order.  The channels must all
+    have the same sample count.
 
     The channels are fitted and their spectra masked a block at a time,
-    by the block pass of :func:`detect_recording` (:func:`_fit_channels`
+    by the block pass of :func:`detect_recording` (:func:`_screen_blocks`
     and the row forms of the screen's spectral stages), so each channel
     gets the bits it gets alone.
     """
-    outcomes = []
-    for block in _fit_channels(channels, config):
-        fits = dict(block)
-        fitted = [index for index, fit in fits.items() if isinstance(fit, ChannelFit)]
-        if fitted:
-            items = [(fits[index].fit.model, channels[index].sample_rate_hz) for index in fitted]
-            fits.update(zip(fitted, in_rows(items, partial(_masked_spectra, config=config))))
-        outcomes.extend(fits.values())
-    return outcomes
+    rates = [x.sample_rate_hz for x in channels]
+    spectra = partial(_masked_spectra, config=config, rates=rates)
+    return list(_screen_blocks(channels, config, spectra))
 
 
-def _masked_spectra(items: Sequence[tuple[ArModel, float]], config: RunConfig) -> list:
-    """The masked spectrum of each ``(model, sample rate)``, or the
-    ValueError that it raises, by :func:`_masked_rows`."""
-    models, rates = zip(*items)
+def _masked_spectra(fitted: Sequence[tuple[int, ArModel]], config: RunConfig,
+                    rates: Sequence[float]) -> list:
+    """The masked spectrum of each ``(index, model)``, at the sample rate
+    ``rates[index]``, or the ValueError that it raises, by
+    :func:`_masked_rows`."""
+    indices, models = zip(*fitted)
     freqs, values, (mean_power, masked, survivors), faults = _masked_rows(models, config)
     rows = iter(range(len(values)))  # ``values`` holds the rows without a fault
     outcomes = []
-    for fault, rate in zip(faults, rates):
+    for fault, index in zip(faults, indices):
         if fault is not None:
             outcomes.append(ValueError(fault))
             continue
         row = next(rows)
-        spectrum = SpectrumEstimate(freqs, values[row], rate)
+        spectrum = SpectrumEstimate(freqs, values[row], rates[index])
         outcomes.append(MaskedSpectrum(spectrum, float(config.k), float(mean_power[row]),
                                        masked[row], float(survivors[row])))
     return outcomes
 
 
-def _screen_rows(fitted: Sequence[tuple[str, ArModel]], config: RunConfig, sample_rate_hz: float):
-    """The decision of each ``(name, model)`` in ``fitted``, or the
-    ValueError that its spectrum or classification raises, as
-    :func:`channel_psd` and :func:`classify_channel` give it."""
-    names, models = zip(*fitted)
+def _screen_rows(fitted: Sequence[tuple[int, ArModel]], config: RunConfig,
+                 names: Sequence[str], sample_rate_hz: float):
+    """The decision of each ``(index, model)`` in ``fitted`` on the channel
+    ``names[index]``, or the ValueError that its spectrum or
+    classification raises, as :func:`channel_psd` and
+    :func:`classify_channel` give it."""
+    indices, models = zip(*fitted)
     freqs, _, (_, masked, survivor_fractions), faults = _masked_rows(models, config)
     ok = [row for row, fault in enumerate(faults) if fault is None]
     try:
         decisions = _classify_rows(
             freqs * sample_rate_hz, masked, survivor_fractions.tolist(), config.bands,
-            config.rho, [names[row] for row in ok],
+            config.rho, [names[indices[row]] for row in ok],
         )
     except ValueError as exc:
         decisions = [exc] * len(ok)
@@ -362,28 +372,25 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     zero-division or overflow fault) is reported in ``errors`` with the
     message, and the remaining channels are still screened.
 
-    Channels are fitted and screened in one pass per block of
-    ``BLOCK_CHANNELS``: each block is fitted as by :func:`fit_channel`
-    (see :func:`_fit_channels`), its channels prepared as rows of one
-    reused matrix, and its fitted models are screened at once by the row-wise
-    forms of :func:`channel_psd`'s and :func:`classify_channel`'s stages,
-    through :func:`arpsd.core.in_rows`.  Each channel gets the bits it
-    gets alone.  ``errors`` keeps the recording's channel order, and
+    Channels are fitted and screened in one pass per block
+    (:func:`_screen_blocks`): each block is fitted as by
+    :func:`fit_channel` (see :func:`_fit_channels`), its channels prepared
+    as rows of one reused matrix, and its fitted models are screened at
+    once by the row-wise forms of :func:`channel_psd`'s and
+    :func:`classify_channel`'s stages, through :func:`arpsd.core.in_rows`.
+    Each channel gets the bits it gets alone.  ``errors`` keeps the recording's channel order, and
     ``parameters`` echoes ``config.summary()`` and the recording's sample
     rate as ``fs``.
     """
     if config is None:
         config = RunConfig()
     names = recording.names
-    outcomes = {}
-    screen = partial(_screen_rows, config=config, sample_rate_hz=recording.sample_rate_hz)
-    for block in _fit_channels([recording[name] for name in names], config):
-        outcomes.update((names[index], fit) for index, fit in block)
-        fitted = [(names[i], fit.fit.model) for i, fit in block if isinstance(fit, ChannelFit)]
-        if fitted:
-            outcomes.update(zip([name for name, _ in fitted], in_rows(fitted, screen)))
-    decisions = tuple(outcomes[n] for n in names if isinstance(outcomes[n], ChannelDecision))
-    errors = {name: str(outcomes[name]) for name in names if isinstance(outcomes[name], Exception)}
+    screen = partial(_screen_rows, config=config, names=names,
+                     sample_rate_hz=recording.sample_rate_hz)
+    outcomes = list(_screen_blocks([recording[name] for name in names], config, screen))
+    decisions = tuple(outcome for outcome in outcomes if isinstance(outcome, ChannelDecision))
+    errors = {name: str(outcome) for name, outcome in zip(names, outcomes)
+              if isinstance(outcome, Exception)}
     parameters = {**config.summary(), "fs": recording.sample_rate_hz}
     return DetectionReport(decisions, parameters, errors)
 

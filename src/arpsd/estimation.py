@@ -19,12 +19,12 @@ Three fitting routes share one coefficient convention (see
 All three return a :class:`FitResult` carrying the model, the reflection
 coefficients, and the prediction-error power at every order up to p.
 ``fit_sweep`` fits every order up to p_max at once, and each fitter is
-its order-p fit.  ``fit_sweeps`` sweeps many channels with one method,
-and ``fit_sweep`` is its one-channel case.  One loop and one order
-check serve every method, ``BLOCK_CHANNELS`` channels at a time.  The
-loop reads a block's
-channels of at most ``_ROW_SAMPLES`` samples as rows of one matrix and
-each longer one alone, through the same row forms of the preparation,
+its order-p fit.  ``fit_sweeps`` sweeps many channels of one length with
+one method, and ``fit_sweep`` is its one-channel case.  One loop and one
+order check serve every method, ``BLOCK_CHANNELS`` channels at a time.
+The loop reads a block's channels, when they have at most
+``_ROW_SAMPLES`` samples, as rows of one matrix, and otherwise each
+alone, through the same row forms of the preparation,
 the centring, the lag products and the periodogram
 (:mod:`arpsd.preprocess`), each one call over the rows.  The rows then
 run through :func:`arpsd.core.in_rows` as the lag-product stages of Burg
@@ -292,11 +292,11 @@ def _lag_rows(rows: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _burg_lag_rows(rows: np.ndarray, n, p: int):
+def _burg_lag_rows(rows: np.ndarray, n: int, p: int):
     """Burg stages evaluated from lag rows, one sweep per row.
 
-    ``rows`` is the :func:`_lag_rows` of channels of n samples each, n a
-    number or a column of one length per row.  With the polynomial
+    ``rows`` is the :func:`_lag_rows` of channels of n samples each.  With
+    the polynomial
     q = [1, a(1..m)], stage m + 1 sums the forward errors
     f(t) = sum_i q(i) x(t - i) and the backward errors
     b(t - 1) = sum_i q(i) x(t - 1 - m + i) over t = m+1..N-1.  The forward
@@ -391,15 +391,15 @@ def _burg_lag_rows(rows: np.ndarray, n, p: int):
     return coeffs, errs, done
 
 
-def _lag_block(block, p: int, samples: Callable[[int], np.ndarray]) -> list:
-    """The outcome of each channel in ``block``, ``(index, n, lag row)``
-    each, from one :func:`_burg_lag_rows` call.  A row that stops short of
-    p has its centred samples ``samples(index)`` read again, and the
-    lattice, run from the start, serves the orders from the stage that
-    failed.  Each sweep holds arrays of its own, so that none keeps the
-    block's arrays alive."""
-    indices, sizes, rows = zip(*block)
-    coeffs, errs, passed = _burg_lag_rows(np.array(rows), np.array(sizes)[:, np.newaxis], p)
+def _lag_block(block, p: int, n: int, samples: Callable[[int], np.ndarray]) -> list:
+    """The outcome of each channel in ``block``, ``(index, lag row)``
+    each of a channel of n samples, from one :func:`_burg_lag_rows` call.
+    A row that stops short of p has its centred samples ``samples(index)``
+    read again, and the lattice, run from the start, serves the orders
+    from the stage that failed.  Each sweep holds arrays of its own, so
+    that none keeps the block's arrays alive."""
+    indices, rows = zip(*block)
+    coeffs, errs, passed = _burg_lag_rows(np.array(rows), n, p)
     outcomes = []
     for row, (index, done) in enumerate(zip(indices, passed.tolist())):
         # Each sweep serves the orders from its first on; the lattice
@@ -443,7 +443,7 @@ def burg_fit(x: TimeSeries, p: int, demean: bool = True) -> FitResult:
     n = x.samples.size
     _check_order(n, p)
     (row,) = _lag_rows(x.samples[np.newaxis], p)
-    (outcome,) = _lag_block([(0, n, row)], p, lambda _: x.samples)
+    (outcome,) = _lag_block([(0, row)], p, n, lambda _: x.samples)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome.fit(p)
@@ -602,7 +602,7 @@ def fit_sweep(
     ValueError
         As the method's fitter does at order p_max.
     """
-    ((_, outcome),) = fit_sweeps([x], p_max, method, grid_size)
+    [[(_, outcome)]] = fit_sweeps([x], p_max, method, grid_size)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -612,76 +612,100 @@ def fit_sweeps(
     channels: Sequence[TimeSeries], p: int, method: str = METHOD_BURG, grid_size: int = 512,
     diff_order: int | None = None, check: Callable[[int], None] | None = None,
 ):
-    """Sweeps to order p of each of ``channels``.
+    """Sweeps to order p of each of ``channels``, which must all have the
+    same sample count.
 
-    Yields ``(index, outcome)`` once for each index, in index order, a
-    block of ``BLOCK_CHANNELS`` at a time: the sweep that
+    Yields one list per block of ``BLOCK_CHANNELS`` channels, in channel
+    order: ``(index, outcome)`` of each, the sweep that
     ``fit_sweep(channels[index], p, method, grid_size)`` returns, bit for
     bit, or the ValueError or ArithmeticError that it raises.  No sweep
-    holds a view of a channel's samples.  An unknown ``method`` raises
-    ValueError when the first outcome is asked for.
+    holds a view of a channel's samples.  An unknown ``method``, and
+    channels of more than one length ("all channels must have the same
+    sample count", as :class:`arpsd.core.Recording` words it), raise
+    ValueError when the first block is asked for.
 
     With ``diff_order`` set, each channel is first prepared as
     ``demean(difference(channels[index], diff_order))``
     (:func:`arpsd.preprocess.prepare_rows`), and a channel whose
     preparation raises ends in that error.  ``check(n)``, when given, is
-    called with each channel's prepared length before it is fitted, then
-    the method's own order check (:func:`_check_order`), and a channel for
-    which either raises ValueError ends in that error.
+    called with the prepared length before the channels are fitted, then
+    the method's own order check (:func:`_check_order`), and the channels
+    for which either raises ValueError end in that error.
 
-    Each block's channels of at most ``_ROW_SAMPLES`` samples are read as
-    rows of one matrix, one group of rows per length, and each stage is
-    one call over the rows: the preparation, the fitters' centring, the
-    lag products (:func:`arpsd.preprocess.lag_products`) and, for MLE,
-    the periodogram and its circular autocovariance.  A longer channel is
-    read alone, through the same stages with one row.  Of a Burg channel
-    only its lag row is kept (:func:`_lag_rows`), and of a
-    Yule-Walker or MLE channel its autocovariances and, for MLE, its
-    periodogram (:func:`_read_levinson`).  These rows run a block at a
-    time, by :func:`_lag_block` or :func:`_levinson_block`; a Burg channel
-    whose lag stages stop short is prepared again for the lattice.  No
-    stage mixes rows, and the read and the fit of a block each run under
-    :func:`arpsd.core.in_rows`: under ``np.seterr(..., "raise")`` a block
-    whose stage faults runs again a channel at a time, so each channel
-    gets the outcome it gets alone.
+    Channels of at most ``_ROW_SAMPLES`` samples are read a block at a
+    time as rows of one matrix, and each stage is one call over the rows:
+    the preparation, the fitters' centring, the lag products
+    (:func:`arpsd.preprocess.lag_products`) and, for MLE, the periodogram
+    and its circular autocovariance.  A longer channel is read alone,
+    through the same stages with one row.  The rows are read into two
+    arrays made once per call.  Of a Burg channel only its lag row is
+    kept (:func:`_lag_rows`), and of a Yule-Walker or MLE channel its
+    autocovariances and, for MLE, its periodogram (:func:`_read_levinson`).
+    These rows run a block at a time, by :func:`_lag_block` or
+    :func:`_levinson_block`; a Burg channel whose lag stages stop short is
+    prepared again for the lattice.  No stage mixes rows, and the read and
+    the fit of a block each run under :func:`arpsd.core.in_rows`: under
+    ``np.seterr(..., "raise")`` a block whose stage faults runs again a
+    channel at a time, so each channel gets the outcome it gets alone.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
+    lengths = {len(x) for x in channels}
+    if len(lengths) > 1:
+        raise ValueError("all channels must have the same sample count")
+    if not lengths:
+        return
+    (n,) = lengths
     burg = method == METHOD_BURG
     checks = [] if check is None else [check]
     checks.append(partial(_check_order, p=p, grid_size=grid_size if method == METHOD_MLE else None))
-    space = _Space(min(len(channels), BLOCK_CHANNELS))
+    blocks = [list(range(start, min(start + BLOCK_CHANNELS, len(channels))))
+              for start in range(0, len(channels), BLOCK_CHANNELS)]
+    # A block's short channels are copied into the rows of ``raw`` and
+    # prepared and centred into those of ``out``; a long channel is
+    # prepared from its own samples into ``out``'s one row.
+    raw = np.empty((len(blocks[0]), n)) if n <= _ROW_SAMPLES else None
+    out = np.empty((1, n) if raw is None else raw.shape)
 
     def read(indices: list) -> list:
-        # Each channel's row, a tuple, or the error it ends in.
+        # Each channel's row, or the error it ends in.
+        if raw is None:
+            groups = [([index], channels[index].samples[np.newaxis]) for index in indices]
+        else:
+            stacked = np.stack([channels[i].samples for i in indices], out=raw[: len(indices)])
+            groups = [(indices, stacked)]
         outcomes = {}
-        for members, rows in _centred_groups(channels, indices, diff_order, checks, space):
-            if isinstance(rows, Exception):
-                rows = [rows] * len(members)
-            elif burg:
-                rows = [(rows.shape[1], row) for row in _lag_rows(rows, p)]
-            else:
-                rows = _read_levinson(rows, p, method, grid_size)
-            outcomes.update(zip(members, rows))
+        for group, samples in groups:
+            for members, rows in _centred(group, samples, out[: len(group)], diff_order, checks):
+                if isinstance(rows, Exception):
+                    rows = [rows] * len(members)
+                elif burg:
+                    rows = _lag_rows(rows, p)
+                else:
+                    rows = _read_levinson(rows, p, method, grid_size)
+                outcomes.update(zip(members, rows))
         return [outcomes[index] for index in indices]
 
     def centred_again(index: int) -> np.ndarray:
         # Burg's lattice reads a channel whose lag stages stopped again.
-        ((_, rows),) = _centred_groups(channels, [index], diff_order, (), _Space(1))
+        ((_, rows),) = _centred([index], channels[index].samples[np.newaxis], out[:1],
+                                diff_order, ())
         if isinstance(rows, Exception):
             raise rows
         return rows[0]
 
     def fit(block: list) -> list:
-        return _lag_block(block, p, centred_again) if burg else _levinson_block(block, p, method)
+        if burg:
+            return _lag_block(block, p, n - (diff_order or 0), centred_again)
+        return _levinson_block(block, p, method)
 
-    for start in range(0, len(channels), BLOCK_CHANNELS):
-        indices = list(range(start, min(start + BLOCK_CHANNELS, len(channels))))
+    for indices in blocks:
         outcomes = dict(zip(indices, in_rows(indices, read)))
-        block = [(index, *row) for index, row in outcomes.items() if isinstance(row, tuple)]
+        block = [(index, row) for index, row in outcomes.items()
+                 if not isinstance(row, Exception)]
         if block:
-            outcomes.update(zip([item[0] for item in block], in_rows(block, fit)))
-        yield from outcomes.items()
+            outcomes.update(zip([index for index, _ in block], in_rows(block, fit)))
+        yield list(outcomes.items())
 
 
 # Channels of at most this many samples are read as rows of one matrix per
@@ -694,65 +718,19 @@ def fit_sweeps(
 _ROW_SAMPLES = 10_000
 
 
-class _Space:
-    """The arrays that channels are read into, reused from block to block:
-    the samples of each channel of at most ``_ROW_SAMPLES`` samples as
-    read, one row each, and the rows they are prepared and centred into,
-    both as wide as the longest so far; and one row that a longer channel
-    is prepared and centred into."""
-
-    def __init__(self, height: int):
-        self.raw = self.rows = np.empty((height, 0))
-        self.long = np.empty((1, 0))
-
-    def row(self, position: int, n: int) -> np.ndarray:
-        if self.raw.shape[1] < n:
-            wider = np.empty((self.raw.shape[0], n))
-            wider[:, : self.raw.shape[1]] = self.raw
-            self.raw, self.rows = wider, np.empty(wider.shape)
-        return self.raw[position, :n]
-
-    def alone(self, n: int) -> np.ndarray:
-        if self.long.shape[1] < n:
-            self.long = np.empty((1, n))
-        return self.long[:, :n]
-
-
 def _pick(rows: np.ndarray, keep: list) -> np.ndarray:
     """``rows`` itself when ``keep`` names every row, else those rows."""
     return rows if len(keep) == rows.shape[0] else rows[keep]
 
 
-def _centred_groups(channels, indices: list, diff_order, checks, space: _Space):
+def _centred(members: list, rows: np.ndarray, out: np.ndarray, diff_order, checks):
     """Yield ``(members, rows)``: ``rows`` holds the centred samples of the
     channels ``members`` (indices in order), one row each, or is the
-    exception that every member ends in.
-
-    Channels of at most ``_ROW_SAMPLES`` samples are copied into rows of
-    ``space`` and yielded as one group per length once every index is
-    read; a longer channel is yielded on its own as soon as it is read.
-    A group's rows are valid until the next group is yielded.
-    """
-    lengths = {}  # length -> positions in ``space.raw``
-    for position, index in enumerate(indices):
-        samples = channels[index].samples
-        if samples.size > _ROW_SAMPLES:
-            target = space.alone(samples.size)
-            yield from _centred([index], samples[np.newaxis], target, diff_order, checks)
-        else:
-            space.row(position, samples.size)[:] = samples
-            lengths.setdefault(samples.size, []).append(position)
-    for n, positions in lengths.items():
-        raw = _pick(space.raw[: len(indices), :n], positions)
-        yield from _centred([indices[i] for i in positions], raw, space.rows[: len(positions), :n],
-                            diff_order, checks)
-
-
-def _centred(members: list, rows: np.ndarray, out: np.ndarray, diff_order, checks):
-    """The groups of :func:`_centred_groups` that equal-length ``rows``
-    end in, centred into ``out``, which does not overlap ``rows``:
-    prepared first when ``diff_order`` is set, and checked by each of
-    ``checks``."""
+    exception that every member ends in.  The equal-length ``rows`` are
+    centred into ``out``, which has as many rows and does not overlap
+    them: prepared first when ``diff_order`` is set, and checked by each
+    of ``checks``.  The rows yielded are valid until ``out`` is written
+    again."""
     n = rows.shape[1]
     if diff_order is not None:
         try:
@@ -828,12 +806,13 @@ def _read_levinson(centred: np.ndarray, p: int, method: str, grid_size: int) -> 
 
 
 def _levinson_block(block, p: int, method: str) -> list:
-    """The outcome of each channel in ``block``, ``(index, r, spectrum)``
+    """The outcome of each channel in ``block``, ``(index, (r, spectrum))``
     each (see :func:`_read_levinson`), from one :func:`_levinson_rows`
     call and, for MLE, one :func:`_mle_sigma2` call over the rows whose
     recursion and periodogram succeeded.  Each sweep holds arrays of its
     own, so that none keeps the block's arrays alive."""
-    _, rows, spectra = zip(*block)
+    _, items = zip(*block)
+    rows, spectra = zip(*items)
     coeffs, errs, faults = _levinson_rows(np.array(rows), p)
     variances = {}
     ok = [row for row, fault in enumerate(faults)

@@ -89,6 +89,7 @@ def simulate_ar(
     seed
         Anything ``numpy.random.default_rng`` accepts.
     burn_in : int, optional
+        A nonnegative integer, of any integral type but bool.
     sample_rate_hz : float
         Rate stamped onto the output series.
 
@@ -96,15 +97,16 @@ def simulate_ar(
     ------
     ValueError
         "unstable AR model" when the polynomial has a root on or outside
-        the unit circle.
+        the unit circle; "burn_in must be a nonnegative integer".
     """
     n = _check_samples(n)
     if not is_stable(model):
         raise ValueError("unstable AR model")
     if burn_in is None:
         burn_in = 10 * model.order_p + 100
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
+    burn_in = as_count(burn_in, 0)
+    if burn_in is None:
+        raise ValueError("burn_in must be a nonnegative integer")
     if model.sigma2 == 0.0:
         return TimeSeries(np.zeros(n), sample_rate_hz)
     rng = np.random.default_rng(seed)
@@ -142,7 +144,9 @@ def simulate_recording(
     ValueError
         "unknown burst channel" when a burst names a channel outside the
         montage; "n must be an integer of at least 1"; "noise_sigma must
-        be positive and finite"; "snr must be positive and finite".
+        be positive and finite"; "snr must be positive and finite";
+        "scaled samples overflow in channel <name>" when the noise or
+        burst scaling takes a sample past the float64 range.
     """
     names = list(montage)
     if not names:
@@ -168,13 +172,17 @@ def simulate_recording(
     for index, name in enumerate(names):
         noise_seed, burst_seed = channel_seeds[index].spawn(2)
         rng = np.random.default_rng(noise_seed)
-        samples = noise_sigma * rng.standard_normal(n)
         burst = burst_by_channel.get(name)
-        if burst is not None:
-            model = resonator_model(burst.center_hz, burst.pole_radius, sample_rate_hz)
-            rhythm = simulate_ar(model, n, seed=burst_seed, sample_rate_hz=sample_rate_hz)
-            scale = np.sqrt(snr * burst.gain) * noise_sigma / rhythm.samples.std()
-            samples = samples + scale * rhythm.samples
+        # Finite parameters may still scale a sample past float64 (checked below).
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = noise_sigma * rng.standard_normal(n)
+            if burst is not None:
+                model = resonator_model(burst.center_hz, burst.pole_radius, sample_rate_hz)
+                rhythm = simulate_ar(model, n, seed=burst_seed, sample_rate_hz=sample_rate_hz)
+                scale = np.sqrt(snr * burst.gain) * noise_sigma / rhythm.samples.std()
+                samples = samples + scale * rhythm.samples
+        if not np.isfinite(samples).all():
+            raise ValueError(f"scaled samples overflow in channel {name}")
         channels[name] = TimeSeries(samples, sample_rate_hz)
         annotations[name] = burst is not None
     return Recording(channels), annotations

@@ -187,6 +187,17 @@ def test_fit_unknown_channel_fails_cleanly(burst_workspace, capsys):
     assert "unknown channel: nope" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["fit", "--order", "4"], ["order-scan", "--p-max", "8"]])
+@pytest.mark.parametrize("diff", [[], ["--diff", "2"]])
+def test_fit_and_order_scan_print_the_prepared_length(burst_workspace, capsys, command, diff):
+    tmp_path, rec, _ = burst_workspace
+    capsys.readouterr()
+    assert main([command[0], str(rec), "--channel", "F8-T4", *command[1:], *diff]) == 0
+    d = int(diff[1]) if diff else 1
+    n = read_recording_csv(rec).n_samples - d
+    assert capsys.readouterr().out.splitlines()[0].startswith(f"channel F8-T4  n={n}  ")
+
+
 def test_order_scan_prints_selection(burst_workspace, capsys):
     tmp_path, rec, _ = burst_workspace
     capsys.readouterr()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from arpsd import FrequencyBand, RunConfig
+from arpsd import FrequencyBand, RunConfig, default_bands
 
 
 @pytest.mark.parametrize("order", [10, np.int64(10), np.int32(10), np.uint8(10)])
@@ -37,6 +37,18 @@ def test_bad_band_sets_are_refused_at_construction(bands, message):
     # Accepted, every channel of a run would land in errors with this message.
     with pytest.raises(ValueError, match=message):
         RunConfig(bands=bands)
+
+
+def test_bands_are_stored_as_a_tuple_in_the_callers_order():
+    # A list used to be kept as is: the config was then unhashable, and
+    # config.bands.pop() edited a frozen config past its checks.
+    bands = list(default_bands())
+    config = RunConfig(bands=bands)
+    assert config.bands == default_bands() and hash(config) == hash(RunConfig())
+    bands.pop()
+    assert config.bands == default_bands()
+    reordered = RunConfig(bands=default_bands()[::-1])
+    assert reordered.bands == default_bands()[::-1]
 
 
 @pytest.mark.parametrize("field", ["p_max", "diff_order", "grid_size"])

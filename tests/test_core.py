@@ -100,6 +100,18 @@ def test_ar_model_validation():
         ArModel(-1, [], 1.0)
 
 
+@pytest.mark.parametrize("order_p", [2.5, 2.0, True, "2", None])
+def test_ar_model_refuses_an_order_that_is_not_a_count(order_p):
+    # 2.5 used to be truncated to order 2, and True taken as order 1.
+    with pytest.raises(ValueError, match="^order_p must be a nonnegative integer$"):
+        ArModel(order_p, [0.1, 0.2], 1.0)
+
+
+def test_ar_model_takes_any_integral_order_and_stores_an_int():
+    model = ArModel(np.int64(2), [0.1, 0.2], 1.0)
+    assert model.order_p == 2 and type(model.order_p) is int
+
+
 def test_ar_model_order_zero_is_representable():
     model = ArModel(0, [], 2.5)
     assert model.order_p == 0

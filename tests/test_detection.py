@@ -38,6 +38,7 @@ from arpsd import (
     undifference_psd,
 )
 from arpsd import detection, estimation
+from arpsd.core import BLOCK_CHANNELS
 from arpsd.detection import ChannelDecision, ChannelFit, DetectionReport
 
 
@@ -304,7 +305,7 @@ def test_long_channels_get_the_bits_of_the_public_stages_composed(order, n, meth
     # a constant on each side of the block edge ends in the method's
     # flat-signal error, and one channel's sums overflow, which under
     # np.seterr(all="raise") stops its whole block.
-    montage = tuple(f"ch{i:02d}" for i in range(estimation.BLOCK_CHANNELS + 4))
+    montage = tuple(f"ch{i:02d}" for i in range(BLOCK_CHANNELS + 4))
     bursts = [BurstSpec(name, 5.0, 0.95) for name in montage[::8]]
     recording, _ = simulate_recording(montage, n, 128.0, 1.0, bursts, 10.0, seed=7)
     t = np.arange(n) / 128.0
@@ -415,22 +416,21 @@ def test_the_shared_buffer_carries_nothing_from_one_channel_to_the_next(
 @pytest.mark.parametrize("order", [10, "auto"])
 def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, order):
     # Burg channels are fitted from lag rows; the sine's stages stop short,
-    # so it is prepared again for the lattice after the others.  Channels up to _ROW_SAMPLES are read into rows of
-    # reused matrices, a longer one into one reused row.
+    # so it is prepared again for the lattice after the others.  Channels
+    # up to _ROW_SAMPLES are copied into the rows of one reused matrix and
+    # prepared into those of a second, a longer one straight into one
+    # reused row.  Every array that the preparation reads or writes is
+    # recorded whole.
     buffers = {}
+    real_prepare_rows = estimation.prepare_rows
 
-    class Recorded(estimation._Space):
-        def row(self, position, n):
-            out = super().row(position, n)
-            buffers.update({id(self.raw): self.raw, id(self.rows): self.rows})
-            return out
+    def recorded(rows, d, out):
+        for values in (rows, out):
+            whole = values if values.base is None else values.base
+            buffers[id(whole)] = whole
+        return real_prepare_rows(rows, d, out)
 
-        def alone(self, n):
-            out = super().alone(n)
-            buffers[id(self.long)] = self.long
-            return out
-
-    monkeypatch.setattr(estimation, "_Space", Recorded)
+    monkeypatch.setattr(estimation, "prepare_rows", recorded)
     config = RunConfig(method=method, order=order)
     for n in (255, 2560, 8292, estimation._ROW_SAMPLES + 2):
         bursts = [BurstSpec("F8-T4", 5.0, 0.95)]
@@ -449,6 +449,14 @@ def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, ord
                                fit.prediction_error_by_order):
                     assert not any(np.shares_memory(values, work) for work in buffers.values())
             assert fitted == fit_channel(x, config)
+
+
+@pytest.mark.parametrize("diff_order", [0, 1, 2])
+@pytest.mark.parametrize("order", [10, "auto"])
+def test_a_channel_fit_holds_its_prepared_length_at_every_order(order, diff_order):
+    # At a fixed order n used to be 0.
+    x = TimeSeries(np.random.default_rng(4).standard_normal(300), 128.0)
+    assert fit_channel(x, RunConfig(order=order, diff_order=diff_order)).n == 300 - diff_order
 
 
 def test_order_scores_are_built_only_where_a_scan_is_read(monkeypatch):
@@ -492,8 +500,8 @@ def _detect_models(models, config, fs=128.0):
                 outcomes.append(
                     (index, ChannelFit(FitResult(model, "burg", np.zeros(p), np.ones(p + 1))))
                 )
-        for start in range(0, len(outcomes), detection.BLOCK_CHANNELS):
-            yield outcomes[start : start + detection.BLOCK_CHANNELS]
+        for start in range(0, len(outcomes), BLOCK_CHANNELS):
+            yield outcomes[start : start + BLOCK_CHANNELS]
 
     with mock.patch.object(detection, "_fit_channels", fit):
         return names, detect_recording(recording, config)
@@ -534,7 +542,7 @@ _MODELS = st.sampled_from([_STABLE] * 6 + [_UNSTABLE, st.just("fit failed")]).fl
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(
-    models=st.integers(1, 2 * detection.BLOCK_CHANNELS + 6).flatmap(
+    models=st.integers(1, 2 * BLOCK_CHANNELS + 6).flatmap(
         lambda n: st.lists(_MODELS, min_size=n, max_size=n)
     ),
     grid_size=st.sampled_from([2, 3, 17, 64, 512]),

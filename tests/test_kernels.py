@@ -40,6 +40,7 @@ from arpsd import (
     yule_walker_fit,
 )
 from arpsd import estimation
+from arpsd.core import BLOCK_CHANNELS
 from arpsd.estimation import (
     _ROW_SAMPLES,
     _burg_lag_rows,
@@ -92,6 +93,12 @@ def _sine(n, hz=5.0, noise=0.0, seed=0):
     if noise:
         x = x + noise * np.random.default_rng(seed).standard_normal(n)
     return x
+
+
+def _outcomes(blocks):
+    """The ``(index, outcome)`` pairs of the blocks that ``fit_sweeps``
+    yields, in order."""
+    return [pair for block in blocks for pair in block]
 
 
 def _lag_row(x, p):
@@ -176,7 +183,7 @@ def test_lag_products_serve_long_well_conditioned_inputs():
     for p in (30, 64):
         lag_coeffs, _, done = _lag_stages(x - x.mean(), p)
         assert done == p
-        ((_, sweep),) = fit_sweeps([TimeSeries(x, FS)], p)
+        [[(_, sweep)]] = fit_sweeps([TimeSeries(x, FS)], p)
         assert len(sweep.stages) == 1
         assert sweep.fit(p).model.coeffs.tobytes() == lag_coeffs[-1].tobytes()
 
@@ -283,11 +290,11 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
     # an overflowing row raises for the whole block, which then runs each
     # row alone.
     with np.errstate(all="raise"):
-        outcomes = list(fit_sweeps(series, p))
+        outcomes = _outcomes(fit_sweeps(series, p))
         assert sorted(index for index, _ in outcomes) == list(range(len(series)))
         for row, outcome in outcomes:
             kind, x = rows[row][0], series[row]
-            ((_, alone),) = fit_sweeps([x], p)
+            [[(_, alone)]] = fit_sweeps([x], p)
             assert _same_outcome(outcome, alone)
             if kind == "overflow":
                 assert isinstance(alone, FloatingPointError)
@@ -305,34 +312,67 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
 
 
 def test_burg_sweeps_length_rule_and_lattice_rereads():
-    # Every length takes the lag-product stages; the sine's stop short,
-    # so the lattice reads it again.
-    short = _resonance(0, 255, 0.9, 0.1)
-    long = _resonance(1, 256, 0.9, 0.1)
-    sine = _sine(356)
-    reads = []
+    # Every length takes the lag-product stages, on both sides of
+    # _ROW_SAMPLES; the sine's stop short, so the lattice reads it again.
+    for n in (255, 256, 356, _ROW_SAMPLES + 1):
+        resonance = _resonance(n, n, 0.9, 0.1)
+        sine = _sine(n)
+        reads = []
 
-    class Channels(list):
-        def __getitem__(self, index):
-            reads.append(index)
-            return super().__getitem__(index)
+        class Channels(list):
+            def __getitem__(self, index):
+                reads.append(index)
+                return super().__getitem__(index)
 
-    outcomes = dict(fit_sweeps(Channels(TimeSeries(x, FS) for x in (short, long, sine)), 10))
-    assert sorted(reads) == [0, 1, 2, 2]
-    for index, x in enumerate((short, long)):
-        lag_coeffs, _, done = _lag_stages(x - x.mean(), 10)
-        assert done == 10 and len(outcomes[index].stages) == 1
-        assert outcomes[index].fit(10).model.coeffs.tobytes() == lag_coeffs[-1].tobytes()
-        assert (outcomes[index].fit(10).reflection_coeffs.tobytes()
-                == np.diagonal(lag_coeffs).tobytes())
-    assert len(outcomes[2].stages) == 2
-    assert _lag_row(long - long.mean(), 10).shape == (31,)
+        [block] = fit_sweeps(Channels(TimeSeries(x, FS) for x in (resonance, sine)), 10)
+        outcomes = dict(block)
+        assert sorted(reads) == [0, 1, 1]
+        lag_coeffs, _, done = _lag_stages(resonance - resonance.mean(), 10)
+        assert done == 10 and len(outcomes[0].stages) == 1
+        assert outcomes[0].fit(10).model.coeffs.tobytes() == lag_coeffs[-1].tobytes()
+        assert outcomes[0].fit(10).reflection_coeffs.tobytes() == np.diagonal(lag_coeffs).tobytes()
+        assert len(outcomes[1].stages) == 2
+        assert _lag_row(resonance - resonance.mean(), 10).shape == (31,)
+
+
+def test_fit_sweeps_refuse_channels_of_more_than_one_length():
+    # Recording's wording, whose channels all have one length.
+    message = "^all channels must have the same sample count$"
+    channels = {"a": TimeSeries(np.arange(8.0), FS), "b": TimeSeries(np.arange(9.0) ** 2, FS)}
+    with pytest.raises(ValueError, match=message):
+        Recording(channels)
+    for method in ("burg", "yule_walker", "mle"):
+        with pytest.raises(ValueError, match=message):
+            next(fit_sweeps(list(channels.values()), 2, method, 8, diff_order=1))
+    assert list(fit_sweeps([], 2)) == []
+
+
+@pytest.mark.parametrize("count", [1, BLOCK_CHANNELS, BLOCK_CHANNELS + 1, 2 * BLOCK_CHANNELS + 3])
+def test_fit_sweeps_yield_one_list_per_block(count):
+    # Constants on each side of the first block edge end in their errors,
+    # in place in their blocks.
+    rng = np.random.default_rng(count)
+    signals = [rng.standard_normal(64) for _ in range(count)]
+    for index in (BLOCK_CHANNELS - 1, BLOCK_CHANNELS):
+        if index < count:
+            signals[index] = np.full(64, 1.5)
+    channels = [TimeSeries(x, FS) for x in signals]
+    blocks = list(fit_sweeps(channels, 4, "burg", diff_order=1))
+    starts = range(0, count, BLOCK_CHANNELS)
+    assert [[index for index, _ in block] for block in blocks] == [
+        list(range(start, min(start + BLOCK_CHANNELS, count))) for start in starts
+    ]
+    for index, outcome in _outcomes(blocks):
+        if np.all(signals[index] == 1.5):
+            assert isinstance(outcome, ValueError) and str(outcome) == "degenerate signal"
+        else:
+            assert outcome == fit_sweep(demean(difference(channels[index], 1)), 4)
 
 
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
 def test_fit_sweeps_yield_each_channels_error(method):
     signals = [TimeSeries(x, FS) for x in (np.arange(5.0), np.arange(5.0) ** 2, np.full(5, 3.0))]
-    outcomes = dict(fit_sweeps(signals, 2, method, grid_size=8))
+    outcomes = dict(_outcomes(fit_sweeps(signals, 2, method, grid_size=8)))
     assert sorted(outcomes) == [0, 1, 2]
     for index in (0, 1):
         assert outcomes[index] == fit_sweep(signals[index], 2, method, grid_size=8)
@@ -342,7 +382,7 @@ def test_fit_sweeps_yield_each_channels_error(method):
     if method == "mle":
         cases.append((3, 5, "grid too coarse for order"))
     for p, grid_size, message in cases:
-        ((_, outcome),) = fit_sweeps([TimeSeries(np.arange(5.0), FS)], p, method, grid_size)
+        [[(_, outcome)]] = fit_sweeps([TimeSeries(np.arange(5.0), FS)], p, method, grid_size)
         assert isinstance(outcome, ValueError) and str(outcome) == message
 
 
@@ -418,7 +458,7 @@ def test_levinson_and_mle_rows_give_every_row_the_bits_of_its_one_row_call(rows,
         assert flipped[::-1].tobytes() == sigma2.tobytes()
     # The public form.
     for method in ("yule_walker", "mle"):
-        outcomes = dict(fit_sweeps(series, p, method, 128))
+        outcomes = dict(_outcomes(fit_sweeps(series, p, method, 128)))
         assert sorted(outcomes) == list(range(len(series)))
         for row, x in enumerate(series):
             try:
@@ -481,7 +521,7 @@ def test_levinson_and_mle_rows_agree_with_the_per_channel_arithmetic(seed):
     recording, _ = simulate_recording(default_montage(), n, FS, 1.0, bursts, 10.0, seed)
     sine = TimeSeries(_sine(n, 6.0, noise=1e-9, seed=seed), FS)
     channels = [demean(difference(x, 1)) for x in (*recording.channels.values(), sine)]
-    sweeps = {method: dict(fit_sweeps(channels, p, method))
+    sweeps = {method: dict(_outcomes(fit_sweeps(channels, p, method)))
               for method in ("yule_walker", "mle")}
     for index, x in enumerate(channels):
         coeffs_by_order, ks, errs = _dot_levinson(biased_autocov(x, p).values, p)
@@ -718,7 +758,7 @@ def _per_channel_sweep(x, p, method, grid_size, diff_order):
     if method == "burg":
         lag_row = np.concatenate((lags, centred[:p], centred[: n - p - 1 : -1]))
         assert _lag_row(centred, p).tobytes() == lag_row.tobytes()
-        return _lag_block([(0, n, lag_row)], p, lambda _: centred)[0]
+        return _lag_block([(0, lag_row)], p, n, lambda _: centred)[0]
     r = lags / n
     assert biased_autocov(TimeSeries(samples, FS), p).values.tobytes() == r.tobytes()
     spectrum = None
@@ -731,7 +771,7 @@ def _per_channel_sweep(x, p, method, grid_size, diff_order):
         pgram = (transform.real**2 + transform.imag**2) / n
         assert periodogram(TimeSeries(centred, FS), grid_size).values.tobytes() == pgram.tobytes()
         spectrum = (np.fft.irfft(pgram, period)[: p + 1], pgram)
-    return _levinson_block([(0, r, spectrum)], p, method)[0]
+    return _levinson_block([(0, (r, spectrum))], p, method)[0]
 
 
 _LENGTHS = st.one_of(
@@ -747,49 +787,65 @@ _LENGTHS = st.one_of(
             st.sampled_from(["resonance", "resonance", "sharp", "sine", "constant", "overflow",
                              "huge", "short"]),
             st.integers(0, 2**32 - 1),
-            _LENGTHS,
+            st.booleans(),
         ),
         min_size=1,
         max_size=7,
     ),
+    lengths=st.tuples(_LENGTHS, _LENGTHS),
     method=st.sampled_from(["burg", "yule_walker", "mle"]),
     p=st.integers(1, 30),
     diff_order=st.sampled_from([None, 0, 1, 2]),
     errstate=st.sampled_from(["raise", "ignore"]),
 )
-def test_each_channel_of_a_block_gets_its_one_channel_outcome(channels, method, p, diff_order,
-                                                              errstate):
-    # Mixed lengths in one call, on both sides of _ROW_SAMPLES, with
-    # channels that fail in every stage between good ones.
+def test_each_channel_of_a_block_gets_its_one_channel_outcome(channels, lengths, method, p,
+                                                              diff_order, errstate):
+    # Channels that fail in every stage between good ones, of two lengths
+    # that may lie on either side of _ROW_SAMPLES; one call per length.
     d = diff_order or 0
     grid_size = 128
     series = []
-    for kind, seed, n in channels:
+    for kind, seed, second in channels:
+        n = lengths[second]
         n = max(1, n % (p + 1 + d)) if kind == "short" else max(n, p + 2 + d)
         series.append(TimeSeries(_raw_channel(kind, seed, n), FS))
+    calls = {}
+    for position, x in enumerate(series):
+        calls.setdefault(len(x), []).append(position)
     with np.errstate(all=errstate):
-        outcomes = list(fit_sweeps(series, p, method, grid_size, diff_order))
-        assert [index for index, _ in outcomes] == list(range(len(series)))
-        for (index, outcome), (kind, _, _), x in zip(outcomes, channels, series):
-            ((_, alone),) = fit_sweeps([x], p, method, grid_size, diff_order)
-            assert _same_bits(outcome, alone)
-            if kind in ("resonance", "sharp", "sine"):
-                expected = _per_channel_sweep(x.samples, p, method, grid_size, diff_order)
-                assert _same_bits(outcome, expected)
-                if diff_order is None:
-                    assert _same_bits(outcome, fit_sweep(x, p, method, grid_size))
-                for _, coeffs, errs in outcome.stages:
-                    for values in (coeffs, errs, outcome.sigma2_by_order):
-                        assert values.base is None
-            elif kind == "constant" and diff_order is not None:
-                flat = "degenerate signal" if method == "burg" else "zero-variance signal"
-                assert isinstance(outcome, ValueError) and str(outcome) == flat
-            elif kind == "overflow" and diff_order:
-                assert isinstance(outcome, FloatingPointError if errstate == "raise" else ValueError)
-                if errstate == "ignore":
-                    assert str(outcome) == "samples contains non-finite values"
-            elif kind == "huge" and errstate == "raise":
-                assert isinstance(outcome, FloatingPointError)
-                assert str(outcome) == "overflow encountered in dot"
-            elif kind == "short":
-                assert isinstance(outcome, ValueError)
+        for positions in calls.values():
+            outcomes = _outcomes(
+                fit_sweeps([series[i] for i in positions], p, method, grid_size, diff_order)
+            )
+            assert [index for index, _ in outcomes] == list(range(len(positions)))
+            for (_, outcome), position in zip(outcomes, positions):
+                (kind, _, _), x = channels[position], series[position]
+                _assert_one_channel_outcome(outcome, kind, x, method, p, grid_size, diff_order,
+                                            errstate)
+
+
+def _assert_one_channel_outcome(outcome, kind, x, method, p, grid_size, diff_order, errstate):
+    """``outcome``, the sweep or error of the raw channel x of ``kind``
+    from a call over several channels, is the one x gets alone."""
+    [[(_, alone)]] = fit_sweeps([x], p, method, grid_size, diff_order)
+    assert _same_bits(outcome, alone)
+    if kind in ("resonance", "sharp", "sine"):
+        expected = _per_channel_sweep(x.samples, p, method, grid_size, diff_order)
+        assert _same_bits(outcome, expected)
+        if diff_order is None:
+            assert _same_bits(outcome, fit_sweep(x, p, method, grid_size))
+        for _, coeffs, errs in outcome.stages:
+            for values in (coeffs, errs, outcome.sigma2_by_order):
+                assert values.base is None
+    elif kind == "constant" and diff_order is not None:
+        flat = "degenerate signal" if method == "burg" else "zero-variance signal"
+        assert isinstance(outcome, ValueError) and str(outcome) == flat
+    elif kind == "overflow" and diff_order:
+        assert isinstance(outcome, FloatingPointError if errstate == "raise" else ValueError)
+        if errstate == "ignore":
+            assert str(outcome) == "samples contains non-finite values"
+    elif kind == "huge" and errstate == "raise":
+        assert isinstance(outcome, FloatingPointError)
+        assert str(outcome) == "overflow encountered in dot"
+    elif kind == "short":
+        assert isinstance(outcome, ValueError)

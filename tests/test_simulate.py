@@ -200,6 +200,27 @@ def test_simulators_take_any_integral_sample_count():
     assert simulate_ar(ArModel(0, [], 1.0), np.int32(64), seed=5).samples.size == 64
 
 
+@pytest.mark.parametrize("burn_in", [-1, 2.5, True, "10"])
+def test_simulate_ar_refuses_a_burn_in_that_is_not_a_count(burn_in):
+    with pytest.raises(ValueError, match="^burn_in must be a nonnegative integer$"):
+        simulate_ar(ArModel(1, [-0.5], 1.0), 10, burn_in=burn_in)
+
+
+def test_simulate_ar_takes_any_integral_burn_in():
+    model = ArModel(1, [-0.5], 1.0)
+    first = simulate_ar(model, 10, seed=3, burn_in=np.int64(7))
+    assert first == simulate_ar(model, 10, seed=3, burn_in=7)
+
+
+def test_simulate_recording_names_the_channel_whose_scaled_samples_overflow():
+    # Every parameter is finite, but the burst's scaled samples are not;
+    # this used to end in "samples contains non-finite values".
+    bursts = [BurstSpec("b", 5.0, 0.9, gain=1e300)]
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="^scaled samples overflow in channel b$"):
+            simulate_recording(("a", "b"), 10, 128.0, 1e300, bursts, snr=1e300)
+
+
 @pytest.mark.parametrize("noise_sigma", [0.0, -1.0, np.inf, np.nan])
 def test_simulate_recording_refuses_a_noise_sigma_that_is_not_positive_and_finite(noise_sigma):
     with pytest.raises(ValueError, match="^noise_sigma must be positive and finite$"):
