@@ -143,10 +143,11 @@ def simulate_recording(
     ------
     ValueError
         "unknown burst channel" when a burst names a channel outside the
-        montage; "n must be an integer of at least 1"; "noise_sigma must
-        be positive and finite"; "snr must be positive and finite";
-        "scaled samples overflow in channel <name>" when the noise or
-        burst scaling takes a sample past the float64 range.
+        montage; "n must be an integer of at least 1"; "burst channel
+        <name> needs at least 2 samples" for a burst when n is 1;
+        "noise_sigma must be positive and finite"; "snr must be positive
+        and finite"; "scaled samples overflow in channel <name>" when the
+        noise or burst scaling takes a sample past the float64 range.
     """
     names = list(montage)
     if not names:
@@ -164,6 +165,9 @@ def simulate_recording(
             raise ValueError(f"unknown burst channel: {burst.channel}")
         if burst.channel in burst_by_channel:
             raise ValueError(f"duplicate burst channel: {burst.channel}")
+        # A burst is scaled by its sample standard deviation, 0 for one sample.
+        if n < 2:
+            raise ValueError(f"burst channel {burst.channel} needs at least 2 samples")
         burst_by_channel[burst.channel] = burst
     root = np.random.SeedSequence(seed)
     channel_seeds = root.spawn(len(names))

@@ -59,6 +59,7 @@ def test_simulate_writes_reproducible_artifacts(burst_workspace, capsys):
         (["--noise-sigma", "inf"], "1.0", "noise_sigma must be positive and finite"),
         (["--snr", "inf"], "1.0", "snr must be positive and finite"),
         ([], "inf", "line 2: gain must be positive and finite"),
+        (["--n", "1"], "1.0", "burst channel F8-T4 needs at least 2 samples"),
     ],
 )
 def test_simulate_refuses_its_parameters_up_front(tmp_path, capsys, args, gain, message):

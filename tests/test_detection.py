@@ -31,15 +31,14 @@ from arpsd import (
     fit_channel,
     fit_sweep,
     metrics_from_counts,
-    order_scan,
     resonator_model,
     simulate_recording,
     threshold_psd,
-    undifference_psd,
 )
 from arpsd import detection, estimation
 from arpsd.core import BLOCK_CHANNELS
 from arpsd.detection import ChannelDecision, ChannelFit, DetectionReport
+from slow_reference import stages_fit, stages_outcomes, stages_screen
 
 
 def _masked_resonance(center_hz: float):
@@ -265,34 +264,14 @@ def _assert_detect_equals_the_public_stages(method, order, correction):
     config = RunConfig(method=method, order=order, undifference_correction=correction)
     expected = []
     for name in recording.names:
-        series = demean(difference(recording[name], config.diff_order))
-        if order == "auto":
-            fit = order_scan(series, config.p_max, method, config.criterion, config.grid_size).fit
-        else:
-            fit = fit_sweep(series, order, method, config.grid_size).fit(order)
-        spectrum = ar_psd(fit.model, config.grid_size, recording.sample_rate_hz)
-        if correction:
-            spectrum = undifference_psd(spectrum, config.diff_order)
-        masked = threshold_psd(spectrum, config.k)
-        expected.append(classify_channel(masked, config.bands, config.rho, derivation=name))
+        fit = stages_fit(recording[name], config)
+        masked, decision = stages_screen(fit.model, name, config, recording.sample_rate_hz)
+        expected.append(decision)
         assert np.array_equal(channel_psd(recording[name], config).values, masked.values)
         model = fit_channel(recording[name], config).fit.model
         assert model.coeffs.tobytes() == fit.model.coeffs.tobytes()
         assert model.sigma2 == fit.model.sigma2
     assert detect_recording(recording, config).per_channel == tuple(expected)
-
-
-def _stages_outcome(x, name, config):
-    """One raw channel through the public stages, composed by hand."""
-    series = demean(difference(x, config.diff_order))
-    if config.order == "auto":
-        fit = order_scan(series, config.p_max, config.method, config.criterion,
-                         config.grid_size).fit
-    else:
-        fit = fit_sweep(series, config.order, config.method, config.grid_size).fit(config.order)
-    spectrum = ar_psd(fit.model, config.grid_size, x.sample_rate_hz)
-    masked = threshold_psd(spectrum, config.k)
-    return classify_channel(masked, config.bands, config.rho, derivation=name)
 
 
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
@@ -324,15 +303,10 @@ def test_long_channels_get_the_bits_of_the_public_stages_composed(order, n, meth
         assert len(fit_sweep(demean(difference(channels["ch03"], 1)), 10).stages) == 2
     with np.errstate(all="raise"):
         report = detect_recording(recording, config)
-        decisions, errors = [], {}
-        for name in recording.names:
-            try:
-                decisions.append(_stages_outcome(recording[name], name, config))
-            except (ValueError, ArithmeticError) as exc:
-                errors[name] = str(exc)
+        decisions, errors = stages_outcomes(recording, config)
         alone = {name: detect_recording(Recording({name: recording[name]}), config).errors
                  for name in errors}
-    assert report.per_channel == tuple(decisions)
+    assert report.per_channel == decisions
     assert list(report.errors.items()) == list(errors.items())
     flat = "degenerate signal" if method == "burg" else "zero-variance signal"
     # Yule-Walker's sums for the huge channel stay finite, and it is fitted.
@@ -515,11 +489,7 @@ def _one_by_one(names, models, config, fs=128.0):
             errors[name] = model
             continue
         try:
-            spectrum = ar_psd(model, config.grid_size, fs)
-            if config.undifference_correction and config.diff_order > 0:
-                spectrum = undifference_psd(spectrum, config.diff_order)
-            masked = threshold_psd(spectrum, config.k)
-            decisions.append(classify_channel(masked, config.bands, config.rho, derivation=name))
+            decisions.append(stages_screen(model, name, config, fs)[1])
         except (ValueError, ArithmeticError) as exc:
             errors[name] = str(exc)
     return tuple(decisions), errors

@@ -1,6 +1,8 @@
 """What ``import arpsd`` loads: the screening modules, and the simulator
-with SciPy only at the first use of one of its names."""
+with SciPy only at the first use of one of its names; and what the
+package's modules and scripts import of one another."""
 
+import ast
 import json
 import os
 import subprocess
@@ -53,3 +55,30 @@ def test_import_loads_the_simulator_and_scipy_only_on_first_use():
         "dir": sorted(SIMULATOR + ["simulate"]),
         "nope": "module 'arpsd' has no attribute 'nope'",
     }
+
+
+def _private_imports(path):
+    """``(line, module, name)`` of each underscore name that the file at
+    ``path`` imports from an ``arpsd`` module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = "." * node.level + (node.module or "")
+        if node.level == 0 and module.split(".")[0] != "arpsd":
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                found.append((node.lineno, module, name))
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    # Aim 2: a private name may change with its module; code outside that
+    # module reaches it only through a public one.
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("src/arpsd/*.py")) + sorted(root.glob("scripts/*.py"))
+    assert {path.parent.name for path in paths} == {"arpsd", "scripts"}
+    found = {str(path.relative_to(root)): _private_imports(path) for path in paths}
+    assert {path: names for path, names in found.items() if names} == {}

@@ -1,12 +1,12 @@
 """Properties of the fast AR kernels, checked against their slow references.
 
 The references are the Burg lattice (``_burg_lattice``), which updates the
-forward and backward error vectors stage by stage; a direct cosine and
-sine sum for |A(f)|^2; and, for the Levinson and MLE rows, the
-per-channel arithmetic they replaced: a Levinson recursion with one
-``np.dot`` per order and the MLE variance as 2 trapz(|A|^2 I).  Examples
-are drawn by hypothesis with a fixed derivation, so every run checks the
-same inputs.
+forward and backward error vectors stage by stage, and the kernels of
+``slow_reference``: a direct cosine and sine sum for |A(f)|^2 and, for
+the Levinson and MLE rows, the per-channel arithmetic they replaced: a
+Levinson recursion with one ``np.dot`` per order and the MLE variance as
+2 trapz(|A|^2 I).  Examples are drawn by hypothesis with a fixed
+derivation, so every run checks the same inputs.
 """
 
 import itertools
@@ -53,6 +53,7 @@ from arpsd.estimation import (
     _transfer_mag2,
     fit_sweeps,
 )
+from slow_reference import _direct_mag2, _dot_levinson, _trapezoid_sweep
 
 FS = 128.0
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -472,35 +473,6 @@ def test_levinson_and_mle_rows_give_every_row_the_bits_of_its_one_row_call(rows,
                     assert values.base is None
 
 
-def _dot_levinson(r, p):
-    """The per-channel Levinson recursion, one np.dot per order."""
-    coeffs_by_order, ks, errs = [], np.empty(p), np.empty(p + 1)
-    errs[0] = r[0]
-    a = np.empty(0)
-    for m in range(1, p + 1):
-        k = -(r[m] + np.dot(a, r[m - 1 : 0 : -1])) / errs[m - 1]
-        new = np.empty(m)
-        new[: m - 1] = a + k * a[::-1]
-        new[m - 1] = k
-        a = new
-        ks[m - 1] = k
-        errs[m] = errs[m - 1] * (1.0 - k * k)
-        coeffs_by_order.append(a)
-    return coeffs_by_order, ks, errs
-
-
-def _trapezoid_sweep(coeffs_by_order, x, grid_size):
-    """The MLE variance of every order as 2 trapz(|A|^2 I), one rfft row
-    per order."""
-    p = len(coeffs_by_order)
-    rows = np.zeros((p, p))
-    for order, coeffs in enumerate(coeffs_by_order, start=1):
-        rows[order - 1, :order] = coeffs
-    pgram = periodogram(TimeSeries(x.samples - x.samples.mean(), x.sample_rate_hz), grid_size)
-    return 2.0 * np.trapezoid(_transfer_mag2(rows, grid_size) * pgram.values,
-                              pgram.freqs_normalized, axis=-1)
-
-
 def _relative(ours, ref):
     """Largest difference relative to the largest reference entry."""
     return float(np.max(np.abs(np.asarray(ours) - ref)) / np.max(np.abs(ref)))
@@ -550,16 +522,6 @@ def test_levinson_and_mle_rows_agree_with_the_per_channel_arithmetic(seed):
     finally:
         estimation._MLE_CANCELLATION_LIMIT = limit
     assert all(ours != ref for ours, ref in zip(closed[1:].tolist(), today[1:].tolist()))
-
-
-def _direct_mag2(coeffs, grid_size):
-    freqs = np.arange(grid_size) / (2.0 * (grid_size - 1))
-    re = np.ones(grid_size)
-    im = np.zeros(grid_size)
-    for i, a in enumerate(coeffs, start=1):
-        re += a * np.cos(2.0 * math.pi * i * freqs)
-        im -= a * np.sin(2.0 * math.pi * i * freqs)
-    return re * re + im * im
 
 
 @PROPERTY

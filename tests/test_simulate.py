@@ -221,6 +221,18 @@ def test_simulate_recording_names_the_channel_whose_scaled_samples_overflow():
             simulate_recording(("a", "b"), 10, 128.0, 1e300, bursts, snr=1e300)
 
 
+def test_simulate_recording_refuses_a_burst_on_one_sample():
+    # The burst is scaled by its standard deviation, which is 0 for one
+    # sample; this used to warn and end in "scaled samples overflow".
+    bursts = [BurstSpec("b", 5.0, 0.9)]
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="^burst channel b needs at least 2 samples$"):
+            simulate_recording(("a", "b"), 1, 128.0, 1.0, bursts)
+    recording, truth = simulate_recording(("a", "b"), 1, 128.0, 1.0)
+    assert recording.n_samples == 1 and truth == {"a": False, "b": False}
+    assert simulate_recording(("a", "b"), 2, 128.0, 1.0, bursts)[0].n_samples == 2
+
+
 @pytest.mark.parametrize("noise_sigma", [0.0, -1.0, np.inf, np.nan])
 def test_simulate_recording_refuses_a_noise_sigma_that_is_not_positive_and_finite(noise_sigma):
     with pytest.raises(ValueError, match="^noise_sigma must be positive and finite$"):
