@@ -5,9 +5,12 @@
 
 Runs ``arpsd.cli.main`` in process, in a temporary working directory:
 ``simulate`` (with a burst-spec file), then ``detect``, ``psd --all`` and
-``eval`` on seeded 18 x 2,560 and 18 x 76,800 recordings, and ``detect``
+``eval`` on seeded 18 x 2,560 and 18 x 76,800 recordings, ``detect``
 and ``eval`` on a hand-written recording whose ``# fs=`` comment sets the
-rate and whose constant channel gives the report a ``# error:`` line.
+rate and whose constant channel gives the report a ``# error:`` line,
+and, on one channel of the 2,560-sample recording, ``fit --method all``
+at ``--order 4`` and ``--order auto`` and ``order-scan`` under each
+criterion (AIC at d = 0, AICc at d = 1, BIC at d = 2).
 
 Prints the number of files, the sha256 over each run's arguments, exit
 status and printed lines, and each written file's name and bytes, in run
@@ -59,9 +62,15 @@ def runs() -> list[list[str]]:
             ["psd", rec, "--all", "--out", f"psd{n}"],
             ["eval", "--pred", report, "--truth", truth],
         ]
+    rec = f"rec{LENGTHS[0]}.csv"
     return commands + [
         ["detect", "hand.csv", "--out", "hand_report.csv"],
         ["eval", "--pred", "hand_report.csv", "--truth", "hand_truth.csv"],
+        ["fit", rec, "--channel", "F8-T4", "--method", "all", "--order", "4"],
+        ["fit", rec, "--channel", "F8-T4", "--method", "all", "--order", "auto"],
+    ] + [
+        ["order-scan", rec, "--channel", "F8-T4", "--criterion", criterion, "--diff", str(d)]
+        for d, criterion in enumerate(("aic", "aicc", "bic"))
     ]
 
 

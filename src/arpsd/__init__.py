@@ -57,7 +57,6 @@ from .spectral import (
 )
 from .detection import (
     ChannelDecision,
-    ChannelFit,
     DetectionReport,
     MetricsReport,
     channel_psd,
@@ -76,7 +75,6 @@ __all__ = [
     "BandPowerReport",
     "BurstSpec",
     "ChannelDecision",
-    "ChannelFit",
     "ConfusionCounts",
     "DetectionReport",
     "FitResult",

@@ -26,6 +26,8 @@ from .io_csv import (
     write_psd_csv,
     write_recording_csv,
 )
+from .order_selection import order_scan
+from .preprocess import demean, difference
 from .simulate import simulate_recording
 
 METHOD_FLAGS = {"yw": "yule_walker", "burg": "burg", "mle": "mle"}
@@ -102,9 +104,8 @@ def _cmd_fit(args) -> int:
     recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
     channel = _channel(recording, args.channel)
     # Under --order auto each method is shown at the order it selected.
-    fitted = [fit_channel(channel, replace(config, method=method)) for method in methods]
-    fits = [channel_fit.fit for channel_fit in fitted]
-    print(f"channel {args.channel}  n={fitted[0].n}  d={config.diff_order}")
+    fits = [fit_channel(channel, replace(config, method=method)) for method in methods]
+    print(f"channel {args.channel}  n={len(channel) - config.diff_order}  d={config.diff_order}")
     width = max(12, *(len(METHOD_TITLES[m]) + 2 for m in methods))
     head = "parameter".ljust(10) + "".join(METHOD_TITLES[m].rjust(width) for m in methods)
     print(head)
@@ -121,18 +122,18 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_order_scan(args) -> int:
-    config = replace(_config_from_args(args), order="auto")
+    config = _config_from_args(args)
     recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
-    channel = _channel(recording, args.channel)
-    result = fit_channel(channel, config)
-    print(f"channel {args.channel}  n={result.n}  method={config.method}")
+    prepared = demean(difference(_channel(recording, args.channel), config.diff_order))
+    scan = order_scan(prepared, config.p_max, config.method, config.criterion, config.grid_size)
+    print(f"channel {args.channel}  n={len(prepared)}  method={config.method}")
     print(f"{'p':>4}  {'sigma2':>12}  {'AIC':>12}  {'AICc':>12}  {'BIC':>12}")
-    for score in result.scan.per_order:
+    for score in scan.per_order:
         print(
             f"{score.p:>4}  {score.sigma2:>12.6g}  {score.aic:>12.6f}  "
             f"{score.aicc:>12.6f}  {score.bic:>12.6f}"
         )
-    print(f"selected p = {result.scan.selected_p} ({result.scan.criterion_used})")
+    print(f"selected p = {scan.selected_p} ({scan.criterion_used})")
     return 0
 
 

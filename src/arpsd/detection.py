@@ -18,7 +18,7 @@ A channel alone is the one-row case.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,12 +35,11 @@ from .core import (
     in_rows,
 )
 from .estimation import FitResult, FitSweep, ar_psd_rows, fit_sweeps
-from .order_selection import OrderScanResult, check_scan, scan_sweep, sweep_orders
+from .order_selection import check_scan, sweep_orders
 from .spectral import MaskedSpectrum, band_power_rows, threshold_rows, undifference_rows
 
 __all__ = [
     "ChannelDecision",
-    "ChannelFit",
     "DetectionReport",
     "MetricsReport",
     "channel_psd",
@@ -166,40 +165,16 @@ def classify_channel(
     )[0]
 
 
-@dataclass(frozen=True)
-class ChannelFit:
-    """One channel prepared and fitted as a run configuration says.
-
-    ``n`` is the number of prepared samples that ``fit`` was fitted to.
-    Under ``order="auto"``, ``sweep`` is the channel's sweep to p_max, and
-    ``scan`` is its order scan by ``criterion``, whose ``fit`` is ``fit``;
-    the scan's per-order scores are built when ``scan`` is first read.  At
-    a fixed order ``sweep`` and ``scan`` are None.
-    """
-
-    fit: FitResult
-    sweep: FitSweep | None = None
-    n: int = 0
-    criterion: str = "bic"
-
-    @cached_property
-    def scan(self) -> OrderScanResult | None:
-        if self.sweep is None:
-            return None
-        return scan_sweep(self.sweep, self.n, self.criterion)
-
-
-def fit_channel(x: TimeSeries, config: RunConfig) -> ChannelFit:
+def fit_channel(x: TimeSeries, config: RunConfig) -> FitResult:
     """Prepare one raw channel and fit it with ``config.method``.
 
     The channel is differenced ``config.diff_order`` times and demeaned,
     ``demean(difference(x, config.diff_order))``.  At a fixed order the
     method's sweep runs to that order and gives its top fit; under
-    ``order="auto"`` it runs to ``config.p_max``, and the order that
-    :func:`arpsd.order_selection.order_scan` would select gives the fit.
-    The scan's per-order scores are built when ``scan`` is first read.
-    This is the one-channel case of :func:`_fit_channels`, the fit phase
-    of :func:`detect_recording`.
+    ``order="auto"`` it runs to ``config.p_max`` and gives the fit that
+    :func:`arpsd.order_selection.order_scan` selects on the prepared
+    channel, without scoring every order.  This is the one-channel case
+    of :func:`_fit_channels`, the fit phase of :func:`detect_recording`.
     """
     [[(_, outcome)]] = _fit_channels([x], config)
     if isinstance(outcome, Exception):
@@ -236,22 +211,20 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig):
             orders = sweep_orders([sweep for _, sweep in swept], [n] * len(swept), config.criterion)
         else:
             orders = [config.order] * len(swept)
-        fits = {index: _sweep_fit(sweep, order, n, config)
-                for (index, sweep), order in zip(swept, orders)}
+        fits = {index: _sweep_fit(sweep, order) for (index, sweep), order in zip(swept, orders)}
         yield [(index, fits.get(index, outcome)) for index, outcome in block]
 
 
-def _sweep_fit(sweep: FitSweep, order, n: int, config: RunConfig):
-    """The channel fit at ``order`` of a sweep over n prepared samples, or
-    the ValueError or ArithmeticError that taking it raises.  ``order`` is
-    the ValueError itself when selecting the order raised one."""
+def _sweep_fit(sweep: FitSweep, order):
+    """``sweep.fit(order)``, or the ValueError or ArithmeticError that it
+    raises.  ``order`` is the ValueError itself when selecting the order
+    raised one."""
     if isinstance(order, Exception):
         return order
     try:
-        fit = sweep.fit(order)
+        return sweep.fit(order)
     except (ValueError, ArithmeticError) as exc:
         return exc
-    return ChannelFit(fit, sweep if config.order == "auto" else None, n, config.criterion)
 
 
 def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
@@ -264,7 +237,7 @@ def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
     outcome each, under :func:`arpsd.core.in_rows`."""
     for block in _fit_channels(channels, config):
         outcomes = dict(block)
-        fitted = [(index, fit.fit.model) for index, fit in block if isinstance(fit, ChannelFit)]
+        fitted = [(index, fit.model) for index, fit in block if isinstance(fit, FitResult)]
         if fitted:
             outcomes.update(zip([index for index, _ in fitted], in_rows(fitted, screen)))
         yield from outcomes.values()

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import arpsd
-from arpsd import RunConfig, fit_channel
+from arpsd import MaskedSpectrum, Recording, RunConfig, TimeSeries, channel_psd, fit_channel
 from arpsd.cli import main
-from arpsd.io_csv import read_prediction_csv, read_recording_csv
+from arpsd.detection import channel_psds
+from arpsd.io_csv import read_prediction_csv, read_recording_csv, write_recording_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -163,7 +164,7 @@ def test_fit_all_methods_auto_prints_each_at_its_own_order(tmp_path, capsys):
     assert rows["parameter"] == ["MLE", "Yule-Walker", "Burg"]
     channel = read_recording_csv(rec)["T4-T6"]
     for column, method in enumerate(["mle", "yule_walker", "burg"]):
-        fit = fit_channel(channel, RunConfig(method=method, order="auto")).fit
+        fit = fit_channel(channel, RunConfig(method=method, order="auto"))
         p = fit.model.order_p
         assert int(rows["p"][column]) == p
         for i in range(1, max(int(order) for order in rows["p"]) + 1):
@@ -188,8 +189,11 @@ def test_fit_unknown_channel_fails_cleanly(burst_workspace, capsys):
     assert "unknown channel: nope" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["fit", "--order", "4"], ["order-scan", "--p-max", "8"]])
-@pytest.mark.parametrize("diff", [[], ["--diff", "2"]])
+@pytest.mark.parametrize(
+    "command",
+    [["fit", "--order", "4"], ["order-scan", "--p-max", "8"], ["fit", "--order", "auto"]],
+)
+@pytest.mark.parametrize("diff", [[], ["--diff", "2"], ["--diff", "0"]])
 def test_fit_and_order_scan_print_the_prepared_length(burst_workspace, capsys, command, diff):
     tmp_path, rec, _ = burst_workspace
     capsys.readouterr()
@@ -293,6 +297,40 @@ def test_psd_all_raises_the_first_failing_channels_error(tmp_path, capsys, order
     captured = capsys.readouterr()
     first = "degenerate signal" if order[1] == "B" else "samples contains non-finite values"
     assert captured.err == f"error: {first}\n"
+    assert "wrote" not in captured.out
+    assert not out_dir.exists()
+
+
+def test_a_channel_whose_spectrum_is_refused_keeps_its_error_alone(tmp_path, capsys):
+    # Under RunConfig() (Burg at order 10, d = 1) the model of a noise-free
+    # 6 Hz sine has no stable spectrum.  In a block it ends in that error
+    # and the burst channel beside it keeps its spectrum, each as alone;
+    # psd --channel on the sine writes nothing.
+    bursts = [arpsd.BurstSpec("F8-T4", 5.0, 0.95)]
+    recording, _ = arpsd.simulate_recording(("F8-T4",), 2560, 128.0, 1.0, bursts, 10.0, seed=0)
+    sine = TimeSeries(np.sin(2.0 * np.pi * 6.0 * np.arange(2560) / 128.0), 128.0)
+    channels = [recording["F8-T4"], sine]
+    config = RunConfig()
+    outcomes = channel_psds(channels, config)
+    for x, outcome in zip(channels, outcomes):
+        try:
+            alone = channel_psd(x, config)
+        except ValueError as exc:
+            alone = exc
+        assert type(outcome) is type(alone)
+        if isinstance(alone, ValueError):
+            assert outcome.args == alone.args
+        else:
+            assert outcome == alone
+    assert isinstance(outcomes[0], MaskedSpectrum)
+    assert type(outcomes[1]) is ValueError
+    assert outcomes[1].args == ("unstable AR polynomial",)
+    rec = tmp_path / "rec.csv"
+    write_recording_csv(rec, Recording({"F8-T4": channels[0], "sine": sine}))
+    out_dir = tmp_path / "psd"
+    assert main(["psd", str(rec), "--channel", "sine", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unstable AR polynomial\n"
     assert "wrote" not in captured.out
     assert not out_dir.exists()
 

@@ -79,6 +79,8 @@ def test_integral_counts_are_accepted_and_stored_as_int(field):
         ("undifference_correction", "off", "undifference_correction must be a bool"),
         ("undifference_correction", 1, "undifference_correction must be a bool"),
         ("undifference_correction", None, "undifference_correction must be a bool"),
+        ("method", "nope", "unknown method: 'nope'"),
+        ("criterion", "nope", "unknown criterion: 'nope'"),
     ],
 )
 def test_non_counts_are_rejected(field, value, message):

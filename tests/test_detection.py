@@ -31,13 +31,14 @@ from arpsd import (
     fit_channel,
     fit_sweep,
     metrics_from_counts,
+    order_scan,
     resonator_model,
     simulate_recording,
     threshold_psd,
 )
-from arpsd import detection, estimation
+from arpsd import detection, estimation, order_selection
 from arpsd.core import BLOCK_CHANNELS
-from arpsd.detection import ChannelDecision, ChannelFit, DetectionReport
+from arpsd.detection import ChannelDecision, DetectionReport
 from slow_reference import stages_fit, stages_outcomes, stages_screen
 
 
@@ -268,7 +269,7 @@ def _assert_detect_equals_the_public_stages(method, order, correction):
         masked, decision = stages_screen(fit.model, name, config, recording.sample_rate_hz)
         expected.append(decision)
         assert np.array_equal(channel_psd(recording[name], config).values, masked.values)
-        model = fit_channel(recording[name], config).fit.model
+        model = fit_channel(recording[name], config).model
         assert model.coeffs.tobytes() == fit.model.coeffs.tobytes()
         assert model.sigma2 == fit.model.sigma2
     assert detect_recording(recording, config).per_channel == tuple(expected)
@@ -373,7 +374,7 @@ def test_the_shared_buffer_carries_nothing_from_one_channel_to_the_next(
     models = []
     for series in channels.values():
         try:
-            models.append(fit_channel(series, config).fit.model)
+            models.append(fit_channel(series, config).model)
         except ValueError as exc:
             models.append(str(exc))
     decisions, errors = _one_by_one(list(channels), models, config)
@@ -418,41 +419,49 @@ def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, ord
         assert buffers
         for index, x in enumerate(channels):
             fitted = outcomes[index]
-            for fit in [fitted.fit] + ([fitted.scan.fit] if fitted.scan else []):
-                for values in (fit.model.coeffs, fit.reflection_coeffs,
-                               fit.prediction_error_by_order):
-                    assert not any(np.shares_memory(values, work) for work in buffers.values())
+            for values in (fitted.model.coeffs, fitted.reflection_coeffs,
+                           fitted.prediction_error_by_order):
+                assert not any(np.shares_memory(values, work) for work in buffers.values())
             assert fitted == fit_channel(x, config)
 
 
 @pytest.mark.parametrize("diff_order", [0, 1, 2])
 @pytest.mark.parametrize("order", [10, "auto"])
-def test_a_channel_fit_holds_its_prepared_length_at_every_order(order, diff_order):
-    # At a fixed order n used to be 0.
+def test_fit_channel_fits_the_prepared_channel_at_every_order(order, diff_order):
+    # The fit of demean(difference(x, d)), 300 - d samples: at a fixed
+    # order the sweep's top fit, under auto the fit order_scan selects.
     x = TimeSeries(np.random.default_rng(4).standard_normal(300), 128.0)
-    assert fit_channel(x, RunConfig(order=order, diff_order=diff_order)).n == 300 - diff_order
+    prepared = demean(difference(x, diff_order))
+    assert len(prepared) == 300 - diff_order
+    if order == "auto":
+        expected = order_scan(prepared).fit
+    else:
+        expected = fit_sweep(prepared, order).fit(order)
+    assert fit_channel(x, RunConfig(order=order, diff_order=diff_order)) == expected
 
 
 def test_order_scores_are_built_only_where_a_scan_is_read(monkeypatch):
-    # detect_recording selects every order from the block's sweeps and
-    # reads no scan; fit_channel's scan is scored when first read.
+    # detect_recording and fit_channel select every order from the
+    # block's sweeps and score none; order_scan on the prepared channel
+    # scores them, and selects fit_channel's fit.
     recording, _ = _burst_recording(seed=1)
     config = RunConfig(method="mle", order="auto")
     expected = detect_recording(recording, config)
     scans = []
-    real_scan_sweep = detection.scan_sweep
+    real_scan_sweep = order_selection.scan_sweep
 
     def counted(*args):
         scans.append(args)
         return real_scan_sweep(*args)
 
-    monkeypatch.setattr(detection, "scan_sweep", counted)
+    monkeypatch.setattr(order_selection, "scan_sweep", counted)
     assert detect_recording(recording, config) == expected
     assert scans == []
     fitted = fit_channel(recording["F8-T4"], config)
     assert scans == []
-    assert fitted.scan.fit == fitted.fit and fitted.scan is fitted.scan
-    assert fitted.scan.selected_p == fitted.fit.model.order_p
+    scan = order_scan(demean(difference(recording["F8-T4"], 1)), method="mle")
+    assert scan.fit == fitted
+    assert scan.selected_p == fitted.model.order_p
     assert len(scans) == 1
 
 
@@ -471,9 +480,7 @@ def _detect_models(models, config, fs=128.0):
                 outcomes.append((index, ValueError(model)))
             else:
                 p = model.order_p
-                outcomes.append(
-                    (index, ChannelFit(FitResult(model, "burg", np.zeros(p), np.ones(p + 1))))
-                )
+                outcomes.append((index, FitResult(model, "burg", np.zeros(p), np.ones(p + 1))))
         for start in range(0, len(outcomes), BLOCK_CHANNELS):
             yield outcomes[start : start + BLOCK_CHANNELS]
 

@@ -63,7 +63,7 @@ def test_detect_recording_reaches_the_decisions_of_the_slow_reference(n, method,
                 continue
             theirs[name] = (decision.flagged, decision.dominant_band)
             if name not in report.errors:
-                model = fit_channel(x, config).fit.model
+                model = fit_channel(x, config).model
                 assert abs(model.sigma2 - sigma2) <= 1e-12 * sigma2
                 assert np.max(np.abs(ar_psd(model, config.grid_size).values - psd) / psd) <= 1e-12
         assert ours == theirs
