@@ -34,33 +34,40 @@ METHOD_FLAGS = {"yw": "yule_walker", "burg": "burg", "mle": "mle"}
 METHOD_TITLES = {"mle": "MLE", "yule_walker": "Yule-Walker", "burg": "Burg"}
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser, with_method: bool = True) -> None:
+def _add_pipeline_flags(parser: argparse.ArgumentParser, with_method: bool = True,
+                        with_order: bool = True, with_screen: bool = True) -> None:
+    """The run configuration's flags that a subcommand reads; ``--k``,
+    ``--rho`` and ``--correction`` only for one that screens."""
     if with_method:
         parser.add_argument(
             "--method", choices=sorted(METHOD_FLAGS), default="burg",
             help="estimation method (default burg)",
         )
-    parser.add_argument(
-        "--order", default="10",
-        help='model order, or "auto" to select by --criterion (default 10)',
-    )
+    if with_order:
+        parser.add_argument(
+            "--order", default="10",
+            help='model order, or "auto" to select by --criterion (default 10)',
+        )
     parser.add_argument(
         "--criterion", choices=["aic", "aicc", "bic"], default="bic",
         help="order-selection criterion (default bic)",
     )
     parser.add_argument("--p-max", type=int, default=30, help="highest order scanned (default 30)")
     parser.add_argument("-d", "--diff", type=int, default=1, help="differencing passes (default 1)")
-    parser.add_argument("--k", type=float, default=2.0, help="PSD threshold multiplier (default 2.0)")
-    parser.add_argument("--rho", type=float, default=0.5, help="low-band dominance threshold (default 0.5)")
     parser.add_argument("--grid-size", type=int, default=512, help="frequency grid points (default 512)")
     parser.add_argument(
         "--fs", type=float, default=128.0,
         help="sample rate in Hz when the file carries none (default 128)",
     )
-    parser.add_argument(
-        "--correction", action="store_true",
-        help="divide the PSD by the differencing response before banding",
-    )
+    if with_screen:
+        parser.add_argument("--k", type=float, default=2.0,
+                            help="PSD threshold multiplier (default 2.0)")
+        parser.add_argument("--rho", type=float, default=0.5,
+                            help="low-band dominance threshold (default 0.5)")
+        parser.add_argument(
+            "--correction", action="store_true",
+            help="divide the PSD by the differencing response before banding",
+        )
 
 
 def _parse_order(text: str):
@@ -74,17 +81,20 @@ def _parse_order(text: str):
 
 
 def _config_from_args(args, method: str | None = None) -> RunConfig:
-    return RunConfig(
-        method=method or METHOD_FLAGS[args.method],
-        order=_parse_order(args.order),
-        criterion=args.criterion,
-        p_max=args.p_max,
-        diff_order=args.diff,
-        k=args.k,
-        rho=args.rho,
-        grid_size=args.grid_size,
-        undifference_correction=args.correction,
-    )
+    """The run configuration of the flags ``args`` holds; a field whose
+    flag the subcommand does not take keeps its default."""
+    fields = {
+        "method": method or METHOD_FLAGS[args.method],
+        "criterion": args.criterion,
+        "p_max": args.p_max,
+        "diff_order": args.diff,
+        "grid_size": args.grid_size,
+    }
+    if "order" in args:
+        fields["order"] = _parse_order(args.order)
+    if "k" in args:
+        fields.update(k=args.k, rho=args.rho, undifference_correction=args.correction)
+    return RunConfig(**fields)
 
 
 def _channel(recording: Recording, name: str):
@@ -238,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=sorted(METHOD_FLAGS) + ["all"], default="burg",
         help="estimation method, or all for a three-column table",
     )
-    _add_pipeline_flags(p_fit, with_method=False)
+    _add_pipeline_flags(p_fit, with_method=False, with_screen=False)
     p_fit.set_defaults(func=_cmd_fit)
 
     p_scan = sub.add_parser("order-scan", help="tabulate criteria over orders 1..p_max")
     p_scan.add_argument("recording")
     p_scan.add_argument("--channel", required=True)
-    _add_pipeline_flags(p_scan)
+    _add_pipeline_flags(p_scan, with_order=False, with_screen=False)
     p_scan.set_defaults(func=_cmd_order_scan)
 
     p_psd = sub.add_parser("psd", help="write PSD and masked PSD per channel")

@@ -3,7 +3,10 @@
 All array-valued fields are stored as read-only float64 ndarrays so the
 dataclasses behave as immutable value objects.  ``BLOCK_CHANNELS`` and
 :func:`in_rows` are the one rule by which the fitting and screening
-stages run channels as rows.
+stages run channels as rows.  A row kernel, a function that runs many
+channels as the rows of one call, raises the faults of its rows
+(:func:`raise_row_faults`, :class:`RowFaults`), and :func:`in_rows` is
+the one place that settles each fault on its channel.
 """
 
 from dataclasses import dataclass, fields
@@ -26,8 +29,11 @@ __all__ = [
     "default_montage",
     "band_containing",
     "BLOCK_CHANNELS",
+    "RowFaults",
+    "raise_row_faults",
     "in_rows",
     "as_count",
+    "as_order",
 ]
 
 # Channels are fitted and screened in blocks of this many rows.  A Burg
@@ -38,15 +44,53 @@ __all__ = [
 BLOCK_CHANNELS = 32
 
 
-def in_rows(items: Sequence, run: Callable[[Sequence], list]) -> list:
-    """``run(items)``, one outcome per item, which must not depend on the
-    other items.  Under ``np.seterr(..., "raise")`` one row's fault stops
-    the whole block, so on an ArithmeticError each item runs alone, and
-    one that fails alone ends in that exception.
+class RowFaults(ValueError):
+    """The faults of some rows of a call over several rows.
+
+    ``faults`` maps the position of each faulty row in the call to the
+    exception that the row raises when it runs alone.  The other rows
+    hold no outcome; :func:`in_rows` runs them again without the faulty
+    ones.
     """
+
+    def __init__(self, faults: Mapping[int, Exception]):
+        super().__init__("; ".join(f"row {row}: {fault}" for row, fault in faults.items()))
+        self.faults = dict(faults)
+
+
+def raise_row_faults(faults: Sequence) -> None:
+    """Raise the faults of a row kernel's call, one entry per row: None
+    for a row that passed, else the message of the ValueError that the
+    row raises alone, or that exception itself.  A call of one row
+    raises its exception; a call of several, :class:`RowFaults`.
+    """
+    found = {row: ValueError(fault) if isinstance(fault, str) else fault
+             for row, fault in enumerate(faults) if fault is not None}
+    if found:
+        raise found[0] if len(faults) == 1 else RowFaults(found)
+
+
+def in_rows(items: Sequence, run: Callable[[list], Sequence]) -> list:
+    """``run(items)``, one outcome per item, which must not depend on the
+    other items; each item is a row of whatever row kernels ``run``
+    calls, in order.
+
+    An item that is an exception is its own outcome, and ``run`` sees
+    only the others.  A :class:`RowFaults` settles its rows, and the
+    other items run once more without them.  Any other ValueError or
+    ArithmeticError (under ``np.seterr(..., "raise")`` one row's fault
+    stops the whole call) runs each item alone, and one that fails alone
+    ends in that exception.
+    """
+    live = [item for item in items if not isinstance(item, Exception)]
+    if len(live) < len(items):
+        outcomes = iter(in_rows(live, run) if live else ())
+        return [item if isinstance(item, Exception) else next(outcomes) for item in items]
     try:
         return run(items)
-    except ArithmeticError as exc:
+    except RowFaults as exc:
+        return in_rows([exc.faults.get(row, item) for row, item in enumerate(items)], run)
+    except (ValueError, ArithmeticError) as exc:
         if len(items) == 1:
             return [exc]
     return [outcome for item in items for outcome in in_rows([item], run)]
@@ -58,6 +102,17 @@ def as_count(value, least: int) -> int | None:
     # bool is an Integral, but True is no count.
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         return None
+    return int(value)
+
+
+def as_order(value, name: str = "order") -> int:
+    """``value`` as an ``int`` when it is an integer of at least 1 (see
+    :func:`as_count`), else ValueError: "<name> must be an integer", or
+    "<name> must be at least 1"."""
+    if as_count(value, 1) is None:
+        # as_count(value, value) is None only when value is no integer.
+        raise ValueError(f"{name} must be " + ("an integer" if as_count(value, value) is None
+                                                else "at least 1"))
     return int(value)
 
 
@@ -241,9 +296,7 @@ class AutocovarianceSeq(ArrayFields):
 
     def __post_init__(self):
         values = _frozen_array(self.values, name="values")
-        (fault,) = self.row_faults(values[np.newaxis])
-        if fault is not None:
-            raise ValueError(fault)
+        raise_row_faults(self.row_faults(values[np.newaxis]))
         object.__setattr__(self, "values", values)
 
     @staticmethod
@@ -383,10 +436,10 @@ class ConfusionCounts:
 
     def __post_init__(self):
         for label in ("tp", "fp", "tn", "fn"):
-            value = getattr(self, label)
-            if int(value) != value or value < 0:
+            value = as_count(getattr(self, label), 0)
+            if value is None:
                 raise ValueError(f"{label} must be a nonnegative integer")
-            object.__setattr__(self, label, int(value))
+            object.__setattr__(self, label, value)
 
     @property
     def total(self) -> int:

@@ -12,7 +12,9 @@ fitting and screening each block that
 and reads a block's channels of up to 10,000 samples as rows of one
 matrix, the automatic order of a block of sweeps comes from one
 :func:`arpsd.order_selection.sweep_orders` call, and the block's fitted
-models are screened at once through :func:`arpsd.core.in_rows`.
+models are screened at once through :func:`arpsd.core.in_rows`.  The
+row stages raise the faults of their rows, and ``in_rows`` settles each
+on its channel, so every channel ends in a decision or an error.
 :func:`channel_psds` takes the same pass and keeps the masked spectra.
 A channel alone is the one-row case.
 """
@@ -33,8 +35,9 @@ from .core import (
     TimeSeries,
     default_bands,
     in_rows,
+    raise_row_faults,
 )
-from .estimation import FitResult, FitSweep, ar_psd_rows, fit_sweeps
+from .estimation import FitResult, ar_psd_rows, fit_sweeps
 from .order_selection import check_scan, sweep_orders
 from .spectral import MaskedSpectrum, band_power_rows, threshold_rows, undifference_rows
 
@@ -194,8 +197,9 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig):
     ``order="auto"``, and sweeps them to ``config.p_max`` or to the fixed
     order; Burg may prepare a channel again.  Under ``order="auto"`` each
     block's orders are selected by one
-    :func:`arpsd.order_selection.sweep_orders` call.  No caller need hold
-    every channel's fit at once.
+    :func:`arpsd.order_selection.sweep_orders` call, under
+    :func:`arpsd.core.in_rows`.  No caller need hold every channel's fit
+    at once.
     """
     auto = config.order == "auto"
     check = None
@@ -204,27 +208,18 @@ def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig):
                         criterion=config.criterion)
     p = config.p_max if auto else config.order
     n = len(channels[0]) - config.diff_order if channels else 0
+
+    def fits(sweeps: list) -> list:
+        if auto:
+            orders = sweep_orders(sweeps, [n] * len(sweeps), config.criterion)
+        else:
+            orders = [config.order] * len(sweeps)
+        return [sweep.fit(order) for sweep, order in zip(sweeps, orders)]
+
     for block in fit_sweeps(channels, p, config.method, config.grid_size, config.diff_order,
                             check):
-        swept = [(index, sweep) for index, sweep in block if isinstance(sweep, FitSweep)]
-        if auto and swept:
-            orders = sweep_orders([sweep for _, sweep in swept], [n] * len(swept), config.criterion)
-        else:
-            orders = [config.order] * len(swept)
-        fits = {index: _sweep_fit(sweep, order) for (index, sweep), order in zip(swept, orders)}
-        yield [(index, fits.get(index, outcome)) for index, outcome in block]
-
-
-def _sweep_fit(sweep: FitSweep, order):
-    """``sweep.fit(order)``, or the ValueError or ArithmeticError that it
-    raises.  ``order`` is the ValueError itself when selecting the order
-    raised one."""
-    if isinstance(order, Exception):
-        return order
-    try:
-        return sweep.fit(order)
-    except (ValueError, ArithmeticError) as exc:
-        return exc
+        indices, sweeps = zip(*block)
+        yield list(zip(indices, in_rows(sweeps, fits)))
 
 
 def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
@@ -236,32 +231,24 @@ def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
     ``(index, model)`` of every fitted channel of a block and returns one
     outcome each, under :func:`arpsd.core.in_rows`."""
     for block in _fit_channels(channels, config):
-        outcomes = dict(block)
-        fitted = [(index, fit.model) for index, fit in block if isinstance(fit, FitResult)]
-        if fitted:
-            outcomes.update(zip([index for index, _ in fitted], in_rows(fitted, screen)))
-        yield from outcomes.values()
+        yield from in_rows([fit if isinstance(fit, Exception) else (index, fit.model)
+                            for index, fit in block], screen)
 
 
 def _masked_rows(models: Sequence[ArModel], config: RunConfig):
     """:func:`channel_psd`'s stages after the fit, over rows of models.
 
-    Returns ``(freqs, spectra, threshold_rows(spectra, config.k),
-    faults)``: ``faults[r]`` is None or the ValueError message that the
-    spectrum of ``models[r]`` raises, and ``spectra`` holds the rows
-    without one, on the normalized grid ``freqs``.
+    Returns ``(freqs, spectra, threshold_rows(spectra, config.k))``:
+    ``spectra`` holds a row per model on the normalized grid ``freqs``.
+    A model whose spectrum raises ValueError is raised as its fault (see
+    :func:`arpsd.core.raise_row_faults`).
     """
-    values, faults = ar_psd_rows(models, config.grid_size)
+    values = ar_psd_rows(models, config.grid_size)
     freqs = np.linspace(0.0, 0.5, config.grid_size)
     if config.undifference_correction and config.diff_order > 0:
         freqs, values = undifference_rows(freqs, values, config.diff_order)
-        faults = [
-            fault or later for fault, later in zip(faults, SpectrumEstimate.row_faults(values))
-        ]
-    ok = [row for row, fault in enumerate(faults) if fault is None]
-    if len(ok) < len(faults):
-        values = values[ok]
-    return freqs, values, threshold_rows(values, config.k), faults
+        raise_row_faults(SpectrumEstimate.row_faults(values))
+    return freqs, values, threshold_rows(values, config.k)
 
 
 def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
@@ -297,41 +284,27 @@ def channel_psds(channels: Sequence[TimeSeries], config: RunConfig) -> list:
 def _masked_spectra(fitted: Sequence[tuple[int, ArModel]], config: RunConfig,
                     rates: Sequence[float]) -> list:
     """The masked spectrum of each ``(index, model)``, at the sample rate
-    ``rates[index]``, or the ValueError that it raises, by
-    :func:`_masked_rows`."""
+    ``rates[index]``, by :func:`_masked_rows`."""
     indices, models = zip(*fitted)
-    freqs, values, (mean_power, masked, survivors), faults = _masked_rows(models, config)
-    rows = iter(range(len(values)))  # ``values`` holds the rows without a fault
-    outcomes = []
-    for fault, index in zip(faults, indices):
-        if fault is not None:
-            outcomes.append(ValueError(fault))
-            continue
-        row = next(rows)
-        spectrum = SpectrumEstimate(freqs, values[row], rates[index])
-        outcomes.append(MaskedSpectrum(spectrum, float(config.k), float(mean_power[row]),
-                                       masked[row], float(survivors[row])))
-    return outcomes
+    freqs, values, (mean_power, masked, survivors) = _masked_rows(models, config)
+    return [
+        MaskedSpectrum(SpectrumEstimate(freqs, values[row], rates[index]), float(config.k),
+                       float(mean_power[row]), masked[row], float(survivors[row]))
+        for row, index in enumerate(indices)
+    ]
 
 
 def _screen_rows(fitted: Sequence[tuple[int, ArModel]], config: RunConfig,
                  names: Sequence[str], sample_rate_hz: float):
     """The decision of each ``(index, model)`` in ``fitted`` on the channel
-    ``names[index]``, or the ValueError that its spectrum or
-    classification raises, as :func:`channel_psd` and
-    :func:`classify_channel` give it."""
+    ``names[index]``, as :func:`channel_psd` and :func:`classify_channel`
+    give it."""
     indices, models = zip(*fitted)
-    freqs, _, (_, masked, survivor_fractions), faults = _masked_rows(models, config)
-    ok = [row for row, fault in enumerate(faults) if fault is None]
-    try:
-        decisions = _classify_rows(
-            freqs * sample_rate_hz, masked, survivor_fractions.tolist(), config.bands,
-            config.rho, [names[indices[row]] for row in ok],
-        )
-    except ValueError as exc:
-        decisions = [exc] * len(ok)
-    decided = dict(zip(ok, decisions))
-    return [ValueError(fault) if fault else decided[row] for row, fault in enumerate(faults)]
+    freqs, _, (_, masked, survivor_fractions) = _masked_rows(models, config)
+    return _classify_rows(
+        freqs * sample_rate_hz, masked, survivor_fractions.tolist(), config.bands, config.rho,
+        [names[index] for index in indices],
+    )
 
 
 def detect_recording(recording: Recording, config: RunConfig | None = None) -> DetectionReport:

@@ -27,9 +27,12 @@ The loop reads a block's channels, when they have at most
 alone, through the same row forms of the preparation,
 the centring, the lag products and the periodogram
 (:mod:`arpsd.preprocess`), each one call over the rows.  The rows then
-run through :func:`arpsd.core.in_rows` as the lag-product stages of Burg
-channels or as the Levinson recursion and MLE variance of Yule-Walker
-and MLE channels.  Each channel gets the bits it gets alone.  A sweep's
+run as the lag-product stages of Burg channels or as the Levinson
+recursion and MLE variance of Yule-Walker and MLE channels.  A row
+kernel raises the faults of its rows (:func:`arpsd.core.raise_row_faults`),
+and both the read and the fit run under :func:`arpsd.core.in_rows`,
+which settles each fault on its channel.  Each channel gets the bits it
+gets alone.  A sweep's
 coefficients are one p x p array per recursion, whose row m - 1 holds
 a(1..m) and whose diagonal holds k(1..p).
 """
@@ -48,7 +51,10 @@ from .core import (
     AutocovarianceSeq,
     SpectrumEstimate,
     TimeSeries,
+    as_count,
+    as_order,
     in_rows,
+    raise_row_faults,
 )
 from .preprocess import autocov_rows, demean_rows, lag_products, periodogram_rows, prepare_rows
 
@@ -137,14 +143,14 @@ class FitResult(ArrayFields):
 def _levinson_rows(r: np.ndarray, p: int):
     """The Levinson-Durbin recursion to order p over rows of autocovariances.
 
-    Row i of ``r`` holds r(0..p) of one channel.  Returns ``(coeffs, errs,
-    faults)``: a(1..m) of order m of row i is ``coeffs[i, m - 1, :m]``
+    Row i of ``r`` holds r(0..p) of one channel.  Returns ``(coeffs,
+    errs)``: a(1..m) of order m of row i is ``coeffs[i, m - 1, :m]``
     (zeros follow it), k(m) is ``coeffs[i, m - 1, m - 1]``, and ``errs[i]``
-    holds the prediction-error powers E(0..p).  ``faults[i]`` is None, or
-    the message of the ValueError row i ends in: "degenerate
-    autocovariance" when r(0) <= 0, "non-positive-definite
-    autocovariance" at the first |k| >= 1.  A faulted row stops there and
-    the other rows go on without it.
+    holds the prediction-error powers E(0..p).  A row whose recursion
+    fails is raised as its fault (:func:`arpsd.core.raise_row_faults`):
+    "degenerate autocovariance" when r(0) <= 0, before any order, and
+    "non-positive-definite autocovariance" at the first order where some
+    row reaches |k| >= 1.
 
     Order m takes k = -(r(m) + sum_i a(i) r(m - i)) / E(m - 1).  The sum of
     every row comes from one matmul of (1 x m-1) by (m-1 x 1) matrices,
@@ -153,34 +159,28 @@ def _levinson_rows(r: np.ndarray, p: int):
     arithmetic is the same however many rows share the call.
     """
     count = r.shape[0]
+    raise_row_faults([None if r0 > 0.0 else "degenerate autocovariance" for r0 in r[:, 0].tolist()])
     coeffs = np.zeros((count, p, p))
     errs = np.zeros((count, p + 1))
     errs[:, 0] = r[:, 0]
     # r(p), ..., r(0), so that r(m - 1), ..., r(1) is a slice of positive
     # stride, which the dot loop hands to BLAS.
     lags = np.ascontiguousarray(r[:, p::-1])
-    faults = [None if r0 > 0.0 else "degenerate autocovariance" for r0 in r[:, 0].tolist()]
-    alive = np.flatnonzero(r[:, 0] > 0.0)
-    live = slice(None) if alive.size == count else alive  # the rows still running
-    a = np.empty((alive.size, 0))
-    err = errs[live, 0]
+    a = np.empty((count, 0))
+    err = errs[:, 0]
     for m in range(1, p + 1):
-        dots = np.matmul(a[:, np.newaxis, :], lags[live, p - m + 1 : p, np.newaxis])[:, 0, 0]
-        k = -(r[live, m] + dots) / err
-        stop = np.abs(k) >= 1.0
-        if stop.any():
-            for row in alive[stop].tolist():
-                faults[row] = "non-positive-definite autocovariance"
-            alive, a, k, err = (values[~stop] for values in (alive, a, k, err))
-            live = alive
-        new = np.empty((alive.size, m))
+        dots = np.matmul(a[:, np.newaxis, :], lags[:, p - m + 1 : p, np.newaxis])[:, 0, 0]
+        k = -(r[:, m] + dots) / err
+        raise_row_faults([
+            "non-positive-definite autocovariance" if stop else None
+            for stop in (np.abs(k) >= 1.0).tolist()
+        ])
+        new = coeffs[:, m - 1, :m]
         new[:, : m - 1] = a + k[:, np.newaxis] * a[:, ::-1]
         new[:, m - 1] = k
-        coeffs[live, m - 1, :m] = new
         a = new
-        err = err * (1.0 - k * k)
-        errs[live, m] = err
-    return coeffs, errs, faults
+        err = errs[:, m] = err * (1.0 - k * k)
+    return coeffs, errs
 
 
 def levinson_durbin(r: AutocovarianceSeq, p: int) -> FitResult:
@@ -207,15 +207,13 @@ def levinson_durbin(r: AutocovarianceSeq, p: int) -> FitResult:
     ValueError
         If r(0) <= 0 ("degenerate autocovariance") or a reflection
         coefficient reaches magnitude 1 ("non-positive-definite
-        autocovariance").
+        autocovariance"); if p is not an integer of at least 1 (see
+        :func:`arpsd.core.as_order`).
     """
-    if p < 1:
-        raise ValueError("order must be at least 1")
+    p = as_order(p)
     if r.values.size < p + 1:
         raise ValueError("need autocovariances up to lag p")
-    coeffs, errs, faults = _levinson_rows(r.values[np.newaxis, : p + 1], p)
-    if faults[0] is not None:
-        raise ValueError(faults[0])
+    coeffs, errs = _levinson_rows(r.values[np.newaxis, : p + 1], p)
     return _sweep(METHOD_YULE_WALKER, [(1, coeffs[0], errs[0])]).fit(p)
 
 
@@ -558,8 +556,8 @@ class FitSweep(ArrayFields):
         return self.sigma2_by_order.size
 
     def fit(self, p: int) -> FitResult:
-        """The order-p fit of the sweep, 1 <= p <= p_max."""
-        if not 1 <= p <= self.p_max:
+        """The order-p fit of the sweep, an integer 1 <= p <= p_max."""
+        if as_count(p, 1) is None or p > self.p_max:
             raise ValueError(f"order {p} outside the sweep's 1..{self.p_max}")
         _, coeffs, errs = next(s for s in reversed(self.stages) if s[0] <= p)
         model = ArModel(p, coeffs[p - 1, :p], self.sigma2_by_order[p - 1])
@@ -644,9 +642,12 @@ def fit_sweeps(
     These rows run a block at a time, by :func:`_lag_block` or
     :func:`_levinson_block`; a Burg channel whose lag stages stop short is
     prepared again for the lattice.  No stage mixes rows, and the read and
-    the fit of a block each run under :func:`arpsd.core.in_rows`: under
-    ``np.seterr(..., "raise")`` a block whose stage faults runs again a
-    channel at a time, so each channel gets the outcome it gets alone.
+    the fit of a block each run under :func:`arpsd.core.in_rows`: a stage
+    that raises the faults of some rows settles those channels, and the
+    others run that part again without them; any other fault of a stage
+    (under ``np.seterr(..., "raise")`` a floating-point one) runs the part
+    again a channel at a time.  So each channel gets the outcome it gets
+    alone.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
@@ -667,45 +668,31 @@ def fit_sweeps(
     raw = np.empty((len(blocks[0]), n)) if n <= _ROW_SAMPLES else None
     out = np.empty((1, n) if raw is None else raw.shape)
 
-    def read(indices: list) -> list:
-        # Each channel's row, or the error it ends in.
+    def centred(indices: list) -> np.ndarray:
+        # The centred rows of the channels, valid until ``out`` is written.
         if raw is None:
-            groups = [([index], channels[index].samples[np.newaxis]) for index in indices]
+            (index,) = indices
+            rows = channels[index].samples[np.newaxis]
         else:
-            stacked = np.stack([channels[i].samples for i in indices], out=raw[: len(indices)])
-            groups = [(indices, stacked)]
-        outcomes = {}
-        for group, samples in groups:
-            for members, rows in _centred(group, samples, out[: len(group)], diff_order, checks):
-                if isinstance(rows, Exception):
-                    rows = [rows] * len(members)
-                elif burg:
-                    rows = _lag_rows(rows, p)
-                else:
-                    rows = _read_levinson(rows, p, method, grid_size)
-                outcomes.update(zip(members, rows))
-        return [outcomes[index] for index in indices]
+            rows = np.stack([channels[i].samples for i in indices], out=raw[: len(indices)])
+        return _centred(rows, out[: len(indices)], diff_order, checks)
 
-    def centred_again(index: int) -> np.ndarray:
-        # Burg's lattice reads a channel whose lag stages stopped again.
-        ((_, rows),) = _centred([index], channels[index].samples[np.newaxis], out[:1],
-                                diff_order, ())
-        if isinstance(rows, Exception):
-            raise rows
-        return rows[0]
+    def read(indices: list):
+        rows = centred(indices)
+        return _lag_rows(rows, p) if burg else _read_levinson(rows, p, method, grid_size)
 
     def fit(block: list) -> list:
         if burg:
-            return _lag_block(block, p, n - (diff_order or 0), centred_again)
+            # Burg's lattice reads a channel whose lag stages stopped again.
+            return _lag_block(block, p, n - (diff_order or 0), lambda index: centred([index])[0])
         return _levinson_block(block, p, method)
 
     for indices in blocks:
-        outcomes = dict(zip(indices, in_rows(indices, read)))
-        block = [(index, row) for index, row in outcomes.items()
-                 if not isinstance(row, Exception)]
-        if block:
-            outcomes.update(zip([index for index, _ in block], in_rows(block, fit)))
-        yield list(outcomes.items())
+        groups = [indices] if raw is not None else [[index] for index in indices]
+        rows = [row for group in groups for row in in_rows(group, read)]
+        items = [row if isinstance(row, Exception) else (index, row)
+                 for index, row in zip(indices, rows)]
+        yield list(zip(indices, in_rows(items, fit)))
 
 
 # Channels of at most this many samples are read as rows of one matrix per
@@ -718,51 +705,31 @@ def fit_sweeps(
 _ROW_SAMPLES = 10_000
 
 
-def _pick(rows: np.ndarray, keep: list) -> np.ndarray:
-    """``rows`` itself when ``keep`` names every row, else those rows."""
-    return rows if len(keep) == rows.shape[0] else rows[keep]
-
-
-def _centred(members: list, rows: np.ndarray, out: np.ndarray, diff_order, checks):
-    """Yield ``(members, rows)``: ``rows`` holds the centred samples of the
-    channels ``members`` (indices in order), one row each, or is the
-    exception that every member ends in.  The equal-length ``rows`` are
-    centred into ``out``, which has as many rows and does not overlap
-    them: prepared first when ``diff_order`` is set, and checked by each
-    of ``checks``.  The rows yielded are valid until ``out`` is written
-    again."""
-    n = rows.shape[1]
+def _centred(rows: np.ndarray, out: np.ndarray, diff_order, checks) -> np.ndarray:
+    """The centred samples of the equal-length ``rows``, one channel each,
+    in ``out``, which has as many rows and does not overlap them:
+    prepared first when ``diff_order`` is set
+    (:func:`arpsd.preprocess.prepare_rows`, which raises the faults of its
+    rows), and checked by each of ``checks``, which is called with the
+    prepared length; a ValueError it raises is the fault of every row.
+    The rows are valid until ``out`` is written again."""
     if diff_order is not None:
-        try:
-            faults = prepare_rows(rows, diff_order, out)
-        except ValueError as exc:
-            yield members, exc
-            return
-        keep = [row for row, fault in enumerate(faults) if fault is None]
-        for index, fault in zip(members, faults):
-            if fault is not None:
-                yield [index], ValueError(fault)
-        if not keep:
-            return
-        n -= diff_order
-        members = [members[row] for row in keep]
-        rows = out = _pick(out[:, :n], keep)
+        rows = out = prepare_rows(rows, diff_order, out)
     try:
         for check in checks:
-            check(n)
+            check(rows.shape[1])
     except ValueError as exc:
-        yield members, exc
-        return
-    yield members, demean_rows(rows, out)
+        raise_row_faults([exc] * rows.shape[0])
+    return demean_rows(rows, out)
 
 
 def _check_order(n: int, p: int, grid_size: int | None = None) -> None:
-    """Refuse an order below 1, n <= p samples and, when ``grid_size`` is
-    given, an MLE grid of fewer than 2 p points."""
+    """Refuse an order that is not an integer of at least 1 (see
+    :func:`arpsd.core.as_order`), n <= p samples and, when ``grid_size``
+    is given, an MLE grid of fewer than 2 p points."""
     if grid_size is not None and grid_size < 2 * p:
         raise ValueError("grid too coarse for order")
-    if p < 1:
-        raise ValueError("order must be at least 1")
+    as_order(p)
     # n = p + 1 leaves exactly one term in Burg's stage-p sums, which the
     # tiny hand-check cases rely on; anything shorter has none.
     if n < p + 1:
@@ -770,64 +737,56 @@ def _check_order(n: int, p: int, grid_size: int | None = None) -> None:
 
 
 def _read_levinson(centred: np.ndarray, p: int, method: str, grid_size: int) -> list:
-    """``(r(0..p), spectrum)`` of each row of ``centred``, or the error the
-    row ends in.
+    """``(r(0..p), spectrum)`` of each row of ``centred``, which
+    :func:`_levinson_block` checks.
 
     ``r`` is the row's :func:`arpsd.preprocess.biased_autocov`.  For MLE
     ``spectrum`` is ``(c(0..p), I)``: the periodogram of the same centred
     row and its circular autocovariance c = irfft(I, M), M = 2 (grid_size
     - 1), both from one row function under :func:`arpsd.core.in_rows`.
     If that raises, or the periodogram is not finite, ``spectrum`` is the
-    error, which the channel ends in unless its recursion fails first.
-    For Yule-Walker it is None.
+    error.  For Yule-Walker it is None.
     """
     r = autocov_rows(centred, p)
-    faults = [
-        fault or ("zero-variance signal" if r0 == 0.0 else None)
-        for fault, r0 in zip(AutocovarianceSeq.row_faults(r), r[:, 0].tolist())
-    ]
-    keep = [row for row, fault in enumerate(faults) if fault is None]
-    outcomes = [ValueError(fault) if fault else (r[row], None) for row, fault in enumerate(faults)]
-    if method == METHOD_YULE_WALKER or not keep:
-        return outcomes
-    rows = _pick(centred, keep)
+    if method == METHOD_YULE_WALKER:
+        return [(row, None) for row in r]
 
     def spectra(items):
-        pgrams, faults = periodogram_rows(_pick(rows, items), grid_size)
-        finite = [item for item, fault in enumerate(faults) if fault is None]
-        circular = np.fft.irfft(_pick(pgrams, finite), 2 * (grid_size - 1), axis=-1)
-        autocovs = iter(circular[:, : p + 1])
-        return [ValueError(fault) if fault else (next(autocovs), pgram)
-                for pgram, fault in zip(pgrams, faults)]
+        pgrams = periodogram_rows(centred if len(items) == len(r) else centred[items], grid_size)
+        circular = np.fft.irfft(pgrams, 2 * (grid_size - 1), axis=-1)
+        return list(zip(circular[:, : p + 1], pgrams))
 
-    for row, spectrum in zip(keep, in_rows(list(range(len(keep))), spectra)):
-        outcomes[row] = (r[row], spectrum)
-    return outcomes
+    return list(zip(r, in_rows(list(range(len(r))), spectra)))
 
 
 def _levinson_block(block, p: int, method: str) -> list:
-    """The outcome of each channel in ``block``, ``(index, (r, spectrum))``
+    """The sweep of each channel in ``block``, ``(index, (r, spectrum))``
     each (see :func:`_read_levinson`), from one :func:`_levinson_rows`
-    call and, for MLE, one :func:`_mle_sigma2` call over the rows whose
-    recursion and periodogram succeeded.  Each sweep holds arrays of its
-    own, so that none keeps the block's arrays alive."""
+    call and, for MLE, one :func:`_mle_sigma2` call.  Each sweep holds
+    arrays of its own, so that none keeps the block's arrays alive.
+
+    A channel ends in the first fault of three, each raised for its rows
+    (:func:`arpsd.core.raise_row_faults`) before the next is looked for:
+    an ``r`` that fails :class:`arpsd.core.AutocovarianceSeq`'s checks or
+    is zero ("zero-variance signal"), checked before any work; its
+    recursion; and, for MLE, a spectrum that is an error.
+    """
     _, items = zip(*block)
     rows, spectra = zip(*items)
-    coeffs, errs, faults = _levinson_rows(np.array(rows), p)
-    variances = {}
-    ok = [row for row, fault in enumerate(faults)
-          if fault is None and isinstance(spectra[row], tuple)]
-    if method == METHOD_MLE and ok:
-        autocovs, pgrams = zip(*(spectra[row] for row in ok))
-        sigma2 = _mle_sigma2(coeffs if len(ok) == len(block) else coeffs[ok],
-                             np.array(autocovs), pgrams)
-        variances = {row: values.copy() for row, values in zip(ok, sigma2)}
-    return [
-        ValueError(fault) if fault is not None
-        else spectrum if isinstance(spectrum, Exception)
-        else _sweep(method, [(1, coeffs[row].copy(), errs[row].copy())], variances.get(row))
-        for row, (fault, spectrum) in enumerate(zip(faults, spectra))
-    ]
+    r = np.array(rows)
+    raise_row_faults([
+        fault or ("zero-variance signal" if r0 == 0.0 else None)
+        for fault, r0 in zip(AutocovarianceSeq.row_faults(r), r[:, 0].tolist())
+    ])
+    coeffs, errs = _levinson_rows(r, p)
+    variances = [None] * len(block)
+    if method == METHOD_MLE:
+        raise_row_faults([spectrum if isinstance(spectrum, Exception) else None
+                          for spectrum in spectra])
+        autocovs, pgrams = zip(*spectra)
+        variances = [values.copy() for values in _mle_sigma2(coeffs, np.array(autocovs), pgrams)]
+    return [_sweep(method, [(1, coeffs[row].copy(), errs[row].copy())], sigma2)
+            for row, sigma2 in enumerate(variances)]
 
 
 def _step_down(coeff_rows: np.ndarray):
@@ -911,11 +870,11 @@ def _transfer_mag2(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
 def ar_psd_rows(models: Sequence[ArModel], grid_size: int = 512):
     """Model spectra of several AR models on one grid, one row per model.
 
-    Returns ``(values, faults)``.  Where ``faults[r]`` is None, row r of
-    ``values`` is the spectrum :func:`ar_psd` gives ``models[r]``, bit for
-    bit.  Otherwise it is the message ``ar_psd`` raises on that model,
+    Row r of the result is the spectrum :func:`ar_psd` gives
+    ``models[r]``, bit for bit.  A model on which ``ar_psd`` raises,
     "unstable AR polynomial" or the check of
-    :meth:`SpectrumEstimate.row_faults`, and the row holds no spectrum.
+    :meth:`SpectrumEstimate.row_faults`, is raised as its fault (see
+    :func:`arpsd.core.raise_row_faults`).
 
     The coefficients are zero-padded to the highest order: the padding
     adds k = 0 stages to the step-down and zero terms to the rfft, so
@@ -933,10 +892,11 @@ def ar_psd_rows(models: Sequence[ArModel], grid_size: int = 512):
     # |A(f)|^2 is 0; an unstable one has none.
     values = np.zeros_like(mag2)
     np.divide(sigma2, mag2, out=values, where=(sigma2 != 0.0) & ~unstable[:, np.newaxis])
-    faults = SpectrumEstimate.row_faults(values)
-    return values, [
-        "unstable AR polynomial" if bad else fault for bad, fault in zip(unstable.tolist(), faults)
-    ]
+    raise_row_faults([
+        "unstable AR polynomial" if bad else fault
+        for bad, fault in zip(unstable.tolist(), SpectrumEstimate.row_faults(values))
+    ])
+    return values
 
 
 def ar_psd(model: ArModel, grid_size: int = 512, sample_rate_hz: float = 1.0) -> SpectrumEstimate:
@@ -954,7 +914,5 @@ def ar_psd(model: ArModel, grid_size: int = 512, sample_rate_hz: float = 1.0) ->
         coefficient of magnitude >= 1.  A model with sigma2 == 0 yields
         an all-zero spectrum.
     """
-    values, faults = ar_psd_rows([model], grid_size)
-    if faults[0] is not None:
-        raise ValueError(faults[0])
-    return SpectrumEstimate(np.linspace(0.0, 0.5, grid_size), values[0], sample_rate_hz)
+    (values,) = ar_psd_rows([model], grid_size)
+    return SpectrumEstimate(np.linspace(0.0, 0.5, grid_size), values, sample_rate_hz)

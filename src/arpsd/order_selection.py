@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, as_order, raise_row_faults
 from .estimation import METHOD_BURG, METHODS, FitResult, FitSweep, fit_sweep
 
 __all__ = [
@@ -168,8 +168,7 @@ def check_scan(n: int, p_max: int, method: str = METHOD_BURG, criterion: str = "
         raise ValueError(f"unknown method: {method!r}")
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    if p_max < 1:
-        raise ValueError("p_max must be at least 1")
+    p_max = as_order(p_max, "p_max")
     if n <= p_max + 2:
         raise ValueError("need more than p_max + 2 samples")
 
@@ -179,27 +178,28 @@ def _criterion_rows(sigma2_rows: np.ndarray, sizes: Sequence[int], criteria: Seq
 
     Row i of ``sigma2_rows`` holds sigma2 at orders 1..p of a signal of
     ``sizes[i]`` samples.  Returns one (rows, p) array per criterion, each
-    criterion's penalties computed once for all rows, and for each row None
-    or "sigma2 must be positive" when one of its sigma2 is not (that row's
-    values then mean nothing).  Each value has the bits of :func:`aic`,
-    :func:`aicc` or :func:`bic`.
+    criterion's penalties computed once for all rows.  A row with a sigma2
+    that is not positive is raised as its fault, "sigma2 must be
+    positive" (see :func:`arpsd.core.raise_row_faults`).  Each value has
+    the bits of :func:`aic`, :func:`aicc` or :func:`bic`.
     """
-    positive = sigma2_rows > 0.0
-    faults = [None if ok else "sigma2 must be positive" for ok in positive.all(axis=1).tolist()]
-    log_sigma2 = _logs(np.where(positive, sigma2_rows, 1.0))
+    raise_row_faults([None if ok else "sigma2 must be positive"
+                      for ok in (sigma2_rows > 0.0).all(axis=1).tolist()])
+    log_sigma2 = _logs(sigma2_rows)
     orders = np.arange(1, sigma2_rows.shape[1] + 1)
     n = np.array(sizes)[:, np.newaxis]
-    return [log_sigma2 + _penalties(name, n, orders) for name in criteria], faults
+    return [log_sigma2 + _penalties(name, n, orders) for name in criteria]
 
 
 def _minimizers(values: np.ndarray) -> list:
     """Per row, the order (from 1) of the smallest value, ties going to
-    the smaller order as in :func:`select_order`, or its ValueError
-    message when no value is below infinity."""
+    the smaller order as in :func:`select_order`.  A row with no value
+    below infinity is raised as its fault, :func:`select_order`'s "no
+    candidate orders to select from"."""
     best = values.argmin(axis=1)
-    found = (values[np.arange(best.size), best] < np.inf).tolist()
-    return [p + 1 if ok else "no candidate orders to select from"
-            for p, ok in zip(best.tolist(), found)]
+    raise_row_faults([None if ok else "no candidate orders to select from"
+                      for ok in (values[np.arange(best.size), best] < np.inf).tolist()])
+    return [p + 1 for p in best.tolist()]
 
 
 def scan_sweep(sweep: FitSweep, n: int, criterion: str = "bic") -> OrderScanResult:
@@ -213,12 +213,8 @@ def scan_sweep(sweep: FitSweep, n: int, criterion: str = "bic") -> OrderScanResu
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    values, (fault,) = _criterion_rows(sweep.sigma2_by_order[np.newaxis], [n], CRITERIA)
-    if fault is not None:
-        raise ValueError(fault)
+    values = _criterion_rows(sweep.sigma2_by_order[np.newaxis], [n], CRITERIA)
     (selected,) = _minimizers(values[CRITERIA.index(criterion)])
-    if isinstance(selected, str):
-        raise ValueError(selected)
     scores = tuple(
         OrderScore(p, sigma2, aic_value, aicc_value, bic_value)
         for p, sigma2, aic_value, aicc_value, bic_value in zip(
@@ -234,16 +230,15 @@ def sweep_orders(sweeps: Sequence[FitSweep], sizes: Sequence[int], criterion: st
 
     ``sweeps`` share one p_max, and ``sizes[i]`` is the number of samples
     ``sweeps[i]`` was fitted to.  Entry i is ``scan_sweep(sweeps[i],
-    sizes[i], criterion).selected_p``, or the ValueError it raises.  One
-    array expression scores every sweep: the criterion's penalties once,
-    and the arg-min of log(sigma2) plus penalty per row.
+    sizes[i], criterion).selected_p``; a sweep on which that raises
+    ValueError is raised as its fault (see
+    :func:`arpsd.core.raise_row_faults`).  One array expression scores
+    every sweep: the criterion's penalties once, and the arg-min of
+    log(sigma2) plus penalty per row.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    (values,), faults = _criterion_rows(
+    (values,) = _criterion_rows(
         np.array([sweep.sigma2_by_order for sweep in sweeps]), sizes, [criterion]
     )
-    return [
-        ValueError(fault or selected) if fault or isinstance(selected, str) else selected
-        for fault, selected in zip(faults, _minimizers(values))
-    ]
+    return _minimizers(values)

@@ -6,13 +6,16 @@ channels, one per row (:func:`prepare_rows`, :func:`demean_rows`,
 :func:`lag_products`, :func:`autocov_rows`, :func:`periodogram_rows`),
 which runs in one NumPy call per step and gives every row the bits of
 its one-row call; the per-channel functions are that one-row case, so
-each formula is written once.  The fitters read short channels through
-these forms a block at a time (:func:`arpsd.estimation.fit_sweeps`).
+each formula is written once.  A row form whose rows can fail a check
+raises the faults of those rows (:func:`arpsd.core.raise_row_faults`),
+and a call of one row raises that row's ValueError itself.  The fitters
+read short channels through these forms a block at a time
+(:func:`arpsd.estimation.fit_sweeps`).
 """
 
 import numpy as np
 
-from .core import AutocovarianceSeq, SpectrumEstimate, TimeSeries
+from .core import AutocovarianceSeq, SpectrumEstimate, TimeSeries, raise_row_faults
 
 __all__ = [
     "difference",
@@ -64,15 +67,16 @@ def demean(x: TimeSeries) -> TimeSeries:
     return TimeSeries.adopt(demean_rows(x.samples[np.newaxis])[0], x.sample_rate_hz)
 
 
-def prepare_rows(rows: np.ndarray, d: int, out: np.ndarray) -> list[str | None]:
+def prepare_rows(rows: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     """``demean(difference(x, d))`` of each row x of ``rows``, into ``out``.
 
     ``rows`` holds one channel of n samples per row, and the n - d
     prepared samples of row r are written to ``out[r, :n - d]``, which
-    must not overlap ``rows``.  Returns one entry per row: None, or the
-    message of the ValueError that :func:`difference` or :func:`demean`
-    raises on that row alone, whose ``out`` row then holds no prepared
-    samples.  A fault of every row (``d < 0``, n <= d) is raised as
+    must not overlap ``rows``.  Returns the prepared rows, that view of
+    ``out``.  A row on which :func:`difference` or :func:`demean` raises
+    ValueError alone is raised as its fault
+    (:func:`arpsd.core.raise_row_faults`), and ``out`` then holds no
+    prepared rows.  A fault of every row (``d < 0``, n <= d) is raised as
     ValueError.  Each step is one call over the rows, and no step mixes
     rows, so every row gets the bits of its one-row call.
 
@@ -86,27 +90,18 @@ def prepare_rows(rows: np.ndarray, d: int, out: np.ndarray) -> list[str | None]:
     operation.  Otherwise the rows are prepared again from ``rows`` step
     by step, each step checked, under the caller's error state.
     """
-    n = rows.shape[1] - d
+    prepared = out[: rows.shape[0], : rows.shape[1] - d]
     try:
         with _raising("over", "invalid"):
-            prepared = demean_rows(_difference_rows(rows, d, out), out[: rows.shape[0], :n])
+            demean_rows(_difference_rows(rows, d, out), prepared)
         if np.isfinite(prepared[:, 0]).all():
-            return [None] * rows.shape[0]
+            return prepared
     except FloatingPointError:
         pass
     differenced = _difference_rows(rows, d, out)
-    faults = TimeSeries.row_faults(differenced)
-    ok = [row for row, fault in enumerate(faults) if fault is None]
-    if len(ok) == len(faults):
-        prepared = demean_rows(differenced, out[: len(ok), :n])
-    elif ok:
-        # Only the rows that passed are demeaned, as each would be alone.
-        prepared = out[ok, :n] = demean_rows(differenced[ok])
-    else:
-        return faults
-    for row, fault in zip(ok, TimeSeries.row_faults(prepared)):
-        faults[row] = fault
-    return faults
+    raise_row_faults(TimeSeries.row_faults(differenced))
+    raise_row_faults(TimeSeries.row_faults(demean_rows(differenced, prepared)))
+    return prepared
 
 
 def _raising(*kinds: str):
@@ -236,18 +231,17 @@ def periodogram(x: TimeSeries, grid_size: int = 512) -> SpectrumEstimate:
         "periodogram values must be finite and nonnegative" when a value
         overflows.
     """
-    values, (fault,) = periodogram_rows(x.samples[np.newaxis], grid_size)
-    if fault is not None:
-        raise ValueError(fault)
-    return SpectrumEstimate(np.linspace(0.0, 0.5, grid_size), values[0], x.sample_rate_hz)
+    (values,) = periodogram_rows(x.samples[np.newaxis], grid_size)
+    return SpectrumEstimate(np.linspace(0.0, 0.5, grid_size), values, x.sample_rate_hz)
 
 
 def periodogram_rows(rows: np.ndarray, grid_size: int = 512):
     """:func:`periodogram` values of each row of ``rows``.
 
-    Returns ``(values, faults)``: row r of ``values`` holds I(f_0..f_{G-1})
-    of row r, and ``faults[r]`` is None or the message that
-    :func:`periodogram` raises on that row.  The fold is one sum over a
+    Row r of the result holds I(f_0..f_{G-1}) of row r.  A row whose
+    values are not finite is raised as its fault,
+    :func:`periodogram`'s ValueError (see
+    :func:`arpsd.core.raise_row_faults`).  The fold is one sum over a
     (rows, wraps, M) array and the transform one ``rfft`` over the rows,
     each of which gives every row the bits of its one-row call.
     """
@@ -264,11 +258,11 @@ def periodogram_rows(rows: np.ndarray, grid_size: int = 512):
         folded = padded.reshape(count, wraps, m).sum(axis=1)
         spectrum = np.fft.rfft(folded, axis=-1)
         values = (spectrum.real**2 + spectrum.imag**2) / n
-    faults = [
+    raise_row_faults([
         None if ok else "periodogram values must be finite and nonnegative"
         for ok in np.isfinite(values).all(axis=1).tolist()
-    ]
-    return values, faults
+    ])
+    return values
 
 
 def normality_check(x: TimeSeries) -> tuple[float, bool]:

@@ -214,6 +214,30 @@ def test_order_scan_prints_selection(burst_workspace, capsys):
     assert out.count("\n") >= 10  # table row per candidate order
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("fit", ["--k", "3"]),
+        ("fit", ["--rho", "0.1"]),
+        ("fit", ["--correction"]),
+        ("order-scan", ["--order", "3"]),
+        ("order-scan", ["--k", "3"]),
+        ("order-scan", ["--rho", "0.1"]),
+        ("order-scan", ["--correction"]),
+    ],
+)
+def test_fit_and_order_scan_refuse_the_flags_they_do_not_read(burst_workspace, capsys, command,
+                                                              flag):
+    # Neither subcommand masks or flags a spectrum, and order-scan scores
+    # every order up to --p-max, so argparse refuses these flags.
+    tmp_path, rec, _ = burst_workspace
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as refused:
+        main([command, str(rec), "--channel", "F8-T4", *flag])
+    assert refused.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_psd_writes_one_file_per_channel(burst_workspace, capsys):
     tmp_path, rec, _ = burst_workspace
     out_dir = tmp_path / "psd"

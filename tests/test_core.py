@@ -16,8 +16,14 @@ from arpsd import (
     default_bands,
     default_montage,
     fit_sweep,
+    levinson_durbin,
+    order_scan,
     threshold_psd,
 )
+from arpsd.core import RowFaults, in_rows, raise_row_faults
+from arpsd.estimation import ar_psd, ar_psd_rows
+from arpsd.order_selection import sweep_orders
+from arpsd.preprocess import periodogram, prepare_rows
 
 
 def test_time_series_basic_properties():
@@ -165,6 +171,12 @@ def test_confusion_counts_total_and_validation():
         ConfusionCounts(tp=-1)
     with pytest.raises(ValueError, match="nonnegative integer"):
         ConfusionCounts(tp=1.5)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        ConfusionCounts(tp=True)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        ConfusionCounts(fp=2.0)
+    counts = ConfusionCounts(tp=np.int64(3))
+    assert counts.tp == 3 and type(counts.tp) is int
 
 
 def test_default_bands_cover_clinical_range_in_order():
@@ -226,3 +238,109 @@ def test_array_valued_types_compare_by_value_and_are_unhashable():
         assert first != "not a value of the type"
         with pytest.raises(TypeError, match="unhashable"):
             hash(first)
+
+
+def _recorded(run):
+    """``run``, recording the items of each call."""
+    calls = []
+
+    def recorded(items):
+        calls.append(list(items))
+        return run(items)
+
+    return recorded, calls
+
+
+def test_raise_row_faults_raises_a_lone_rows_fault_itself():
+    raise_row_faults([None, None])
+    with pytest.raises(ValueError, match="^flat$") as raised:
+        raise_row_faults(["flat"])
+    assert type(raised.value) is ValueError
+    fault = ZeroDivisionError("b")
+    with pytest.raises(ZeroDivisionError) as raised:
+        raise_row_faults([fault])
+    assert raised.value is fault
+    with pytest.raises(RowFaults) as raised:
+        raise_row_faults([None, "flat", fault])
+    assert isinstance(raised.value, ValueError)
+    assert sorted(raised.value.faults) == [1, 2]
+    assert type(raised.value.faults[1]) is ValueError and str(raised.value.faults[1]) == "flat"
+    assert raised.value.faults[2] is fault
+
+
+def test_in_rows_passes_exception_items_through():
+    fault = ValueError("read failed")
+    run, calls = _recorded(lambda items: [item * 2 for item in items])
+    assert in_rows([1, fault, 3], run) == [2, fault, 6]
+    assert calls == [[1, 3]]
+    assert in_rows([fault, fault], run) == [fault, fault]
+    assert calls == [[1, 3]]
+
+
+def test_in_rows_settles_row_faults_and_runs_the_rest_once_more():
+    def run(items):
+        raise_row_faults(["negative" if item < 0 else None for item in items])
+        return [item * 2 for item in items]
+
+    run, calls = _recorded(run)
+    outcomes = in_rows([1, -2, 3, -4, 5], run)
+    assert calls == [[1, -2, 3, -4, 5], [1, 3, 5]]
+    assert [outcomes[row] for row in (0, 2, 4)] == [2, 6, 10]
+    for row in (1, 3):
+        assert type(outcomes[row]) is ValueError and str(outcomes[row]) == "negative"
+    # A fault that a later stage of the call raises settles in the rerun.
+    def staged(items):
+        raise_row_faults(["negative" if item < 0 else None for item in items])
+        raise_row_faults(["large" if item > 4 else None for item in items])
+        return items
+
+    staged, calls = _recorded(staged)
+    outcomes = in_rows([-1, 5, 2], staged)
+    assert calls == [[-1, 5, 2], [5, 2], [2]]
+    assert [str(outcome) for outcome in outcomes[:2]] == ["negative", "large"]
+    assert outcomes[2] == 2
+
+
+def test_in_rows_runs_each_item_alone_after_any_other_fault():
+    def run(items):
+        return [np.float64(1.0) / np.float64(item) for item in items]
+
+    run, calls = _recorded(run)
+    with np.errstate(all="raise"):
+        outcomes = in_rows([2.0, 0.0, 4.0], run)
+    assert calls == [[2.0, 0.0, 4.0], [2.0], [0.0], [4.0]]
+    assert outcomes[0] == 0.5 and outcomes[2] == 0.25
+    assert type(outcomes[1]) is FloatingPointError
+    # A ValueError that is not RowFaults, for every row, is each row's own.
+    def refuse(items):
+        raise ValueError("order must be at least 1")
+
+    refuse, calls = _recorded(refuse)
+    outcomes = in_rows(["a", "b"], refuse)
+    assert calls == [["a", "b"], ["a"], ["b"]]
+    assert [str(outcome) for outcome in outcomes] == ["order must be at least 1"] * 2
+    # Other exceptions are not a row's outcome.
+    with pytest.raises(TypeError):
+        in_rows([1, 2], lambda items: [item + "x" for item in items])
+
+
+def test_no_row_faults_escape_the_public_functions():
+    flat = TimeSeries(np.full(64, 2.5), 128.0)
+    calls = [
+        (lambda: ar_psd(ArModel(1, [1.5], 1.0)), "unstable AR polynomial"),
+        (lambda: order_scan(flat, p_max=4), "degenerate signal"),
+        (lambda: levinson_durbin(AutocovarianceSeq([0.0, 0.0, 0.0]), 2),
+         "degenerate autocovariance"),
+        (lambda: prepare_rows(np.array([[1.0, np.inf, 2.0]]), 0, np.empty((1, 3))),
+         "samples contains non-finite values"),
+        (lambda: periodogram(TimeSeries(np.full(8, 1e300), 1.0), 8),
+         "periodogram values must be finite and nonnegative"),
+        (lambda: sweep_orders([fit_sweep(TimeSeries([1.0, -1.0, 1.0, -1.0], 1.0), 1)], [4]),
+         "sigma2 must be positive"),
+        (lambda: ar_psd_rows([ArModel(1, [1.5], 1.0)]), "unstable AR polynomial"),
+    ]
+    for call, message in calls:
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as raised:
+                call()
+        assert type(raised.value) is ValueError and str(raised.value) == message

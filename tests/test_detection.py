@@ -248,6 +248,51 @@ def test_detect_recording_isolates_levinson_faults(monkeypatch, method, order, f
     _assert_fault_lands_on_channel_b(monkeypatch, "_levinson_rows", fault, config, hits_b)
 
 
+@pytest.mark.parametrize("order", [10, "auto"])
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+def test_a_flat_channel_costs_a_block_at_most_one_more_call_of_each_kernel(
+    monkeypatch, method, order
+):
+    # The flat channel ends in its own error.  Where a row kernel that
+    # runs the whole block finds it, the other 17 channels run that part
+    # once more, not one at a time.
+    recording, _ = simulate_recording(default_montage(), 2560, 128.0, 1.0,
+                                      [BurstSpec("F8-T4", 5.0, 0.95)], 10.0, seed=3)
+    channels = dict(recording.channels)
+    channels["Cz-Pz"] = TimeSeries(np.full(2560, 2.5), 128.0)
+    recording = Recording(channels)
+    config = RunConfig(method=method, order=order)
+    expected = {name: detect_recording(Recording({name: recording[name]}), config)
+                for name in recording.names}
+    calls = {}
+    for module, kernel in ((estimation, "prepare_rows"), (estimation, "_burg_lag_rows"),
+                           (estimation, "_levinson_rows"), (detection, "ar_psd_rows")):
+        monkeypatch.setattr(module, kernel, mock.Mock(wraps=getattr(module, kernel)))
+        calls[kernel] = getattr(module, kernel)
+    report = detect_recording(recording, config)
+    flat = "degenerate signal" if method == "burg" else "zero-variance signal"
+    assert report.errors == {"Cz-Pz": flat}
+    assert report.per_channel == tuple(decision for name in recording.names
+                                       for decision in expected[name].per_channel)
+    fitter = "_burg_lag_rows" if method == "burg" else "_levinson_rows"
+    for kernel in ("prepare_rows", fitter, "ar_psd_rows"):
+        assert 1 <= calls[kernel].call_count <= 2
+    assert calls["_burg_lag_rows" if method != "burg" else "_levinson_rows"].call_count == 0
+
+
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+def test_an_order_check_refuses_a_block_in_one_read(monkeypatch, method):
+    # Too few samples for the order scan: every channel ends in the
+    # check's error, and the block is not read again channel by channel.
+    rng = np.random.default_rng(4)
+    recording = Recording({f"c{i}": TimeSeries(rng.standard_normal(20), 128.0) for i in range(18)})
+    preparations = mock.Mock(wraps=estimation.prepare_rows)
+    monkeypatch.setattr(estimation, "prepare_rows", preparations)
+    report = detect_recording(recording, RunConfig(method=method, order="auto"))
+    assert report.errors == dict.fromkeys(recording.names, "need more than p_max + 2 samples")
+    assert preparations.call_count == 1
+
+
 def test_low_band_fraction_never_exceeds_one_on_simulated_bursts():
     # F8-T4 of seed 0 read 1.0000000000000002 when the total and the band
     # sums were trapezoids over different grid ranges.

@@ -14,11 +14,13 @@ from arpsd import (
     burg_fit,
     coefficients_from_reflection,
     levinson_durbin,
+    fit_sweep,
     mle_fit,
+    order_scan,
     simulate_ar,
     yule_walker_fit,
 )
-from arpsd.estimation import is_stable, reflection_coefficients
+from arpsd.estimation import fit_sweeps, is_stable, reflection_coefficients
 
 
 def _random_stable_model(rng, p, sigma2=1.0) -> ArModel:
@@ -308,3 +310,35 @@ def test_fit_result_validates_shapes():
         FitResult(model, "burg", np.array([0.5]), np.array([1.0, 0.5, 0.25]))
     with pytest.raises(ValueError, match="unknown method"):
         FitResult(model, "lattice", np.array([0.5, 0.1]), np.array([1.0, 0.5, 0.25]))
+
+
+@pytest.mark.parametrize("order", [2.0, 2.5, True])
+def test_orders_that_are_not_integers_are_refused(order):
+    x = simulate_ar(ArModel(2, [-1.2, 0.8], 1.0), 200, seed=0)
+    refusals = [
+        (lambda: burg_fit(x, order), "order"),
+        (lambda: burg_fit(x, order, demean=False), "order"),
+        (lambda: yule_walker_fit(x, order), "order"),
+        (lambda: mle_fit(x, order), "order"),
+        (lambda: fit_sweep(x, order, "yule_walker"), "order"),
+        (lambda: levinson_durbin(biased_autocov(x, 4), order), "order"),
+        (lambda: order_scan(x, p_max=order), "p_max"),
+    ]
+    for refuse, name in refusals:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$") as raised:
+            refuse()
+        assert type(raised.value) is ValueError
+    [[(_, outcome)]] = fit_sweeps([x], order, "mle")
+    assert type(outcome) is ValueError and str(outcome) == "order must be an integer"
+    sweep = fit_sweep(x, 4)
+    with pytest.raises(ValueError, match="outside the sweep's 1..4"):
+        sweep.fit(order)
+    # Integers of any integral type but bool are orders.
+    assert sweep.fit(np.int64(2)) == sweep.fit(2) == burg_fit(x, np.int64(2))
+    for p in (0, -1):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            burg_fit(x, p)
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            levinson_durbin(biased_autocov(x, 4), p)
+        with pytest.raises(ValueError, match="^p_max must be at least 1$"):
+            order_scan(x, p_max=p)

@@ -40,7 +40,7 @@ from arpsd import (
     yule_walker_fit,
 )
 from arpsd import estimation
-from arpsd.core import BLOCK_CHANNELS
+from arpsd.core import BLOCK_CHANNELS, in_rows
 from arpsd.estimation import (
     _ROW_SAMPLES,
     _burg_lag_rows,
@@ -414,6 +414,19 @@ def _levinson_inputs(rows, n, p, grid_size):
     return series, r, autocovs, pgrams
 
 
+def _levinson_outcomes(r, p):
+    """The ``(coeffs, errs)`` that one ``_levinson_rows`` call over the rows
+    of ``r``, run through ``in_rows``, gives each row, or the message of
+    the ValueError that the row ends in."""
+    outcomes = in_rows(list(r), lambda rows: list(zip(*_levinson_rows(np.array(rows), p))))
+    assert all(type(o) is ValueError for o in outcomes if isinstance(o, Exception))
+    return [str(o) if isinstance(o, Exception) else o for o in outcomes]
+
+
+def _fault(outcome):
+    return outcome if isinstance(outcome, str) else None
+
+
 @PROPERTY
 @given(
     rows=st.lists(
@@ -429,33 +442,39 @@ def _levinson_inputs(rows, n, p, grid_size):
 def test_levinson_and_mle_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorter):
     shorter = min(shorter, p)
     series, r, autocovs, pgrams = _levinson_inputs(rows, n, p, 128)
-    coeffs, errs, faults = _levinson_rows(r, p)
+    together = _levinson_outcomes(r, p)
+    faults = [_fault(outcome) for outcome in together]
     ok = [row for row, fault in enumerate(faults) if fault is None]
-    sigma2 = _mle_sigma2(coeffs[ok], autocovs[ok], pgrams[ok]) if ok else None
+    coeffs = np.array([together[row][0] for row in ok])
+    sigma2 = _mle_sigma2(coeffs, autocovs[ok], pgrams[ok]) if ok else None
     # The same rows in reverse order, and the sweeps to a lower order.
-    back = _levinson_rows(r[::-1], p)
-    low_coeffs, low_errs, low_faults = _levinson_rows(r[:, : shorter + 1], shorter)
+    back = _levinson_outcomes(r[::-1], p)
+    lower = _levinson_outcomes(r[:, : shorter + 1], shorter)
     for row, (kind, _) in enumerate(rows):
-        alone_coeffs, alone_errs, (alone_fault,) = _levinson_rows(r[row : row + 1], p)
-        assert faults[row] == back[2][-1 - row] == alone_fault
+        (single,) = _levinson_outcomes(r[row : row + 1], p)
+        alone_fault = _fault(single)
+        assert faults[row] == _fault(back[-1 - row]) == alone_fault
         expected = {"zero": "degenerate autocovariance",
                     "nonpd": "non-positive-definite autocovariance" if p >= 2 else None}
         assert alone_fault == expected.get(kind)
         if alone_fault is not None:
             continue
-        for ours in ((coeffs[row], errs[row]), (back[0][-1 - row], back[1][-1 - row])):
-            assert ours[0].tobytes() == alone_coeffs[0].tobytes()
-            assert ours[1].tobytes() == alone_errs[0].tobytes()
-        assert low_faults[row] is None
-        assert low_coeffs[row].tobytes() == coeffs[row, :shorter, :shorter].tobytes()
-        assert low_errs[row].tobytes() == errs[row, : shorter + 1].tobytes()
-        alone = _mle_sigma2(alone_coeffs, autocovs[row : row + 1], pgrams[row : row + 1])[0]
+        alone_coeffs, alone_errs = single
+        for ours in (together[row], back[-1 - row]):
+            assert ours[0].tobytes() == alone_coeffs.tobytes()
+            assert ours[1].tobytes() == alone_errs.tobytes()
+        assert _fault(lower[row]) is None
+        low_coeffs, low_errs = lower[row]
+        assert low_coeffs.tobytes() == together[row][0][:shorter, :shorter].tobytes()
+        assert low_errs.tobytes() == together[row][1][: shorter + 1].tobytes()
+        alone = _mle_sigma2(alone_coeffs[np.newaxis], autocovs[row : row + 1],
+                            pgrams[row : row + 1])[0]
         assert sigma2[ok.index(row)].tobytes() == alone.tobytes()
-        low = _mle_sigma2(low_coeffs[row : row + 1], autocovs[row : row + 1, : shorter + 1],
+        low = _mle_sigma2(low_coeffs[np.newaxis], autocovs[row : row + 1, : shorter + 1],
                           pgrams[row : row + 1])[0]
         assert low.tobytes() == alone[:shorter].tobytes()
     if len(ok) > 1:
-        flipped = _mle_sigma2(coeffs[ok[::-1]], autocovs[ok[::-1]], pgrams[ok[::-1]])
+        flipped = _mle_sigma2(coeffs[::-1], autocovs[ok[::-1]], pgrams[ok[::-1]])
         assert flipped[::-1].tobytes() == sigma2.tobytes()
     # The public form.
     for method in ("yule_walker", "mle"):

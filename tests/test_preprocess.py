@@ -16,6 +16,7 @@ from arpsd import (
     normality_check,
     periodogram,
 )
+from arpsd.core import in_rows
 from arpsd.preprocess import prepare_rows
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
@@ -102,13 +103,14 @@ def test_prepare_into_equals_demean_of_difference_bit_for_bit(values, d, spare, 
     x = TimeSeries(values, 128.0)
     work = np.full((1, len(x) + spare), stale)
     with np.errstate(over="ignore", invalid="ignore"):
+        (outcome,) = in_rows([x.samples], lambda rows: prepare_rows(np.array(rows), d, work))
         try:
             expected = demean(difference(x, d))
         except ValueError as exc:
             assert str(exc) == "samples contains non-finite values"
-            assert prepare_rows(x.samples[np.newaxis], d, work) == [str(exc)]
+            assert type(outcome) is ValueError and str(outcome) == str(exc)
             return
-        assert prepare_rows(x.samples[np.newaxis], d, work) == [None]
+        assert not isinstance(outcome, Exception)
     assert work[0, : len(x) - d].tobytes() == expected.samples.tobytes()
     assert work.flags.writeable
 
@@ -143,36 +145,38 @@ def test_prepare_rows_gives_each_row_its_one_row_outcome(rows, d):
     # Rows whose steps overflow, and inputs that are not finite (which no
     # TimeSeries holds), fail the unchecked pass and are prepared again,
     # step by step; every other row keeps the unchecked pass's bits.
+    # Each call through in_rows prepares into ``out``, which then holds
+    # what the calls before it left; the prepared rows are copied out.
     rows = np.array(rows)
     out = np.full((len(rows), 12), 7.0)
     with np.errstate(all="ignore"):
-        faults = prepare_rows(rows, d, out)
-        for row, fault, prepared in zip(rows, faults, out):
+        outcomes = in_rows(list(rows), lambda items: prepare_rows(np.array(items), d, out).copy())
+        for row, outcome in zip(rows, outcomes):
             expected = _prepared_step_by_step(row, d)
             if isinstance(expected, str):
-                assert fault == expected
+                assert type(outcome) is ValueError and str(outcome) == expected
             else:
-                assert fault is None
-                assert prepared[: 12 - d].tobytes() == expected.tobytes()
+                assert not isinstance(outcome, Exception)
+                assert outcome.tobytes() == expected.tobytes()
     for row in rows:
         with np.errstate(all="raise"):
             try:
                 expected = _prepared_step_by_step(row, d)
             except FloatingPointError as exc:
                 expected = exc
-            try:
-                (fault,) = prepare_rows(row[np.newaxis], d, np.empty((1, 12)))
-            except FloatingPointError as exc:
-                fault = exc
+            (outcome,) = in_rows([row], lambda items: prepare_rows(np.array(items), d,
+                                                                   np.empty((1, 12))))
         if isinstance(expected, Exception):
-            assert type(fault) is type(expected) and str(fault) == str(expected)
+            assert type(outcome) is type(expected) and str(outcome) == str(expected)
+        elif isinstance(expected, str):
+            assert type(outcome) is ValueError and str(outcome) == expected
         else:
-            assert fault == (expected if isinstance(expected, str) else None)
+            assert not isinstance(outcome, Exception)
 
 
 def test_prepare_into_refuses_what_difference_refuses():
-    # One row of prepare_rows: a fault of every row is raised, a fault of
-    # one row is its entry.
+    # One row of prepare_rows: a fault of every row is raised, and so is a
+    # fault of the one row, which in_rows makes that row's outcome.
     x = TimeSeries([1.0, 2.0], 1.0)
     work = np.empty((1, 2))
     with pytest.raises(ValueError, match="nonnegative"):
@@ -182,9 +186,9 @@ def test_prepare_into_refuses_what_difference_refuses():
     # First differences of alternating +-1.7e308 exceed the float64 range.
     huge = TimeSeries([1.7e308, -1.7e308, 1.7e308], 1.0)
     with np.errstate(over="ignore"):
-        assert prepare_rows(huge.samples[np.newaxis], 1, np.empty((1, 3))) == [
-            "samples contains non-finite values"
-        ]
+        (outcome,) = in_rows([huge.samples], lambda rows: prepare_rows(np.array(rows), 1,
+                                                                       np.empty((1, 3))))
+    assert type(outcome) is ValueError and str(outcome) == "samples contains non-finite values"
 
 
 @PROPERTY
