@@ -14,8 +14,9 @@ criterion (AIC at d = 0, AICc at d = 1, BIC at d = 2).
 
 Prints the number of files, the sha256 over each run's arguments, exit
 status and printed lines, and each written file's name and bytes, in run
-order, and the ``OPENBLAS_NUM_THREADS`` it ran under, since long dot
-products may round differently at another BLAS thread count.  Run as a
+order, and the NumPy version, BLAS name and version and
+``OPENBLAS_NUM_THREADS`` it ran under, since long dot products may round
+differently on another build or at another BLAS thread count.  Run as a
 script, it sets that variable to 1 when it is unset, before NumPy is
 imported, so that a bare command reproduces the recorded digest; a value
 set by the caller still holds.  A change that keeps the CSV formats byte
@@ -36,6 +37,8 @@ if __name__ == "__main__":
     # One BLAS thread unless the caller sets another; OpenBLAS reads this
     # once, when NumPy is first imported.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from arpsd.cli import main as cli_main  # noqa: E402
 
@@ -74,6 +77,15 @@ def runs() -> list[list[str]]:
     ]
 
 
+def build() -> str:
+    """The NumPy version, the BLAS it was built with and the
+    ``OPENBLAS_NUM_THREADS`` of this run: a digest matches its pin only
+    on the build and thread count the pin was taken on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, OPENBLAS_NUM_THREADS={threads}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--expect", metavar="SHA256",
@@ -103,8 +115,7 @@ def main(argv=None) -> int:
                     written.append(path)
         finally:
             os.chdir(start)
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    print(f"{len(written)} files, sha256 {digest.hexdigest()}, OPENBLAS_NUM_THREADS={threads}")
+    print(f"{len(written)} files, sha256 {digest.hexdigest()}, {build()}")
     if expect is not None and digest.hexdigest() != expect.lower():
         print(f"digest differs from the expected {expect}", file=sys.stderr)
         return 1

@@ -15,9 +15,10 @@ rows stop), the three methods at order 10 and "auto", differencing orders
 raised: 432 configs.
 
 Prints the number of configs, the sha256 of the repr of every
-``(config, per_channel, sorted errors)`` in grid order, and the
-``OPENBLAS_NUM_THREADS`` it ran under, since long dot products may round
-differently at another BLAS thread count.  Run as a script, it sets that
+``(config, per_channel, sorted errors)`` in grid order, and the NumPy
+version, BLAS name and version and ``OPENBLAS_NUM_THREADS`` it ran under,
+since long dot products may round differently on another build or at
+another BLAS thread count.  Run as a script, it sets that
 variable to 1 when it is unset, before NumPy is imported, so that a bare
 command reproduces the recorded digest; a value set by the caller still
 holds.  A change that keeps every decision and error bit for bit keeps the
@@ -68,6 +69,15 @@ def recording(seed: int, n: int) -> Recording:
     return Recording(channels)
 
 
+def build() -> str:
+    """The NumPy version, the BLAS it was built with and the
+    ``OPENBLAS_NUM_THREADS`` of this run: a digest matches its pin only
+    on the build and thread count the pin was taken on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, OPENBLAS_NUM_THREADS={threads}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--expect", metavar="SHA256",
@@ -86,8 +96,7 @@ def main(argv=None) -> int:
             entry = ((seed, n, *config), report.per_channel, sorted(report.errors.items()))
             digest.update(repr(entry).encode("utf-8"))
             count += 1
-    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    print(f"{count} configs, sha256 {digest.hexdigest()}, OPENBLAS_NUM_THREADS={threads}")
+    print(f"{count} configs, sha256 {digest.hexdigest()}, {build()}")
     if expect is not None and digest.hexdigest() != expect.lower():
         print(f"digest differs from the expected {expect}", file=sys.stderr)
         return 1

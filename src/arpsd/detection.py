@@ -5,18 +5,19 @@ Every channel is screened through one path, which ``detect_recording``
 and every CLI subcommand share: :func:`fit_channel` prepares the channel
 and fits it as the run configuration says, :func:`channel_psd` turns the
 fit into a masked spectrum, and :func:`classify_channel` flags it.
-``detect_recording`` runs the same formulas over the equal-length
-channels of a recording, in one block pass (:func:`_screen_blocks`),
-fitting and screening each block that
-:func:`arpsd.estimation.fit_sweeps` yields in turn: that call prepares
-and reads a block's channels of up to 10,000 samples as rows of one
-matrix, the automatic order of a block of sweeps comes from one
-:func:`arpsd.order_selection.sweep_orders` call, and the block's fitted
-models are screened at once through :func:`arpsd.core.in_rows`.  The
-row stages raise the faults of their rows, and ``in_rows`` settles each
-on its channel, so every channel ends in a decision or an error.
-:func:`channel_psds` takes the same pass and keeps the masked spectra.
-A channel alone is the one-row case.
+:func:`fit_channel`, :func:`channel_psds` and ``detect_recording`` run
+one block pass (:func:`_screen_blocks`) over equal-length channels:
+:func:`arpsd.estimation.fit_sweeps` prepares and sweeps a block's
+channels of up to 10,000 samples as rows of one matrix, and each block
+it yields runs as one stage through :func:`arpsd.core.in_rows`, which
+selects the block's orders (one
+:func:`arpsd.order_selection.sweep_orders` call under ``order="auto"``),
+takes each sweep's fit at its order and screens the block's fits at
+once.  ``detect_recording`` screens them into decisions,
+:func:`channel_psds` into masked spectra, and :func:`fit_channel` keeps
+the fit.  The row stages raise the faults of their rows, and ``in_rows``
+settles each on its channel, so every channel ends in an outcome or an
+error.  A channel alone is the one-row case.
 """
 
 from dataclasses import dataclass, field, replace
@@ -27,7 +28,6 @@ import numpy as np
 
 from .config import RunConfig
 from .core import (
-    ArModel,
     ConfusionCounts,
     FrequencyBand,
     Recording,
@@ -176,74 +176,61 @@ def fit_channel(x: TimeSeries, config: RunConfig) -> FitResult:
     method's sweep runs to that order and gives its top fit; under
     ``order="auto"`` it runs to ``config.p_max`` and gives the fit that
     :func:`arpsd.order_selection.order_scan` selects on the prepared
-    channel, without scoring every order.  This is the one-channel case
-    of :func:`_fit_channels`, the fit phase of :func:`detect_recording`.
+    channel, without scoring every order.  This is the block pass of
+    :func:`detect_recording` (:func:`_screen_blocks`) over one channel,
+    with a screen that keeps the fit.
     """
-    [[(_, outcome)]] = _fit_channels([x], config)
+    (outcome,) = _screen_blocks([x], config, lambda fitted: [fit for _, fit in fitted])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _fit_channels(channels: Sequence[TimeSeries], config: RunConfig):
-    """Yield one list per block that :func:`arpsd.estimation.fit_sweeps`
-    yields: ``(index, outcome)`` of each channel, in channel order, its
-    fit as :func:`fit_channel` gives it, or the ValueError or
-    ArithmeticError it raises.  The channels must all have the same
-    sample count.
+def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
+                   screen: Callable[[list], list]):
+    """Yield the outcome of each of the equal-length ``channels``, in
+    channel order: what ``screen`` gives its fit, as :func:`fit_channel`
+    fits it, or the ValueError or ArithmeticError that its fit or screen
+    raises.
 
-    ``fit_sweeps`` prepares the raw channels, a block at a time as rows of
-    one matrix, checks the prepared length against the order scan under
-    ``order="auto"``, and sweeps them to ``config.p_max`` or to the fixed
-    order; Burg may prepare a channel again.  Under ``order="auto"`` each
-    block's orders are selected by one
-    :func:`arpsd.order_selection.sweep_orders` call, under
-    :func:`arpsd.core.in_rows`.  No caller need hold every channel's fit
-    at once.
+    :func:`arpsd.estimation.fit_sweeps` prepares the raw channels, a block
+    at a time as rows of one matrix, checks the prepared length against
+    the order scan under ``order="auto"``, and sweeps them to
+    ``config.p_max`` or to the fixed order.  Each block then runs as one
+    stage under :func:`arpsd.core.in_rows`: its orders are selected (by
+    one :func:`arpsd.order_selection.sweep_orders` call under
+    ``order="auto"``), and ``screen`` takes the ``(index, FitResult)`` of
+    every swept channel of the block and returns one outcome each.  No
+    caller need hold every channel's fit at once.
     """
     auto = config.order == "auto"
     check = None
     if auto:
         check = partial(check_scan, p_max=config.p_max, method=config.method,
                         criterion=config.criterion)
-    p = config.p_max if auto else config.order
     n = len(channels[0]) - config.diff_order if channels else 0
 
-    def fits(sweeps: list) -> list:
-        if auto:
-            orders = sweep_orders(sweeps, [n] * len(sweeps), config.criterion)
-        else:
-            orders = [config.order] * len(sweeps)
-        return [sweep.fit(order) for sweep, order in zip(sweeps, orders)]
+    def stage(swept: list) -> list:
+        indices, sweeps = zip(*swept)
+        orders = sweep_orders(sweeps, n, config.criterion) if auto else [config.order] * len(sweeps)
+        return screen([(index, sweep.fit(order))
+                       for index, sweep, order in zip(indices, sweeps, orders)])
 
-    for block in fit_sweeps(channels, p, config.method, config.grid_size, config.diff_order,
-                            check):
-        indices, sweeps = zip(*block)
-        yield list(zip(indices, in_rows(sweeps, fits)))
-
-
-def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
-                   screen: Callable[[list], list]):
-    """Yield the outcome of each of the equal-length ``channels``, in
-    channel order: the ValueError or ArithmeticError that its fit raises,
-    or what ``screen`` gives its model.  The channels are fitted a
-    block at a time (:func:`_fit_channels`), and ``screen`` takes the
-    ``(index, model)`` of every fitted channel of a block and returns one
-    outcome each, under :func:`arpsd.core.in_rows`."""
-    for block in _fit_channels(channels, config):
-        yield from in_rows([fit if isinstance(fit, Exception) else (index, fit.model)
-                            for index, fit in block], screen)
+    for block in fit_sweeps(channels, config.p_max if auto else config.order, config.method,
+                            config.grid_size, config.diff_order, check):
+        yield from in_rows([sweep if isinstance(sweep, Exception) else (index, sweep)
+                            for index, sweep in block], stage)
 
 
-def _masked_rows(models: Sequence[ArModel], config: RunConfig):
-    """:func:`channel_psd`'s stages after the fit, over rows of models.
+def _masked_rows(fits: Sequence[FitResult], config: RunConfig):
+    """:func:`channel_psd`'s stages after the fit, over rows of fits.
 
     Returns ``(freqs, spectra, threshold_rows(spectra, config.k))``:
-    ``spectra`` holds a row per model on the normalized grid ``freqs``.
-    A model whose spectrum raises ValueError is raised as its fault (see
-    :func:`arpsd.core.raise_row_faults`).
+    ``spectra`` holds a row per fitted model on the normalized grid
+    ``freqs``.  A model whose spectrum raises ValueError is raised as its
+    fault (see :func:`arpsd.core.raise_row_faults`).
     """
-    values = ar_psd_rows(models, config.grid_size)
+    values = ar_psd_rows([fit.model for fit in fits], config.grid_size)
     freqs = np.linspace(0.0, 0.5, config.grid_size)
     if config.undifference_correction and config.diff_order > 0:
         freqs, values = undifference_rows(freqs, values, config.diff_order)
@@ -281,12 +268,12 @@ def channel_psds(channels: Sequence[TimeSeries], config: RunConfig) -> list:
     return list(_screen_blocks(channels, config, spectra))
 
 
-def _masked_spectra(fitted: Sequence[tuple[int, ArModel]], config: RunConfig,
+def _masked_spectra(fitted: Sequence[tuple[int, FitResult]], config: RunConfig,
                     rates: Sequence[float]) -> list:
-    """The masked spectrum of each ``(index, model)``, at the sample rate
-    ``rates[index]``, by :func:`_masked_rows`."""
-    indices, models = zip(*fitted)
-    freqs, values, (mean_power, masked, survivors) = _masked_rows(models, config)
+    """The masked spectrum of each ``(index, fit)``'s model, at the sample
+    rate ``rates[index]``, by :func:`_masked_rows`."""
+    indices, fits = zip(*fitted)
+    freqs, values, (mean_power, masked, survivors) = _masked_rows(fits, config)
     return [
         MaskedSpectrum(SpectrumEstimate(freqs, values[row], rates[index]), float(config.k),
                        float(mean_power[row]), masked[row], float(survivors[row]))
@@ -294,13 +281,13 @@ def _masked_spectra(fitted: Sequence[tuple[int, ArModel]], config: RunConfig,
     ]
 
 
-def _screen_rows(fitted: Sequence[tuple[int, ArModel]], config: RunConfig,
+def _screen_rows(fitted: Sequence[tuple[int, FitResult]], config: RunConfig,
                  names: Sequence[str], sample_rate_hz: float):
-    """The decision of each ``(index, model)`` in ``fitted`` on the channel
+    """The decision of each ``(index, fit)`` in ``fitted`` on the channel
     ``names[index]``, as :func:`channel_psd` and :func:`classify_channel`
     give it."""
-    indices, models = zip(*fitted)
-    freqs, _, (_, masked, survivor_fractions) = _masked_rows(models, config)
+    indices, fits = zip(*fitted)
+    freqs, _, (_, masked, survivor_fractions) = _masked_rows(fits, config)
     return _classify_rows(
         freqs * sample_rate_hz, masked, survivor_fractions.tolist(), config.bands, config.rho,
         [names[index] for index in indices],
@@ -319,14 +306,14 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     message, and the remaining channels are still screened.
 
     Channels are fitted and screened in one pass per block
-    (:func:`_screen_blocks`): each block is fitted as by
-    :func:`fit_channel` (see :func:`_fit_channels`), its channels prepared
-    as rows of one reused matrix, and its fitted models are screened at
-    once by the row-wise forms of :func:`channel_psd`'s and
+    (:func:`_screen_blocks`): each block is swept as by
+    :func:`fit_channel`, its channels prepared as rows of one reused
+    matrix, and its orders are selected and its fitted models screened in
+    one stage, by the row-wise forms of :func:`channel_psd`'s and
     :func:`classify_channel`'s stages, through :func:`arpsd.core.in_rows`.
-    Each channel gets the bits it gets alone.  ``errors`` keeps the recording's channel order, and
-    ``parameters`` echoes ``config.summary()`` and the recording's sample
-    rate as ``fs``.
+    Each channel gets the bits it gets alone.  ``errors`` keeps the
+    recording's channel order, and ``parameters`` echoes
+    ``config.summary()`` and the recording's sample rate as ``fs``.
     """
     if config is None:
         config = RunConfig()

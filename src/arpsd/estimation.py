@@ -743,9 +743,10 @@ def _read_levinson(centred: np.ndarray, p: int, method: str, grid_size: int) -> 
     ``r`` is the row's :func:`arpsd.preprocess.biased_autocov`.  For MLE
     ``spectrum`` is ``(c(0..p), I)``: the periodogram of the same centred
     row and its circular autocovariance c = irfft(I, M), M = 2 (grid_size
-    - 1), both from one row function under :func:`arpsd.core.in_rows`.
-    If that raises, or the periodogram is not finite, ``spectrum`` is the
-    error.  For Yule-Walker it is None.
+    - 1), both from one row function under :func:`arpsd.core.in_rows`,
+    which reads only the rows whose ``r`` passes :func:`_autocov_faults`.
+    If ``r`` fails, that function raises, or the periodogram is not
+    finite, ``spectrum`` is the error.  For Yule-Walker it is None.
     """
     r = autocov_rows(centred, p)
     if method == METHOD_YULE_WALKER:
@@ -756,7 +757,17 @@ def _read_levinson(centred: np.ndarray, p: int, method: str, grid_size: int) -> 
         circular = np.fft.irfft(pgrams, 2 * (grid_size - 1), axis=-1)
         return list(zip(circular[:, : p + 1], pgrams))
 
-    return list(zip(r, in_rows(list(range(len(r))), spectra)))
+    items = [ValueError(fault) if fault else row for row, fault in enumerate(_autocov_faults(r))]
+    return list(zip(r, in_rows(items, spectra)))
+
+
+def _autocov_faults(r: np.ndarray) -> list:
+    """The fault of each row of autocovariances ``r`` that a Yule-Walker
+    or MLE fit refuses before any work, one entry per row: the message of
+    :class:`arpsd.core.AutocovarianceSeq`'s checks, "zero-variance
+    signal" when r(0) is zero, or None."""
+    return [fault or ("zero-variance signal" if r0 == 0.0 else None)
+            for fault, r0 in zip(AutocovarianceSeq.row_faults(r), r[:, 0].tolist())]
 
 
 def _levinson_block(block, p: int, method: str) -> list:
@@ -767,17 +778,13 @@ def _levinson_block(block, p: int, method: str) -> list:
 
     A channel ends in the first fault of three, each raised for its rows
     (:func:`arpsd.core.raise_row_faults`) before the next is looked for:
-    an ``r`` that fails :class:`arpsd.core.AutocovarianceSeq`'s checks or
-    is zero ("zero-variance signal"), checked before any work; its
-    recursion; and, for MLE, a spectrum that is an error.
+    an ``r`` that fails :func:`_autocov_faults`, checked before any work;
+    its recursion; and, for MLE, a spectrum that is an error.
     """
     _, items = zip(*block)
     rows, spectra = zip(*items)
     r = np.array(rows)
-    raise_row_faults([
-        fault or ("zero-variance signal" if r0 == 0.0 else None)
-        for fault, r0 in zip(AutocovarianceSeq.row_faults(r), r[:, 0].tolist())
-    ])
+    raise_row_faults(_autocov_faults(r))
     coeffs, errs = _levinson_rows(r, p)
     variances = [None] * len(block)
     if method == METHOD_MLE:

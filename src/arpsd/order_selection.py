@@ -49,15 +49,15 @@ def _logs(values: np.ndarray) -> np.ndarray:
     return np.array(list(map(log, values.ravel().tolist()))).reshape(values.shape)
 
 
-def _penalties(criterion: str, n, orders: np.ndarray) -> np.ndarray:
+def _penalties(criterion: str, n: int, orders: np.ndarray) -> np.ndarray:
     """The term a criterion adds to log(sigma2) at each of ``orders``, for
-    n samples (a number, or a column of one count per row); AICc needs
-    n > p + 2.  Each entry has the bits of the scalar formula."""
+    n samples; AICc needs n > p + 2.  Each entry has the bits of the
+    scalar formula, whatever the other orders."""
     if criterion == "aic":
         return (n + 2 * orders) / n
     if criterion == "aicc":
         return (n + orders) / (n - orders - 2)
-    return orders * _logs(np.asarray(n, dtype=np.float64)) / n
+    return orders * log(n) / n
 
 
 def aic(sigma2: float, n: int, p: int) -> float:
@@ -173,12 +173,13 @@ def check_scan(n: int, p_max: int, method: str = METHOD_BURG, criterion: str = "
         raise ValueError("need more than p_max + 2 samples")
 
 
-def _criterion_rows(sigma2_rows: np.ndarray, sizes: Sequence[int], criteria: Sequence[str]):
+def _criterion_rows(sigma2_rows: np.ndarray, n: int, criteria: Sequence[str]):
     """log(sigma2) plus each criterion's penalty, at every order of every row.
 
-    Row i of ``sigma2_rows`` holds sigma2 at orders 1..p of a signal of
-    ``sizes[i]`` samples.  Returns one (rows, p) array per criterion, each
-    criterion's penalties computed once for all rows.  A row with a sigma2
+    Each row of ``sigma2_rows`` holds sigma2 at orders 1..p of a signal of
+    n samples.  Returns one (rows, p) array per criterion, each
+    criterion's penalties computed once, for one row of orders, and added
+    to every row.  A row with a sigma2
     that is not positive is raised as its fault, "sigma2 must be
     positive" (see :func:`arpsd.core.raise_row_faults`).  Each value has
     the bits of :func:`aic`, :func:`aicc` or :func:`bic`.
@@ -187,7 +188,6 @@ def _criterion_rows(sigma2_rows: np.ndarray, sizes: Sequence[int], criteria: Seq
                       for ok in (sigma2_rows > 0.0).all(axis=1).tolist()])
     log_sigma2 = _logs(sigma2_rows)
     orders = np.arange(1, sigma2_rows.shape[1] + 1)
-    n = np.array(sizes)[:, np.newaxis]
     return [log_sigma2 + _penalties(name, n, orders) for name in criteria]
 
 
@@ -213,7 +213,7 @@ def scan_sweep(sweep: FitSweep, n: int, criterion: str = "bic") -> OrderScanResu
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
-    values = _criterion_rows(sweep.sigma2_by_order[np.newaxis], [n], CRITERIA)
+    values = _criterion_rows(sweep.sigma2_by_order[np.newaxis], n, CRITERIA)
     (selected,) = _minimizers(values[CRITERIA.index(criterion)])
     scores = tuple(
         OrderScore(p, sigma2, aic_value, aicc_value, bic_value)
@@ -225,20 +225,20 @@ def scan_sweep(sweep: FitSweep, n: int, criterion: str = "bic") -> OrderScanResu
     return OrderScanResult(scores, selected, criterion, sweep.fit(selected))
 
 
-def sweep_orders(sweeps: Sequence[FitSweep], sizes: Sequence[int], criterion: str = "bic") -> list:
+def sweep_orders(sweeps: Sequence[FitSweep], n: int, criterion: str = "bic") -> list:
     """The order :func:`scan_sweep` selects from each sweep, without its scores.
 
-    ``sweeps`` share one p_max, and ``sizes[i]`` is the number of samples
-    ``sweeps[i]`` was fitted to.  Entry i is ``scan_sweep(sweeps[i],
-    sizes[i], criterion).selected_p``; a sweep on which that raises
-    ValueError is raised as its fault (see
-    :func:`arpsd.core.raise_row_faults`).  One array expression scores
-    every sweep: the criterion's penalties once, and the arg-min of
-    log(sigma2) plus penalty per row.
+    ``sweeps`` share one p_max and were fitted to signals of n samples
+    each, as :func:`arpsd.estimation.fit_sweeps` sweeps the channels of
+    one length.  Entry i is ``scan_sweep(sweeps[i], n,
+    criterion).selected_p``; a sweep on which that raises ValueError is
+    raised as its fault (see :func:`arpsd.core.raise_row_faults`).  One
+    array expression scores every sweep: the criterion's penalties once,
+    and the arg-min of log(sigma2) plus penalty per row.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion: {criterion!r}")
     (values,) = _criterion_rows(
-        np.array([sweep.sigma2_by_order for sweep in sweeps]), sizes, [criterion]
+        np.array([sweep.sigma2_by_order for sweep in sweeps]), n, [criterion]
     )
     return _minimizers(values)

@@ -147,7 +147,10 @@ def lag_products(rows: np.ndarray, max_lag: int) -> np.ndarray:
     rows whose products the error state would report a floating-point
     fault of, take ``np.dot`` itself row by row: the call costs less for
     one row, and a warning or error is then ``np.dot``'s own, as it is for
-    a row alone.
+    a row alone.  A row whose ``np.dot`` raises ArithmeticError (under
+    ``np.seterr(..., "raise")``) is raised as its fault
+    (:func:`arpsd.core.raise_row_faults`), and the other rows are still
+    read.
     """
     count, n = rows.shape
     products = np.empty((count, max_lag + 1))
@@ -161,9 +164,15 @@ def lag_products(rows: np.ndarray, max_lag: int) -> np.ndarray:
             return products
         except FloatingPointError:
             pass
+    faults = []
     for row, values in zip(rows, products):
-        for lag in range(max_lag + 1):
-            values[lag] = np.dot(row[: n - lag], row[lag:])
+        try:
+            for lag in range(max_lag + 1):
+                values[lag] = np.dot(row[: n - lag], row[lag:])
+            faults.append(None)
+        except ArithmeticError as exc:
+            faults.append(exc)
+    raise_row_faults(faults)
     return products
 
 

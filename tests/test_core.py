@@ -147,6 +147,9 @@ def test_spectrum_estimate_validation_and_hz_grid():
         SpectrumEstimate([0.0, 0.3, 0.2], [1.0, 1.0, 1.0], 1.0)
     with pytest.raises(ValueError, match="align"):
         SpectrumEstimate([0.0, 0.1, 0.2], [1.0, 1.0, 1.0, 1.0], 1.0)
+    for rate in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^sample_rate_hz must be positive and finite$"):
+            SpectrumEstimate([0.0, 0.25, 0.5], [1.0, 2.0, 3.0], rate)
 
 
 def test_frequency_band_half_open_membership():
@@ -335,7 +338,7 @@ def test_no_row_faults_escape_the_public_functions():
          "samples contains non-finite values"),
         (lambda: periodogram(TimeSeries(np.full(8, 1e300), 1.0), 8),
          "periodogram values must be finite and nonnegative"),
-        (lambda: sweep_orders([fit_sweep(TimeSeries([1.0, -1.0, 1.0, -1.0], 1.0), 1)], [4]),
+        (lambda: sweep_orders([fit_sweep(TimeSeries([1.0, -1.0, 1.0, -1.0], 1.0), 1)], 4),
          "sigma2 must be positive"),
         (lambda: ar_psd_rows([ArModel(1, [1.5], 1.0)]), "unstable AR polynomial"),
     ]

@@ -280,6 +280,45 @@ def test_a_flat_channel_costs_a_block_at_most_one_more_call_of_each_kernel(
     assert calls["_burg_lag_rows" if method != "burg" else "_levinson_rows"].call_count == 0
 
 
+@pytest.mark.parametrize("errstate", ["ignore", "raise"])
+@pytest.mark.parametrize("order", [10, "auto"])
+@pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
+def test_an_overflowing_channel_costs_a_block_at_most_one_more_read(
+    monkeypatch, method, order, errstate
+):
+    # The lag products of a channel of noise times 1e160 overflow.  Under
+    # "ignore" its autocovariances are not finite (Burg's energy is not),
+    # and MLE takes no periodogram of it; under "raise" its np.dot raises
+    # for that row alone, and the other 17 channels are read once more,
+    # not one at a time.
+    recording, _ = simulate_recording(default_montage(), 2560, 128.0, 1.0,
+                                      [BurstSpec("F8-T4", 5.0, 0.95)], 10.0, seed=3)
+    channels = dict(recording.channels)
+    channels["Cz-Pz"] = TimeSeries(1e160 * np.random.default_rng(3).standard_normal(2560), 128.0)
+    recording = Recording(channels)
+    config = RunConfig(method=method, order=order)
+    with np.errstate(all=errstate):
+        alone = [detect_recording(Recording({name: recording[name]}), config)
+                 for name in recording.names]
+        calls = {}
+        for kernel in ("prepare_rows", "periodogram_rows"):
+            monkeypatch.setattr(estimation, kernel, mock.Mock(wraps=getattr(estimation, kernel)))
+            calls[kernel] = getattr(estimation, kernel)
+        report = detect_recording(recording, config)
+    if errstate == "raise":
+        error = "overflow encountered in dot"
+    else:
+        error = "non-finite prediction-error energy" if method == "burg" else (
+            "values contains non-finite values")
+    assert report.errors == {"Cz-Pz": error}
+    assert report.errors == {name: message for single in alone
+                             for name, message in single.errors.items()}
+    assert report.per_channel == tuple(decision for single in alone
+                                       for decision in single.per_channel)
+    assert 1 <= calls["prepare_rows"].call_count <= 2
+    assert calls["periodogram_rows"].call_count == (method == "mle")
+
+
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
 def test_an_order_check_refuses_a_block_in_one_read(monkeypatch, method):
     # Too few samples for the order scan: every channel ends in the
@@ -459,11 +498,10 @@ def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, ord
         sine = TimeSeries(np.sin(2.0 * np.pi * 6.0 * np.arange(n) / 128.0) + noise, 128.0)
         channels = [recording["F8-T4"], sine, recording["Fp2-F8"]]
         buffers.clear()
-        outcomes = dict(pair for block in detection._fit_channels(channels, config)
-                        for pair in block)
+        outcomes = list(detection._screen_blocks(channels, config,
+                                                 lambda fitted: [fit for _, fit in fitted]))
         assert buffers
-        for index, x in enumerate(channels):
-            fitted = outcomes[index]
+        for fitted, x in zip(outcomes, channels, strict=True):
             for values in (fitted.model.coeffs, fitted.reflection_coeffs,
                            fitted.prediction_error_by_order):
                 assert not any(np.shares_memory(values, work) for work in buffers.values())
@@ -517,7 +555,8 @@ def _detect_models(models, config, fs=128.0):
     recording = Recording({name: TimeSeries(np.arange(4.0), fs) for name in names})
     by_series = {id(recording[name]): model for name, model in zip(names, models)}
 
-    def fit(channels, config):
+    def fit_sweeps(channels, *args):
+        # A sweep whose fit, at the configuration's order, is the model.
         outcomes = []
         for index, x in enumerate(channels):
             model = by_series[id(x)]
@@ -525,11 +564,12 @@ def _detect_models(models, config, fs=128.0):
                 outcomes.append((index, ValueError(model)))
             else:
                 p = model.order_p
-                outcomes.append((index, FitResult(model, "burg", np.zeros(p), np.ones(p + 1))))
+                fit = FitResult(model, "burg", np.zeros(p), np.ones(p + 1))
+                outcomes.append((index, mock.Mock(fit=mock.Mock(return_value=fit))))
         for start in range(0, len(outcomes), BLOCK_CHANNELS):
             yield outcomes[start : start + BLOCK_CHANNELS]
 
-    with mock.patch.object(detection, "_fit_channels", fit):
+    with mock.patch.object(detection, "fit_sweeps", fit_sweeps):
         return names, detect_recording(recording, config)
 
 

@@ -97,29 +97,27 @@ def test_block_selection_breaks_ties_toward_smaller_p():
 def test_sweep_orders_select_what_scan_sweep_selects_whatever_the_neighbours():
     # Each sweep's order, or error, is scan_sweep's, in any company and
     # order; a sweep whose sigma2 is not positive, or is infinite at every
-    # order, fails alone.
+    # order, fails alone.  Each call scores its sweeps at one length.
     rng = np.random.default_rng(5)
-    sweeps, sizes = [], []
+    sweeps = []
     for seed, method in zip(range(12), ["burg", "yule_walker", "mle"] * 4):
-        n = int(rng.integers(200, 3000))
-        x = simulate_ar(ArModel(2, [-1.2, 0.8], 1.0), n, seed=seed)
+        x = simulate_ar(ArModel(2, [-1.2, 0.8], 1.0), int(rng.integers(200, 3000)), seed=seed)
         sweeps.append(fit_sweep(x, 12, method, grid_size=64))
-        sizes.append(n)
     zero, infinite = sweeps[0].sigma2_by_order.copy(), np.full(12, np.inf)
     zero[5] = 0.0
     sweeps += [replace(sweeps[0], sigma2_by_order=zero), replace(sweeps[1], sigma2_by_order=infinite)]
-    sizes += sizes[:2]
     for criterion in ("aic", "aicc", "bic"):
-        expected = []
-        for sweep, n in zip(sweeps, sizes):
-            try:
-                expected.append(scan_sweep(sweep, n, criterion).selected_p)
-            except ValueError as exc:
-                expected.append(str(exc))
-        assert expected[-2:] == ["sigma2 must be positive", "no candidate orders to select from"]
         for order in (list(range(len(sweeps))), list(range(len(sweeps)))[::-1], [3], [12, 4]):
-            selected = in_rows(order, lambda rows: sweep_orders(
-                [sweeps[i] for i in rows], [sizes[i] for i in rows], criterion))
+            n = int(rng.integers(200, 3000))
+            expected = []
+            for sweep in sweeps:
+                try:
+                    expected.append(scan_sweep(sweep, n, criterion).selected_p)
+                except ValueError as exc:
+                    expected.append(str(exc))
+            assert expected[-2:] == ["sigma2 must be positive", "no candidate orders to select from"]
+            selected = in_rows(order, lambda rows: sweep_orders([sweeps[i] for i in rows], n,
+                                                                criterion))
             assert [str(p) if isinstance(p, ValueError) else p for p in selected] == [
                 expected[i] for i in order
             ]
@@ -196,7 +194,7 @@ def test_order_scan_input_guards():
     alternating = fit_sweep(TimeSeries(np.array([1.0, -1.0, 1.0, -1.0]), 1.0), 1)
     assert alternating.sigma2_by_order[0] == 0.0
     for select in (lambda: scan_sweep(alternating, 4, "nope"),
-                   lambda: sweep_orders([alternating], [4], "nope")):
+                   lambda: sweep_orders([alternating], 4, "nope")):
         with pytest.raises(ValueError, match="^unknown criterion: 'nope'$"):
             select()
     with pytest.raises(ValueError, match="p_max"):

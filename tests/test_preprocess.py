@@ -191,6 +191,19 @@ def test_prepare_into_refuses_what_difference_refuses():
     assert type(outcome) is ValueError and str(outcome) == "samples contains non-finite values"
 
 
+def test_prepare_rows_prepares_the_rows_again_after_a_reported_underflow():
+    # The first pass raises the underflow that the error state reports;
+    # the checked pass warns of it once and returns every row prepared.
+    rows = 1e-310 * np.random.default_rng(6).standard_normal((3, 7))
+    with np.errstate(under="ignore"):
+        expected = [demean(difference(TimeSeries(row, 1.0), 0)).samples for row in rows]
+    with np.errstate(under="warn"), pytest.warns(RuntimeWarning) as warned:
+        prepared = prepare_rows(rows, 0, np.empty((3, 7)))
+    assert [str(warning.message) for warning in warned] == ["underflow encountered in divide"]
+    for row, values in zip(prepared, expected, strict=True):
+        assert np.array_equal(row, values)
+
+
 @PROPERTY
 @given(
     magnitudes=st.lists(st.floats(0.9e308, 1.7e308), min_size=20, max_size=80),
