@@ -14,9 +14,11 @@ criterion (AIC at d = 0, AICc at d = 1, BIC at d = 2).
 
 Prints the number of files, the sha256 over each run's arguments, exit
 status and printed lines, and each written file's name and bytes, in run
-order, and the NumPy version, BLAS name and version and
-``OPENBLAS_NUM_THREADS`` it ran under, since long dot products may round
-differently on another build or at another BLAS thread count.  Run as a
+order, and the NumPy version, BLAS name and version,
+``OPENBLAS_NUM_THREADS`` and OpenBLAS core it ran under, since long dot
+products may round differently on another build, at another BLAS thread
+count or on another core (the kernel set OpenBLAS picks for the CPU, or
+that ``OPENBLAS_CORETYPE`` names).  Run as a
 script, it sets that variable to 1 when it is unset, before NumPy is
 imported, so that a bare command reproduces the recorded digest; a value
 set by the caller still holds.  A change that keeps the CSV formats byte
@@ -26,6 +28,7 @@ for byte keeps the digest.  With ``--expect SHA256`` it exits with status
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -78,12 +81,21 @@ def runs() -> list[list[str]]:
 
 
 def build() -> str:
-    """The NumPy version, the BLAS it was built with and the
-    ``OPENBLAS_NUM_THREADS`` of this run: a digest matches its pin only
-    on the build and thread count the pin was taken on."""
+    """The NumPy version, the BLAS it was built with, the
+    ``OPENBLAS_NUM_THREADS`` of this run and the OpenBLAS core, the kernel
+    set that NumPy's OpenBLAS picked for this CPU ("unknown" where NumPy
+    carries no scipy-openblas library): a digest matches its pin only on
+    the build, thread count and core the pin was taken on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, OPENBLAS_NUM_THREADS={threads}"
+    core = "unknown"
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return (f"numpy {np.__version__}, {blas['name']} {blas['version']}, "
+            f"OPENBLAS_NUM_THREADS={threads}, core {core}")
 
 
 def main(argv=None) -> int:

@@ -16,9 +16,11 @@ raised: 432 configs.
 
 Prints the number of configs, the sha256 of the repr of every
 ``(config, per_channel, sorted errors)`` in grid order, and the NumPy
-version, BLAS name and version and ``OPENBLAS_NUM_THREADS`` it ran under,
-since long dot products may round differently on another build or at
-another BLAS thread count.  Run as a script, it sets that
+version, BLAS name and version, ``OPENBLAS_NUM_THREADS`` and OpenBLAS
+core it ran under, since long dot products may round differently on
+another build, at another BLAS thread count or on another core (the
+kernel set OpenBLAS picks for the CPU, or that ``OPENBLAS_CORETYPE``
+names).  Run as a script, it sets that
 variable to 1 when it is unset, before NumPy is imported, so that a bare
 command reproduces the recorded digest; a value set by the caller still
 holds.  A change that keeps every decision and error bit for bit keeps the
@@ -27,10 +29,12 @@ is another one.
 """
 
 import argparse
+import ctypes
 import hashlib
 import itertools
 import os
 import sys
+from pathlib import Path
 
 if __name__ == "__main__":
     # One BLAS thread unless the caller sets another; OpenBLAS reads this
@@ -70,12 +74,21 @@ def recording(seed: int, n: int) -> Recording:
 
 
 def build() -> str:
-    """The NumPy version, the BLAS it was built with and the
-    ``OPENBLAS_NUM_THREADS`` of this run: a digest matches its pin only
-    on the build and thread count the pin was taken on."""
+    """The NumPy version, the BLAS it was built with, the
+    ``OPENBLAS_NUM_THREADS`` of this run and the OpenBLAS core, the kernel
+    set that NumPy's OpenBLAS picked for this CPU ("unknown" where NumPy
+    carries no scipy-openblas library): a digest matches its pin only on
+    the build, thread count and core the pin was taken on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-    return f"numpy {np.__version__}, {blas['name']} {blas['version']}, OPENBLAS_NUM_THREADS={threads}"
+    core = "unknown"
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            core = corename().decode()
+    return (f"numpy {np.__version__}, {blas['name']} {blas['version']}, "
+            f"OPENBLAS_NUM_THREADS={threads}, core {core}")
 
 
 def main(argv=None) -> int:

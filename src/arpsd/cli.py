@@ -26,44 +26,48 @@ from .io_csv import (
     write_psd_csv,
     write_recording_csv,
 )
-from .order_selection import order_scan
+from .order_selection import CRITERIA, order_scan
 from .preprocess import demean, difference
 from .simulate import simulate_recording
 
 METHOD_FLAGS = {"yw": "yule_walker", "burg": "burg", "mle": "mle"}
 METHOD_TITLES = {"mle": "MLE", "yule_walker": "Yule-Walker", "burg": "Burg"}
+DEFAULTS = RunConfig()
+DEFAULT_METHOD_FLAG = {method: flag for flag, method in METHOD_FLAGS.items()}[DEFAULTS.method]
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser, with_method: bool = True,
                         with_order: bool = True, with_screen: bool = True) -> None:
     """The run configuration's flags that a subcommand reads; ``--k``,
-    ``--rho`` and ``--correction`` only for one that screens."""
+    ``--rho`` and ``--correction`` only for one that screens.  Their
+    defaults are :class:`arpsd.config.RunConfig`'s."""
     if with_method:
         parser.add_argument(
-            "--method", choices=sorted(METHOD_FLAGS), default="burg",
-            help="estimation method (default burg)",
+            "--method", choices=sorted(METHOD_FLAGS), default=DEFAULT_METHOD_FLAG,
+            help="estimation method (default %(default)s)",
         )
     if with_order:
         parser.add_argument(
-            "--order", default="10",
-            help='model order, or "auto" to select by --criterion (default 10)',
+            "--order", default=str(DEFAULTS.order),
+            help='model order, or "auto" to select by --criterion (default %(default)s)',
         )
     parser.add_argument(
-        "--criterion", choices=["aic", "aicc", "bic"], default="bic",
-        help="order-selection criterion (default bic)",
+        "--criterion", choices=CRITERIA, default=DEFAULTS.criterion,
+        help="order-selection criterion (default %(default)s)",
     )
-    parser.add_argument("--p-max", type=int, default=30, help="highest order scanned (default 30)")
-    parser.add_argument("-d", "--diff", type=int, default=1, help="differencing passes (default 1)")
-    parser.add_argument("--grid-size", type=int, default=512, help="frequency grid points (default 512)")
+    parser.add_argument("--p-max", type=int, help="highest order scanned (default %(default)s)")
+    parser.add_argument("-d", "--diff", type=int, help="differencing passes (default %(default)s)")
+    parser.add_argument("--grid-size", type=int, help="frequency grid points (default %(default)s)")
+    parser.set_defaults(p_max=DEFAULTS.p_max, diff=DEFAULTS.diff_order, grid_size=DEFAULTS.grid_size)
     parser.add_argument(
         "--fs", type=float, default=128.0,
         help="sample rate in Hz when the file carries none (default 128)",
     )
     if with_screen:
-        parser.add_argument("--k", type=float, default=2.0,
-                            help="PSD threshold multiplier (default 2.0)")
-        parser.add_argument("--rho", type=float, default=0.5,
-                            help="low-band dominance threshold (default 0.5)")
+        parser.add_argument("--k", type=float, default=DEFAULTS.k,
+                            help="PSD threshold multiplier (default %(default)s)")
+        parser.add_argument("--rho", type=float, default=DEFAULTS.rho,
+                            help="low-band dominance threshold (default %(default)s)")
         parser.add_argument(
             "--correction", action="store_true",
             help="divide the PSD by the differencing response before banding",
@@ -152,17 +156,18 @@ def _cmd_psd(args) -> int:
         raise ValueError("exactly one of --channel or --all is required")
     config = _config_from_args(args)
     recording = read_recording_csv(args.recording, default_sample_rate_hz=args.fs)
-    names = recording.names if args.all else (args.channel,)
+    if not args.all:
+        recording = Recording({args.channel: _channel(recording, args.channel)})
     out_dir = Path(args.out)
     targets: dict[Path, str] = {}
-    for name in names:
+    for name in recording.names:
         target = out_dir / (name.replace("/", "_") + ".csv")
         if target in targets:
             raise ValueError(f"channels {targets[target]!r} and {name!r} would both write {target}")
         targets[target] = name
     # Every spectrum first, in one block pass, so that a failing channel
     # leaves no file behind; the first failing channel's error is raised.
-    spectra = channel_psds([_channel(recording, name) for name in targets.values()], config)
+    spectra = channel_psds(recording, config)
     for spectrum in spectra:
         if isinstance(spectrum, Exception):
             raise spectrum
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("recording", help="recording CSV")
     p_fit.add_argument("--channel", required=True, help="derivation name")
     p_fit.add_argument(
-        "--method", choices=sorted(METHOD_FLAGS) + ["all"], default="burg",
+        "--method", choices=sorted(METHOD_FLAGS) + ["all"], default=DEFAULT_METHOD_FLAG,
         help="estimation method, or all for a three-column table",
     )
     _add_pipeline_flags(p_fit, with_method=False, with_screen=False)

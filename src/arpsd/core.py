@@ -176,9 +176,9 @@ class TimeSeries(ArrayFields):
         The checks are the constructor's, including its one pass over the
         samples for finiteness; only the copy is skipped.  The array is made
         read-only in place, so the caller must own it outright: a fresh
-        result such as the output of ``np.diff`` or a column the CSV reader
-        has just parsed; never a view of samples that something else may
-        still write.
+        result such as the output of ``np.diff``, or a row of a matrix that
+        :meth:`Recording.adopt` holds; never a view of samples that
+        something else may still write.
         """
         series = cls.__new__(cls)
         series._freeze(_frozen_array(samples, name="samples", copy=False), sample_rate_hz)
@@ -210,10 +210,16 @@ class TimeSeries(ArrayFields):
 
 @dataclass(frozen=True)
 class Recording:
-    """An ordered collection of equally long, equally sampled channels.
+    """An ordered collection of equally long, equally sampled channels,
+    held once as the rows of one matrix.
 
-    Channel order is the insertion order of ``channels`` and is preserved
-    by every operation that iterates over a recording.
+    ``samples`` is a read-only, C-contiguous channels x samples float64
+    array, and ``channels`` maps each name, in row order, to a
+    :class:`TimeSeries` view of its row.  ``Recording(mapping)`` copies
+    the channels into the matrix; :meth:`adopt` wraps a matrix without
+    copying it.  Channel order is the insertion order of the mapping, or
+    the row order, and is preserved by every operation that iterates over
+    a recording.
     """
 
     channels: Mapping[str, TimeSeries]
@@ -228,7 +234,32 @@ class Recording:
         rates = {ts.sample_rate_hz for ts in chans.values()}
         if len(rates) != 1:
             raise ValueError("all channels must share one sample rate")
-        object.__setattr__(self, "channels", chans)
+        self._hold(list(chans), np.array([ts.samples for ts in chans.values()]), rates.pop())
+
+    @classmethod
+    def adopt(cls, names: Sequence[str], samples: np.ndarray, sample_rate_hz: float) -> "Recording":
+        """Wrap a channels x samples float64 matrix the caller has just
+        made, one row per name, without copying it.
+
+        The checks are the constructor's: at least one channel, and each
+        row's checks as :meth:`TimeSeries.adopt` makes them, one pass over
+        the samples for finiteness included; the names must be distinct,
+        one per row.  The matrix is made read-only in place, so the caller
+        must own it outright, as for :meth:`TimeSeries.adopt`.
+        """
+        recording = cls.__new__(cls)
+        recording._hold(list(names), np.asarray(samples, np.float64, order="C"), sample_rate_hz)
+        return recording
+
+    def _hold(self, names: list, samples: np.ndarray, sample_rate_hz: float) -> None:
+        if samples.ndim != 2 or len(set(names)) != len(names) or len(names) != len(samples):
+            raise ValueError("need one distinct channel name per row of samples")
+        if not names:
+            raise ValueError("recording must contain at least one channel")
+        channels = {name: TimeSeries.adopt(row, sample_rate_hz) for name, row in zip(names, samples)}
+        samples.setflags(write=False)
+        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "samples", samples)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -236,7 +267,7 @@ class Recording:
 
     @property
     def n_samples(self) -> int:
-        return len(next(iter(self.channels.values())))
+        return self.samples.shape[1]
 
     @property
     def sample_rate_hz(self) -> float:

@@ -6,11 +6,12 @@ and every CLI subcommand share: :func:`fit_channel` prepares the channel
 and fits it as the run configuration says, :func:`channel_psd` turns the
 fit into a masked spectrum, and :func:`classify_channel` flags it.
 :func:`fit_channel`, :func:`channel_psds` and ``detect_recording`` run
-one block pass (:func:`_screen_blocks`) over equal-length channels:
-:func:`arpsd.estimation.fit_sweeps` prepares and sweeps a block's
-channels of up to 10,000 samples as rows of one matrix, and each block
-it yields runs as one stage through :func:`arpsd.core.in_rows`, which
-selects the block's orders (one
+one block pass (:func:`_screen_blocks`) over the rows of one samples
+matrix, a recording's :attr:`arpsd.core.Recording.samples` or a
+channel's one row: :func:`arpsd.estimation.fit_sweeps` reads a block's
+channels of up to 10,000 samples as one view of the rows, prepares and
+sweeps them, and each block it yields runs as one stage through
+:func:`arpsd.core.in_rows`, which selects the block's orders (one
 :func:`arpsd.order_selection.sweep_orders` call under ``order="auto"``),
 takes each sweep's fit at its order and screens the block's fits at
 once.  ``detect_recording`` screens them into decisions,
@@ -180,21 +181,27 @@ def fit_channel(x: TimeSeries, config: RunConfig) -> FitResult:
     :func:`detect_recording` (:func:`_screen_blocks`) over one channel,
     with a screen that keeps the fit.
     """
-    (outcome,) = _screen_blocks([x], config, lambda fitted: [fit for _, fit in fitted])
+    return _screen_channel(x, config, lambda fitted: [fit for _, fit in fitted])
+
+
+def _screen_channel(x: TimeSeries, config: RunConfig, screen: Callable[[list], list]):
+    """What ``screen`` gives the fit of the one raw channel ``x``, by
+    :func:`_screen_blocks` over its samples as one row; the error that
+    its fit or screen raises is raised."""
+    (outcome,) = _screen_blocks(x.samples[np.newaxis], config, screen)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
-                   screen: Callable[[list], list]):
-    """Yield the outcome of each of the equal-length ``channels``, in
-    channel order: what ``screen`` gives its fit, as :func:`fit_channel`
-    fits it, or the ValueError or ArithmeticError that its fit or screen
-    raises.
+def _screen_blocks(rows: np.ndarray, config: RunConfig, screen: Callable[[list], list]):
+    """Yield the outcome of each raw channel of ``rows``, a channels x
+    samples array, in row order: what ``screen`` gives its fit, as
+    :func:`fit_channel` fits it, or the ValueError or ArithmeticError that
+    its fit or screen raises.
 
     :func:`arpsd.estimation.fit_sweeps` prepares the raw channels, a block
-    at a time as rows of one matrix, checks the prepared length against
+    at a time from a view of the rows, checks the prepared length against
     the order scan under ``order="auto"``, and sweeps them to
     ``config.p_max`` or to the fixed order.  Each block then runs as one
     stage under :func:`arpsd.core.in_rows`: its orders are selected (by
@@ -208,7 +215,7 @@ def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
     if auto:
         check = partial(check_scan, p_max=config.p_max, method=config.method,
                         criterion=config.criterion)
-    n = len(channels[0]) - config.diff_order if channels else 0
+    n = rows.shape[1] - config.diff_order
 
     def stage(swept: list) -> list:
         indices, sweeps = zip(*swept)
@@ -216,7 +223,7 @@ def _screen_blocks(channels: Sequence[TimeSeries], config: RunConfig,
         return screen([(index, sweep.fit(order))
                        for index, sweep, order in zip(indices, sweeps, orders)])
 
-    for block in fit_sweeps(channels, config.p_max if auto else config.order, config.method,
+    for block in fit_sweeps(rows, config.p_max if auto else config.order, config.method,
                             config.grid_size, config.diff_order, check):
         yield from in_rows([sweep if isinstance(sweep, Exception) else (index, sweep)
                             for index, sweep in block], stage)
@@ -247,37 +254,33 @@ def channel_psd(x: TimeSeries, config: RunConfig) -> MaskedSpectrum:
     below ``config.k`` times the grid mean.  This is the one-channel case
     of :func:`channel_psds`.
     """
-    (outcome,) = channel_psds([x], config)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    spectra = partial(_masked_spectra, config=config, sample_rate_hz=x.sample_rate_hz)
+    return _screen_channel(x, config, spectra)
 
 
-def channel_psds(channels: Sequence[TimeSeries], config: RunConfig) -> list:
-    """:func:`channel_psd` of each raw channel, or the ValueError or
-    ArithmeticError it raises, in channel order.  The channels must all
-    have the same sample count.
+def channel_psds(recording: Recording, config: RunConfig) -> list:
+    """:func:`channel_psd` of each channel of ``recording``, or the
+    ValueError or ArithmeticError it raises, in channel order.
 
     The channels are fitted and their spectra masked a block at a time,
     by the block pass of :func:`detect_recording` (:func:`_screen_blocks`
-    and the row forms of the screen's spectral stages), so each channel
-    gets the bits it gets alone.
+    over ``recording.samples`` and the row forms of the screen's spectral
+    stages), so each channel gets the bits it gets alone.
     """
-    rates = [x.sample_rate_hz for x in channels]
-    spectra = partial(_masked_spectra, config=config, rates=rates)
-    return list(_screen_blocks(channels, config, spectra))
+    spectra = partial(_masked_spectra, config=config, sample_rate_hz=recording.sample_rate_hz)
+    return list(_screen_blocks(recording.samples, config, spectra))
 
 
 def _masked_spectra(fitted: Sequence[tuple[int, FitResult]], config: RunConfig,
-                    rates: Sequence[float]) -> list:
-    """The masked spectrum of each ``(index, fit)``'s model, at the sample
-    rate ``rates[index]``, by :func:`_masked_rows`."""
-    indices, fits = zip(*fitted)
+                    sample_rate_hz: float) -> list:
+    """The masked spectrum of each ``(index, fit)``'s model, at
+    ``sample_rate_hz``, by :func:`_masked_rows`."""
+    _, fits = zip(*fitted)
     freqs, values, (mean_power, masked, survivors) = _masked_rows(fits, config)
     return [
-        MaskedSpectrum(SpectrumEstimate(freqs, values[row], rates[index]), float(config.k),
+        MaskedSpectrum(SpectrumEstimate(freqs, values[row], sample_rate_hz), float(config.k),
                        float(mean_power[row]), masked[row], float(survivors[row]))
-        for row, index in enumerate(indices)
+        for row in range(len(fits))
     ]
 
 
@@ -306,9 +309,10 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     message, and the remaining channels are still screened.
 
     Channels are fitted and screened in one pass per block
-    (:func:`_screen_blocks`): each block is swept as by
-    :func:`fit_channel`, its channels prepared as rows of one reused
-    matrix, and its orders are selected and its fitted models screened in
+    (:func:`_screen_blocks` over ``recording.samples``): each block is
+    swept as by :func:`fit_channel`, read as a view of the recording's
+    rows and prepared into those of one reused matrix, and its orders are
+    selected and its fitted models screened in
     one stage, by the row-wise forms of :func:`channel_psd`'s and
     :func:`classify_channel`'s stages, through :func:`arpsd.core.in_rows`.
     Each channel gets the bits it gets alone.  ``errors`` keeps the
@@ -320,7 +324,7 @@ def detect_recording(recording: Recording, config: RunConfig | None = None) -> D
     names = recording.names
     screen = partial(_screen_rows, config=config, names=names,
                      sample_rate_hz=recording.sample_rate_hz)
-    outcomes = list(_screen_blocks([recording[name] for name in names], config, screen))
+    outcomes = list(_screen_blocks(recording.samples, config, screen))
     decisions = tuple(outcome for outcome in outcomes if isinstance(outcome, ChannelDecision))
     errors = {name: str(outcome) for name, outcome in zip(names, outcomes)
               if isinstance(outcome, Exception)}

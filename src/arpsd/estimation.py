@@ -19,20 +19,20 @@ Three fitting routes share one coefficient convention (see
 All three return a :class:`FitResult` carrying the model, the reflection
 coefficients, and the prediction-error power at every order up to p.
 ``fit_sweep`` fits every order up to p_max at once, and each fitter is
-its order-p fit.  ``fit_sweeps`` sweeps many channels of one length with
-one method, and ``fit_sweep`` is its one-channel case.  One loop and one
-order check serve every method, ``BLOCK_CHANNELS`` channels at a time.
-The loop reads a block's channels, when they have at most
-``_ROW_SAMPLES`` samples, as rows of one matrix, and otherwise each
-alone, through the same row forms of the preparation,
-the centring, the lag products and the periodogram
-(:mod:`arpsd.preprocess`), each one call over the rows.  The rows then
-run as the lag-product stages of Burg channels or as the Levinson
-recursion and MLE variance of Yule-Walker and MLE channels.  A row
-kernel raises the faults of its rows (:func:`arpsd.core.raise_row_faults`),
-and both the read and the fit run under :func:`arpsd.core.in_rows`,
-which settles each fault on its channel.  Each channel gets the bits it
-gets alone.  A sweep's
+its order-p fit.  ``fit_sweeps`` sweeps the channels of one channels x
+samples matrix, such as a recording's samples, with one method, and
+``fit_sweep`` is its one-channel case.  One loop and one order check
+serve every method, ``BLOCK_CHANNELS`` channels at a time.  The loop
+reads a block's channels, when they have at most ``_ROW_SAMPLES``
+samples, as one view of the matrix's rows, and otherwise each alone,
+through the same row forms of the preparation, the centring, the lag
+products and the periodogram (:mod:`arpsd.preprocess`), each one call
+over the rows.  The rows then run as the lag-product stages of Burg
+channels or as the Levinson recursion and MLE variance of Yule-Walker
+and MLE channels.  A row kernel raises the faults of its rows
+(:func:`arpsd.core.raise_row_faults`), and both the read and the fit run
+under :func:`arpsd.core.in_rows`, which settles each fault on its
+channel.  Each channel gets the bits it gets alone.  A sweep's
 coefficients are one p x p array per recursion, whose row m - 1 holds
 a(1..m) and whose diagonal holds k(1..p).
 """
@@ -600,30 +600,29 @@ def fit_sweep(
     ValueError
         As the method's fitter does at order p_max.
     """
-    [[(_, outcome)]] = fit_sweeps([x], p_max, method, grid_size)
+    [[(_, outcome)]] = fit_sweeps(x.samples[np.newaxis], p_max, method, grid_size)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 def fit_sweeps(
-    channels: Sequence[TimeSeries], p: int, method: str = METHOD_BURG, grid_size: int = 512,
+    rows: np.ndarray, p: int, method: str = METHOD_BURG, grid_size: int = 512,
     diff_order: int | None = None, check: Callable[[int], None] | None = None,
 ):
-    """Sweeps to order p of each of ``channels``, which must all have the
-    same sample count.
+    """Sweeps to order p of each channel of ``rows``, a channels x samples
+    float64 array such as :attr:`arpsd.core.Recording.samples`.
 
     Yields one list per block of ``BLOCK_CHANNELS`` channels, in channel
     order: ``(index, outcome)`` of each, the sweep that
-    ``fit_sweep(channels[index], p, method, grid_size)`` returns, bit for
-    bit, or the ValueError or ArithmeticError that it raises.  No sweep
-    holds a view of a channel's samples.  An unknown ``method``, and
-    channels of more than one length ("all channels must have the same
-    sample count", as :class:`arpsd.core.Recording` words it), raise
-    ValueError when the first block is asked for.
+    ``fit_sweep(TimeSeries(rows[index], fs), p, method, grid_size)``
+    returns, bit for bit, or the ValueError or ArithmeticError that it
+    raises.  No sweep holds a view of ``rows``, which is only read.  An
+    unknown ``method`` raises ValueError when the first block is asked
+    for.
 
     With ``diff_order`` set, each channel is first prepared as
-    ``demean(difference(channels[index], diff_order))``
+    ``demean(difference(x, diff_order))``
     (:func:`arpsd.preprocess.prepare_rows`), and a channel whose
     preparation raises ends in that error.  ``check(n)``, when given, is
     called with the prepared length before the channels are fitted, then
@@ -631,55 +630,47 @@ def fit_sweeps(
     for which either raises ValueError end in that error.
 
     Channels of at most ``_ROW_SAMPLES`` samples are read a block at a
-    time as rows of one matrix, and each stage is one call over the rows:
-    the preparation, the fitters' centring, the lag products
+    time, and each stage is one call over the block's rows: the
+    preparation, the fitters' centring, the lag products
     (:func:`arpsd.preprocess.lag_products`) and, for MLE, the periodogram
     and its circular autocovariance.  A longer channel is read alone,
-    through the same stages with one row.  The rows are read into two
-    arrays made once per call.  Of a Burg channel only its lag row is
-    kept (:func:`_lag_rows`), and of a Yule-Walker or MLE channel its
-    autocovariances and, for MLE, its periodogram (:func:`_read_levinson`).
-    These rows run a block at a time, by :func:`_lag_block` or
-    :func:`_levinson_block`; a Burg channel whose lag stages stop short is
-    prepared again for the lattice.  No stage mixes rows, and the read and
-    the fit of a block each run under :func:`arpsd.core.in_rows`: a stage
-    that raises the faults of some rows settles those channels, and the
-    others run that part again without them; any other fault of a stage
-    (under ``np.seterr(..., "raise")`` a floating-point one) runs the part
-    again a channel at a time.  So each channel gets the outcome it gets
-    alone.
+    through the same stages with one row.  Consecutive channels are read
+    as a view of ``rows``; only a block read again without its faulty
+    channels takes a copy of the others.  They are prepared and centred
+    into one array made once per call.  Of a Burg channel only its lag
+    row is kept (:func:`_lag_rows`), and of a Yule-Walker or MLE channel
+    its autocovariances and, for MLE, its periodogram
+    (:func:`_read_levinson`).  These rows run a block at a time, by
+    :func:`_lag_block` or :func:`_levinson_block`; a Burg channel whose
+    lag stages stop short is prepared again for the lattice.  No stage
+    mixes rows, and the read and the fit of a block each run under
+    :func:`arpsd.core.in_rows`: a stage that raises the faults of some
+    rows settles those channels, and the others run that part again
+    without them; any other fault of a stage (under
+    ``np.seterr(..., "raise")`` a floating-point one) runs the part again
+    a channel at a time.  So each channel gets the outcome it gets alone.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    lengths = {len(x) for x in channels}
-    if len(lengths) > 1:
-        raise ValueError("all channels must have the same sample count")
-    if not lengths:
-        return
-    (n,) = lengths
+    count, n = rows.shape
     burg = method == METHOD_BURG
     checks = [] if check is None else [check]
     checks.append(partial(_check_order, p=p, grid_size=grid_size if method == METHOD_MLE else None))
-    blocks = [list(range(start, min(start + BLOCK_CHANNELS, len(channels))))
-              for start in range(0, len(channels), BLOCK_CHANNELS)]
-    # A block's short channels are copied into the rows of ``raw`` and
-    # prepared and centred into those of ``out``; a long channel is
-    # prepared from its own samples into ``out``'s one row.
-    raw = np.empty((len(blocks[0]), n)) if n <= _ROW_SAMPLES else None
-    out = np.empty((1, n) if raw is None else raw.shape)
+    blocks = [list(range(start, min(start + BLOCK_CHANNELS, count)))
+              for start in range(0, count, BLOCK_CHANNELS)]
+    # A block's short channels are prepared and centred into the rows of
+    # ``out``, a long channel into its one row.
+    out = np.empty((min(count, BLOCK_CHANNELS) if n <= _ROW_SAMPLES else 1, n))
 
     def centred(indices: list) -> np.ndarray:
         # The centred rows of the channels, valid until ``out`` is written.
-        if raw is None:
-            (index,) = indices
-            rows = channels[index].samples[np.newaxis]
-        else:
-            rows = np.stack([channels[i].samples for i in indices], out=raw[: len(indices)])
-        return _centred(rows, out[: len(indices)], diff_order, checks)
+        first, last = indices[0], indices[-1]
+        block = rows[first : last + 1] if last - first < len(indices) else rows[indices]
+        return _centred(block, out[: len(indices)], diff_order, checks)
 
     def read(indices: list):
-        rows = centred(indices)
-        return _lag_rows(rows, p) if burg else _read_levinson(rows, p, method, grid_size)
+        x = centred(indices)
+        return _lag_rows(x, p) if burg else _read_levinson(x, p, method, grid_size)
 
     def fit(block: list) -> list:
         if burg:
@@ -688,10 +679,10 @@ def fit_sweeps(
         return _levinson_block(block, p, method)
 
     for indices in blocks:
-        groups = [indices] if raw is not None else [[index] for index in indices]
-        rows = [row for group in groups for row in in_rows(group, read)]
-        items = [row if isinstance(row, Exception) else (index, row)
-                 for index, row in zip(indices, rows)]
+        groups = [indices] if n <= _ROW_SAMPLES else [[index] for index in indices]
+        outcomes = [outcome for group in groups for outcome in in_rows(group, read)]
+        items = [outcome if isinstance(outcome, Exception) else (index, outcome)
+                 for index, outcome in zip(indices, outcomes)]
         yield list(zip(indices, in_rows(items, fit)))
 
 

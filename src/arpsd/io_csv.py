@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .core import Recording, TimeSeries
+from .core import Recording
 from .detection import DetectionReport
 
 __all__ = [
@@ -80,7 +80,8 @@ def _check_names(names: Iterable[str], where: str, kind: str = "channel") -> Non
 
 def _walk(path, comment: Callable[[int, str], None] | None = None):
     """Yield ``(line_number, cells)`` for each data line of the UTF-8 file
-    at ``path``, 1-based.
+    at ``path``, 1-based.  A byte-order mark at the start of the file, as
+    spreadsheet tools write in "CSV UTF-8", is dropped.
 
     Blank lines are skipped.  A line that starts with ``#`` is a comment,
     passed whole to ``comment(line_number, line)`` when that is given.  A
@@ -89,7 +90,7 @@ def _walk(path, comment: Callable[[int, str], None] | None = None):
     line-numbered ValueError.
     """
     width = None
-    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for number, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         content = raw.strip()
         if content.startswith("#"):
             if comment is not None:
@@ -134,7 +135,9 @@ def read_recording_csv(path, default_sample_rate_hz: float = 128.0) -> Recording
 
     The first non-comment line is a header of derivation names; each
     following line holds one sample per channel.  A ``# fs=<hz>``
-    comment overrides ``default_sample_rate_hz``.
+    comment overrides ``default_sample_rate_hz``.  The cells are parsed
+    into one channels x samples matrix, which the recording adopts
+    (:meth:`arpsd.core.Recording.adopt`) after one finiteness scan.
 
     Raises
     ------
@@ -172,17 +175,11 @@ def read_recording_csv(path, default_sample_rate_hz: float = 128.0) -> Recording
                 raise ValueError(f"line {number}: non-numeric cell {cell!r}") from None
     if not columns[0]:
         raise ValueError("no data rows found")
-    samples = [np.array(column) for column in columns]
-    bad = [
-        (int(np.argmin(finite)), channel)
-        for channel, finite in enumerate(np.isfinite(column) for column in samples)
-        if not finite.all()
-    ]
-    if bad:
-        raise ValueError(_non_finite_cell(path, *min(bad), header))
-    return Recording({
-        name: TimeSeries.adopt(column, sample_rate) for name, column in zip(header, samples)
-    })
+    samples = np.array(columns)
+    bad = np.argwhere(~np.isfinite(samples.T))
+    if bad.size:
+        raise ValueError(_non_finite_cell(path, *bad[0].tolist(), header))
+    return Recording.adopt(header, samples, sample_rate)
 
 
 def _non_finite_cell(path, row: int, channel: int, header: list[str]) -> str:
@@ -201,13 +198,12 @@ def write_recording_csv(path, recording: Recording, extra_comments: Sequence[str
     name that the reader could not read back raises a ValueError that
     names it, before anything is written.
     """
-    matrix = np.column_stack([recording[name].samples for name in recording.names])
     _write(
         path, recording.names,
         [*echo_lines("recording"), *(f"# {comment}" for comment in extra_comments),
          f"# fs={_fmt(recording.sample_rate_hz)}"],
         ",".join(recording.names),
-        (",".join(_fmt(v) for v in row) for row in matrix),
+        (",".join(_fmt(v) for v in row) for row in recording.samples.T),
     )
 
 

@@ -131,7 +131,9 @@ def simulate_recording(
     deviation ``noise_sigma``.  Each burst adds a resonator signal scaled
     so its sample variance is ``snr * gain`` times the noise variance.
     Channel streams derive from ``seed`` and the channel index, so adding
-    or reordering later channels never perturbs earlier ones.
+    or reordering later channels never perturbs earlier ones.  Each
+    channel is drawn straight into its row of the recording's samples
+    matrix (:meth:`arpsd.core.Recording.adopt`).
 
     Returns
     -------
@@ -171,7 +173,7 @@ def simulate_recording(
         burst_by_channel[burst.channel] = burst
     root = np.random.SeedSequence(seed)
     channel_seeds = root.spawn(len(names))
-    channels: dict[str, TimeSeries] = {}
+    samples = np.empty((len(names), n))
     annotations: dict[str, bool] = {}
     for index, name in enumerate(names):
         noise_seed, burst_seed = channel_seeds[index].spawn(2)
@@ -179,14 +181,13 @@ def simulate_recording(
         burst = burst_by_channel.get(name)
         # Finite parameters may still scale a sample past float64 (checked below).
         with np.errstate(over="ignore", invalid="ignore"):
-            samples = noise_sigma * rng.standard_normal(n)
+            samples[index] = noise_sigma * rng.standard_normal(n)
             if burst is not None:
                 model = resonator_model(burst.center_hz, burst.pole_radius, sample_rate_hz)
                 rhythm = simulate_ar(model, n, seed=burst_seed, sample_rate_hz=sample_rate_hz)
                 scale = np.sqrt(snr * burst.gain) * noise_sigma / rhythm.samples.std()
-                samples = samples + scale * rhythm.samples
-        if not np.isfinite(samples).all():
+                samples[index] += scale * rhythm.samples
+        if not np.isfinite(samples[index]).all():
             raise ValueError(f"scaled samples overflow in channel {name}")
-        channels[name] = TimeSeries(samples, sample_rate_hz)
         annotations[name] = burst is not None
-    return Recording(channels), annotations
+    return Recording.adopt(names, samples, sample_rate_hz), annotations

@@ -10,7 +10,7 @@ import pytest
 
 import arpsd
 from arpsd import MaskedSpectrum, Recording, RunConfig, TimeSeries, channel_psd, fit_channel
-from arpsd.cli import main
+from arpsd.cli import _config_from_args, build_parser, main
 from arpsd.detection import channel_psds
 from arpsd.io_csv import read_prediction_csv, read_recording_csv, write_recording_csv
 
@@ -335,7 +335,7 @@ def test_a_channel_whose_spectrum_is_refused_keeps_its_error_alone(tmp_path, cap
     sine = TimeSeries(np.sin(2.0 * np.pi * 6.0 * np.arange(2560) / 128.0), 128.0)
     channels = [recording["F8-T4"], sine]
     config = RunConfig()
-    outcomes = channel_psds(channels, config)
+    outcomes = channel_psds(Recording({"F8-T4": channels[0], "sine": sine}), config)
     for x, outcome in zip(channels, outcomes):
         try:
             alone = channel_psd(x, config)
@@ -402,3 +402,15 @@ def test_module_entry_point_reports_version():
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.stdout.strip() == f"arpsd {arpsd.__version__}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "rec.csv", "--channel", "Fz-Cz"],
+    ["order-scan", "rec.csv", "--channel", "Fz-Cz"],
+    ["psd", "rec.csv", "--out", "psd"],
+    ["detect", "rec.csv", "--out", "report.csv"],
+])
+def test_the_pipeline_flags_default_to_the_run_configuration(argv):
+    # The flags take their defaults from RunConfig, so that a bare command
+    # runs the library's default pipeline.
+    assert _config_from_args(build_parser().parse_args(argv)) == RunConfig()

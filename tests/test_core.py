@@ -6,6 +6,7 @@ import pytest
 from arpsd import (
     ArModel,
     AutocovarianceSeq,
+    BurstSpec,
     ConfusionCounts,
     FrequencyBand,
     Recording,
@@ -18,10 +19,12 @@ from arpsd import (
     fit_sweep,
     levinson_durbin,
     order_scan,
+    simulate_recording,
     threshold_psd,
 )
 from arpsd.core import RowFaults, in_rows, raise_row_faults
 from arpsd.estimation import ar_psd, ar_psd_rows
+from arpsd.io_csv import read_recording_csv, write_recording_csv
 from arpsd.order_selection import sweep_orders
 from arpsd.preprocess import periodogram, prepare_rows
 
@@ -90,6 +93,57 @@ def test_recording_rejects_mixed_rates():
 def test_recording_rejects_empty():
     with pytest.raises(ValueError, match="at least one channel"):
         Recording({})
+
+
+def _assert_rows_of_one_matrix(recording, names, rows):
+    """``recording`` holds ``rows`` once, as a read-only C-contiguous
+    matrix whose rows its channels view, in the order of ``names``."""
+    samples = recording.samples
+    assert samples.dtype == np.float64 and samples.shape == (len(names), rows.shape[1])
+    assert samples.flags.c_contiguous and not samples.flags.writeable
+    assert np.array_equal(samples, rows)
+    assert recording.names == tuple(names)
+    for row, (name, series) in enumerate(recording.channels.items()):
+        assert series is recording[name]
+        assert series.samples.base is samples and np.shares_memory(series.samples, samples[row])
+        assert np.array_equal(series.samples, rows[row])
+
+
+def test_a_recording_holds_its_channels_as_the_rows_of_one_matrix(tmp_path):
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((3, 50))
+    names = ["zz", "aa", "mm"]
+    copied = Recording({name: TimeSeries(row, 64.0) for name, row in zip(names, rows)})
+    _assert_rows_of_one_matrix(copied, names, rows)
+    fresh = rows.copy()
+    adopted = Recording.adopt(names, fresh, 64.0)
+    assert adopted.samples is fresh
+    _assert_rows_of_one_matrix(adopted, names, rows)
+    assert adopted == copied
+    simulated, _ = simulate_recording(names, 50, 64.0, 1.0, [BurstSpec("aa", 5.0, 0.9)], seed=8)
+    _assert_rows_of_one_matrix(simulated, names, np.array([x.samples for x in
+                                                           simulated.channels.values()]))
+    path = tmp_path / "rec.csv"
+    write_recording_csv(path, simulated)
+    _assert_rows_of_one_matrix(read_recording_csv(path), names, simulated.samples)
+
+
+def test_recording_adopt_checks_what_the_constructor_checks():
+    rows = np.ones((2, 4))
+    rows[1, 2] = np.nan
+    with pytest.raises(ValueError, match="^samples contains non-finite values$"):
+        Recording.adopt(["a", "b"], rows, 1.0)
+    for names in (["a"], ["a", "b", "c"], ["a", "a"]):
+        with pytest.raises(ValueError, match="^need one distinct channel name per row of samples$"):
+            Recording.adopt(names, np.ones((2, 4)), 1.0)
+    with pytest.raises(ValueError, match="^need one distinct channel name per row of samples$"):
+        Recording.adopt(["a"], np.ones(4), 1.0)
+    with pytest.raises(ValueError, match="^recording must contain at least one channel$"):
+        Recording.adopt([], np.ones((0, 4)), 1.0)
+    with pytest.raises(ValueError, match="^samples must contain at least 1 value"):
+        Recording.adopt(["a"], np.ones((1, 0)), 1.0)
+    with pytest.raises(ValueError, match="^sample_rate_hz must be positive and finite$"):
+        Recording.adopt(["a"], np.ones((1, 4)), 0.0)
 
 
 def test_ar_model_validation():

@@ -476,8 +476,8 @@ def test_the_shared_buffer_carries_nothing_from_one_channel_to_the_next(
 def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, order):
     # Burg channels are fitted from lag rows; the sine's stages stop short,
     # so it is prepared again for the lattice after the others.  Channels
-    # up to _ROW_SAMPLES are copied into the rows of one reused matrix and
-    # prepared into those of a second, a longer one straight into one
+    # up to _ROW_SAMPLES are read as a view of the samples matrix and
+    # prepared into the rows of one reused matrix, a longer one into one
     # reused row.  Every array that the preparation reads or writes is
     # recorded whole.
     buffers = {}
@@ -497,8 +497,9 @@ def test_a_channel_fit_holds_no_view_of_the_work_buffer(monkeypatch, method, ord
         noise = 1e-9 * np.random.default_rng(2).standard_normal(n)
         sine = TimeSeries(np.sin(2.0 * np.pi * 6.0 * np.arange(n) / 128.0) + noise, 128.0)
         channels = [recording["F8-T4"], sine, recording["Fp2-F8"]]
+        rows = np.array([x.samples for x in channels])
         buffers.clear()
-        outcomes = list(detection._screen_blocks(channels, config,
+        outcomes = list(detection._screen_blocks(rows, config,
                                                  lambda fitted: [fit for _, fit in fitted]))
         assert buffers
         for fitted, x in zip(outcomes, channels, strict=True):
@@ -553,13 +554,13 @@ def _detect_models(models, config, fs=128.0):
     entry is the message that channel's fit raises."""
     names = [f"c{i:02d}" for i in range(len(models))]
     recording = Recording({name: TimeSeries(np.arange(4.0), fs) for name in names})
-    by_series = {id(recording[name]): model for name, model in zip(names, models)}
 
-    def fit_sweeps(channels, *args):
-        # A sweep whose fit, at the configuration's order, is the model.
+    def fit_sweeps(rows, *args):
+        # A sweep whose fit, at the configuration's order, is the model of
+        # its row.
+        assert rows is recording.samples
         outcomes = []
-        for index, x in enumerate(channels):
-            model = by_series[id(x)]
+        for index, model in enumerate(models):
             if isinstance(model, str):
                 outcomes.append((index, ValueError(model)))
             else:

@@ -328,7 +328,7 @@ def test_orders_that_are_not_integers_are_refused(order):
         with pytest.raises(ValueError, match=f"^{name} must be an integer$") as raised:
             refuse()
         assert type(raised.value) is ValueError
-    [[(_, outcome)]] = fit_sweeps([x], order, "mle")
+    [[(_, outcome)]] = fit_sweeps(x.samples[np.newaxis], order, "mle")
     assert type(outcome) is ValueError and str(outcome) == "order must be an integer"
     sweep = fit_sweep(x, 4)
     with pytest.raises(ValueError, match="outside the sweep's 1..4"):

@@ -145,6 +145,40 @@ def test_read_recording_rejects_empty_inputs(tmp_path):
         read_recording_csv(path)
 
 
+def test_every_reader_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # Spreadsheet tools save "CSV UTF-8" with a byte-order mark.  A copy of
+    # a file with one reads as the file does, whether its first line is a
+    # comment or the header.
+    rng = np.random.default_rng(5)
+    recording = Recording({"Fz-Cz": TimeSeries(rng.standard_normal(64), 128.0),
+                           "flat": TimeSeries(np.full(64, 1.0), 128.0)})
+    write_recording_csv(tmp_path / "rec.csv", recording)
+    write_annotations(tmp_path / "truth.csv", {"Fz-Cz": True, "flat": False})
+    write_detection_report_csv(tmp_path / "report.csv", detect_recording(recording))
+    files = {
+        "bare_rec.csv": "Fz-Cz,flat\n1.0,2.0\n",
+        "bare_truth.csv": "derivation,label\nFz-Cz,1\n",
+        "bare_pred.csv": "derivation,flagged\nFz-Cz,1\n",
+        "bursts.csv": "# planted\nchannel,center_hz,pole_radius\nFz-Cz,5.0,0.95\n",
+        "bare_bursts.csv": "channel,center_hz,pole_radius\nFz-Cz,5.0,0.95\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    cases = [
+        (read_recording_csv, "rec.csv"), (read_recording_csv, "bare_rec.csv"),
+        (read_annotations, "truth.csv"), (read_annotations, "bare_truth.csv"),
+        (read_prediction_csv, "report.csv"), (read_prediction_csv, "bare_pred.csv"),
+        (read_report_errors, "report.csv"),
+        (read_burst_specs, "bursts.csv"), (read_burst_specs, "bare_bursts.csv"),
+    ]
+    assert read_report_errors(tmp_path / "report.csv") == {"flat": "degenerate signal"}
+    for reader, name in cases:
+        path = tmp_path / name
+        marked = tmp_path / f"bom_{name}"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert reader(marked) == reader(path), name
+
+
 def test_annotations_round_trip(tmp_path):
     path = tmp_path / "truth.csv"
     labels = {"F8-T4": True, "T4-T6": False, "Cz-Pz": True}

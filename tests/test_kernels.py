@@ -96,6 +96,12 @@ def _sine(n, hz=5.0, noise=0.0, seed=0):
     return x
 
 
+def _matrix(series):
+    """The samples of ``series`` as the rows of one matrix, as a recording
+    holds its channels."""
+    return np.array([x.samples for x in series])
+
+
 def _outcomes(blocks):
     """The ``(index, outcome)`` pairs of the blocks that ``fit_sweeps``
     yields, in order."""
@@ -184,7 +190,7 @@ def test_lag_products_serve_long_well_conditioned_inputs():
     for p in (30, 64):
         lag_coeffs, _, done = _lag_stages(x - x.mean(), p)
         assert done == p
-        [[(_, sweep)]] = fit_sweeps([TimeSeries(x, FS)], p)
+        [[(_, sweep)]] = fit_sweeps(x[np.newaxis], p)
         assert len(sweep.stages) == 1
         assert sweep.fit(p).model.coeffs.tobytes() == lag_coeffs[-1].tobytes()
 
@@ -291,11 +297,11 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
     # an overflowing row raises for the whole block, which then runs each
     # row alone.
     with np.errstate(all="raise"):
-        outcomes = _outcomes(fit_sweeps(series, p))
+        outcomes = _outcomes(fit_sweeps(_matrix(series), p))
         assert sorted(index for index, _ in outcomes) == list(range(len(series)))
         for row, outcome in outcomes:
             kind, x = rows[row][0], series[row]
-            [[(_, alone)]] = fit_sweeps([x], p)
+            [[(_, alone)]] = fit_sweeps(x.samples[np.newaxis], p)
             assert _same_outcome(outcome, alone)
             if kind == "overflow":
                 assert isinstance(alone, FloatingPointError)
@@ -312,20 +318,24 @@ def test_lag_rows_give_every_row_the_bits_of_its_one_row_call(rows, n, p, shorte
                         assert values.base is None
 
 
-def test_burg_sweeps_length_rule_and_lattice_rereads():
+def test_burg_sweeps_length_rule_and_lattice_rereads(monkeypatch):
     # Every length takes the lag-product stages, on both sides of
     # _ROW_SAMPLES; the sine's stop short, so the lattice reads it again.
+    reads = []
+    real_centred = estimation._centred
+
+    def counted(rows, *args):
+        reads.extend(i for row in rows for i, channel in enumerate(matrix)
+                     if np.shares_memory(row, channel))
+        return real_centred(rows, *args)
+
+    monkeypatch.setattr(estimation, "_centred", counted)
     for n in (255, 256, 356, _ROW_SAMPLES + 1):
         resonance = _resonance(n, n, 0.9, 0.1)
         sine = _sine(n)
-        reads = []
-
-        class Channels(list):
-            def __getitem__(self, index):
-                reads.append(index)
-                return super().__getitem__(index)
-
-        [block] = fit_sweeps(Channels(TimeSeries(x, FS) for x in (resonance, sine)), 10)
+        matrix = np.array([resonance, sine])
+        reads.clear()
+        [block] = fit_sweeps(matrix, 10)
         outcomes = dict(block)
         assert sorted(reads) == [0, 1, 1]
         lag_coeffs, _, done = _lag_stages(resonance - resonance.mean(), 10)
@@ -336,16 +346,41 @@ def test_burg_sweeps_length_rule_and_lattice_rereads():
         assert _lag_row(resonance - resonance.mean(), 10).shape == (31,)
 
 
+def test_fit_sweeps_read_the_rows_of_the_matrix_as_views(monkeypatch):
+    # Every long channel, and a fault-free block of short channels, is read
+    # as a view of the matrix; only a block read again without its faulty
+    # channel takes a copy of the others.
+    reads = []
+    real_centred = estimation._centred
+
+    def spied(rows, *args):
+        reads.append(np.shares_memory(rows, matrix))
+        return real_centred(rows, *args)
+
+    monkeypatch.setattr(estimation, "_centred", spied)
+    rng = np.random.default_rng(3)
+    for n, count in ((256, 1), (_ROW_SAMPLES + 1, 3)):
+        matrix = rng.standard_normal((3, n))
+        reads.clear()
+        outcomes = _outcomes(fit_sweeps(matrix, 4, "burg", diff_order=1))
+        assert reads == [True] * count
+        assert not any(isinstance(outcome, Exception) for _, outcome in outcomes)
+    matrix = rng.standard_normal((3, 256))
+    matrix[1, 5] = np.inf
+    reads.clear()
+    outcomes = _outcomes(fit_sweeps(matrix, 4, "burg", diff_order=1))
+    assert reads == [True, False]
+    assert [isinstance(outcome, ValueError) for _, outcome in outcomes] == [False, True, False]
+
+
 def test_fit_sweeps_refuse_channels_of_more_than_one_length():
-    # Recording's wording, whose channels all have one length.
+    # A recording, whose samples fit_sweeps reads, holds channels of one
+    # length; a matrix of no channels yields no block.
     message = "^all channels must have the same sample count$"
     channels = {"a": TimeSeries(np.arange(8.0), FS), "b": TimeSeries(np.arange(9.0) ** 2, FS)}
     with pytest.raises(ValueError, match=message):
         Recording(channels)
-    for method in ("burg", "yule_walker", "mle"):
-        with pytest.raises(ValueError, match=message):
-            next(fit_sweeps(list(channels.values()), 2, method, 8, diff_order=1))
-    assert list(fit_sweeps([], 2)) == []
+    assert list(fit_sweeps(np.empty((0, 8)), 2)) == []
 
 
 @pytest.mark.parametrize("count", [1, BLOCK_CHANNELS, BLOCK_CHANNELS + 1, 2 * BLOCK_CHANNELS + 3])
@@ -358,7 +393,7 @@ def test_fit_sweeps_yield_one_list_per_block(count):
         if index < count:
             signals[index] = np.full(64, 1.5)
     channels = [TimeSeries(x, FS) for x in signals]
-    blocks = list(fit_sweeps(channels, 4, "burg", diff_order=1))
+    blocks = list(fit_sweeps(_matrix(channels), 4, "burg", diff_order=1))
     starts = range(0, count, BLOCK_CHANNELS)
     assert [[index for index, _ in block] for block in blocks] == [
         list(range(start, min(start + BLOCK_CHANNELS, count))) for start in starts
@@ -373,7 +408,7 @@ def test_fit_sweeps_yield_one_list_per_block(count):
 @pytest.mark.parametrize("method", ["burg", "yule_walker", "mle"])
 def test_fit_sweeps_yield_each_channels_error(method):
     signals = [TimeSeries(x, FS) for x in (np.arange(5.0), np.arange(5.0) ** 2, np.full(5, 3.0))]
-    outcomes = dict(_outcomes(fit_sweeps(signals, 2, method, grid_size=8)))
+    outcomes = dict(_outcomes(fit_sweeps(_matrix(signals), 2, method, grid_size=8)))
     assert sorted(outcomes) == [0, 1, 2]
     for index in (0, 1):
         assert outcomes[index] == fit_sweep(signals[index], 2, method, grid_size=8)
@@ -383,7 +418,7 @@ def test_fit_sweeps_yield_each_channels_error(method):
     if method == "mle":
         cases.append((3, 5, "grid too coarse for order"))
     for p, grid_size, message in cases:
-        [[(_, outcome)]] = fit_sweeps([TimeSeries(np.arange(5.0), FS)], p, method, grid_size)
+        [[(_, outcome)]] = fit_sweeps(np.arange(5.0)[np.newaxis], p, method, grid_size)
         assert isinstance(outcome, ValueError) and str(outcome) == message
 
 
@@ -478,7 +513,7 @@ def test_levinson_and_mle_rows_give_every_row_the_bits_of_its_one_row_call(rows,
         assert flipped[::-1].tobytes() == sigma2.tobytes()
     # The public form.
     for method in ("yule_walker", "mle"):
-        outcomes = dict(_outcomes(fit_sweeps(series, p, method, 128)))
+        outcomes = dict(_outcomes(fit_sweeps(_matrix(series), p, method, 128)))
         assert sorted(outcomes) == list(range(len(series)))
         for row, x in enumerate(series):
             try:
@@ -512,7 +547,7 @@ def test_levinson_and_mle_rows_agree_with_the_per_channel_arithmetic(seed):
     recording, _ = simulate_recording(default_montage(), n, FS, 1.0, bursts, 10.0, seed)
     sine = TimeSeries(_sine(n, 6.0, noise=1e-9, seed=seed), FS)
     channels = [demean(difference(x, 1)) for x in (*recording.channels.values(), sine)]
-    sweeps = {method: dict(_outcomes(fit_sweeps(channels, p, method)))
+    sweeps = {method: dict(_outcomes(fit_sweeps(_matrix(channels), p, method)))
               for method in ("yule_walker", "mle")}
     for index, x in enumerate(channels):
         coeffs_by_order, ks, errs = _dot_levinson(biased_autocov(x, p).values, p)
@@ -796,7 +831,8 @@ def test_each_channel_of_a_block_gets_its_one_channel_outcome(channels, lengths,
     with np.errstate(all=errstate):
         for positions in calls.values():
             outcomes = _outcomes(
-                fit_sweeps([series[i] for i in positions], p, method, grid_size, diff_order)
+                fit_sweeps(_matrix([series[i] for i in positions]), p, method, grid_size,
+                           diff_order)
             )
             assert [index for index, _ in outcomes] == list(range(len(positions)))
             for (_, outcome), position in zip(outcomes, positions):
@@ -808,7 +844,7 @@ def test_each_channel_of_a_block_gets_its_one_channel_outcome(channels, lengths,
 def _assert_one_channel_outcome(outcome, kind, x, method, p, grid_size, diff_order, errstate):
     """``outcome``, the sweep or error of the raw channel x of ``kind``
     from a call over several channels, is the one x gets alone."""
-    [[(_, alone)]] = fit_sweeps([x], p, method, grid_size, diff_order)
+    [[(_, alone)]] = fit_sweeps(x.samples[np.newaxis], p, method, grid_size, diff_order)
     assert _same_bits(outcome, alone)
     if kind in ("resonance", "sharp", "sine"):
         expected = _per_channel_sweep(x.samples, p, method, grid_size, diff_order)
